@@ -157,8 +157,7 @@ def _cmd_state(args) -> int:
                    "method": "direct"}
     if args.noise:
         p, sigma = args.noise
-        rho = apply_noise(state, NoiseModel(depolarizing_p=p, phase_jitter_sigma=sigma),
-                          rng_seed=args.seed)
+        rho = apply_noise(state, NoiseModel(depolarizing_p=p, phase_jitter_sigma=sigma))
         payload["density_matrix"] = _matrix_pairs(rho.matrix)
         payload["noise"] = {"depolarizing_p": p, "phase_jitter_sigma": sigma}
         payload["fidelity_to_ideal"] = fidelity(rho, weighted_graph_state(args.phi12))
@@ -307,8 +306,7 @@ def _cmd_tomo_simulate(args) -> int:
     if args.noise:
         p, sigma = args.noise
         rho = apply_noise(state, NoiseModel(depolarizing_p=p,
-                                            phase_jitter_sigma=sigma),
-                          rng_seed=args.seed)
+                                            phase_jitter_sigma=sigma))
         dataset = simulate_tomography(rho, args.rate, args.duration,
                                       seed=args.seed, poisson=args.poisson)
     else:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+# unused here; bench/spans.py rebinds measurement.minimize to trace it
+from scipy.optimize import minimize  # noqa: F401
 
 from .optics import WaveplateKind, waveplate_jones_lab, wrap_interval
 from .qmath import KET_H, POLARIZATION_KETS, as_density, tensor
@@ -30,7 +31,7 @@ _PAULI_BASES = {
 
 
 class WaveplateSolverError(RuntimeError):
-    """The projector-to-waveplate optimization missed the target overlap."""
+    """No waveplate pair reached the target overlap for a projector."""
 
 
 def axis_state(beta: float, alpha: float, outcome: str) -> np.ndarray:
@@ -264,58 +265,60 @@ def _overlap_grid(h_deg, q_deg, ket) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
+# below this degree of linear polarization a state counts as circular
+_CIRCULAR_TOL = 1e-9
+
+
 def solve_projector_waveplates(beta: float, alpha: float, outcome: str,
-                               residual_tol: float = 1e-8,
-                               grid: int = 8) -> ProjectorSetting:
+                               residual_tol: float = 1e-8) -> ProjectorSetting:
     """Lab waveplate angles mapping the (beta, alpha, outcome) state to |H>.
 
-    Minimizes 1 - |<H| HWP(h) QWP(q) |beta, alpha, outcome>|^2 over the
-    two lab angles. The objective has several basins, so a ``grid`` x
-    ``grid`` multistart (augmented by a dense vectorized scan) seeds the
-    local refinements. Among solutions within the residual tolerance the
-    one with smallest |h| + |q| is returned, ties broken toward positive
-    angles; angles are reported in degrees wrapped to (-90, 90].
+    Closed form (Simon & Mukunda, Phys. Lett. A 143, 165, 1990): a QWP
+    with its fast axis on either axis of the state's polarization
+    ellipse leaves a linear polarization, which the HWP at half its
+    angle (mod 90 deg) turns onto H. A circular state is made linear by
+    any QWP axis; |h| + |q| along that family is piecewise linear, so its
+    minimum sits at a kink, q = 0 or h = 0. Candidates that miss full
+    transmission by more than ``residual_tol`` are dropped, and
+    :class:`WaveplateSolverError` is raised if none is left. Of the rest
+    the one with the smallest |h| + |q| is returned, ties broken toward
+    positive angles; angles are in degrees wrapped to (-90, 90] and
+    ``residual`` is max(0, 1 - transmission).
     """
     ket = axis_state(beta, alpha, outcome)
-
-    def objective(x):
-        return 1.0 - _overlap_grid(x[0], x[1], ket)
-
-    # multistart seeds: the best cells of the requested grid plus the
-    # best well-separated cells of a dense scan, both evaluated
-    # vectorized, so every basin gets a refinement seed without
-    # refining hopeless starts
-    starts = []
-    for points, keep, separation in (
-            (np.linspace(-90.0, 90.0, grid, endpoint=False), 4, 0.0),
-            (np.linspace(-90.0, 90.0, 73), 10, 15.0)):
-        hh, qq = np.meshgrid(points, points, indexing="ij")
-        scan = 1.0 - _overlap_grid(hh, qq, ket)
-        picked = []
-        for i in np.argsort(scan.ravel()):
-            cell = (hh.ravel()[i], qq.ravel()[i])
-            if all(max(abs(cell[0] - p[0]), abs(cell[1] - p[1])) >= separation
-                   for p in picked):
-                picked.append(cell)
-            if len(picked) >= keep:
-                break
-        starts += picked
-
+    psi, linear = _ellipse_azimuth_deg(ket)
+    if linear < _CIRCULAR_TOL:
+        # the kinks: q = 0, and q = +-45 deg, where the QWP alone gives H
+        # (so h = 0) or V
+        qwps = (0.0, 45.0, -45.0)
+    else:
+        # lab angles of the fast axis along the major and the minor axis
+        qwps = (90.0 - psi, -psi)
     solutions = []
-    for h0, q0 in starts:
-        res = minimize(objective, np.array([h0, q0]), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 400})
-        if res.fun <= residual_tol:
-            solutions.append((_wrap_plate_deg(res.x[0]), _wrap_plate_deg(res.x[1]),
-                              float(res.fun)))
+    for q in map(_wrap_plate_deg, qwps):
+        chi, _ = _ellipse_azimuth_deg(
+            waveplate_jones_lab(WaveplateKind.QWP, np.radians(q)) @ ket)
+        for h in map(_wrap_plate_deg, (90.0 - chi / 2, 180.0 - chi / 2)):
+            residual = 1.0 - float(_overlap_grid(h, q, ket))
+            if residual <= residual_tol:
+                solutions.append((h, q, max(0.0, residual)))
     if not solutions:
         raise WaveplateSolverError(
             f"no waveplate pair reached residual {residual_tol:g} for "
             f"beta={beta:.4f}, alpha={alpha:.4f}, outcome={outcome!r}")
-    h, q, res_fun = min(solutions,
-                        key=lambda s: (round(abs(s[0]) + abs(s[1]), 6),
-                                       -np.sign(s[0]), -np.sign(s[1])))
-    return ProjectorSetting(hwp_deg=h, qwp_deg=q, outcome=outcome, residual=res_fun)
+    h, q, residual = min(solutions,
+                         key=lambda s: (round(abs(s[0]) + abs(s[1]), 6),
+                                        -np.sign(s[0]), -np.sign(s[1])))
+    return ProjectorSetting(hwp_deg=h, qwp_deg=q, outcome=outcome, residual=residual)
+
+
+def _ellipse_azimuth_deg(ket) -> tuple[float, float]:
+    """Azimuth of the polarization ellipse (internal frame, degrees, from H
+    toward V) and the degree of linear polarization hypot(S1, S2)."""
+    a, b = ket
+    s1 = abs(a) ** 2 - abs(b) ** 2
+    s2 = 2 * (np.conj(a) * b).real
+    return 0.5 * float(np.degrees(np.arctan2(s2, s1))), float(np.hypot(s1, s2))
 
 
 def _wrap_plate_deg(angle: float) -> float:

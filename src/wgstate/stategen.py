@@ -129,29 +129,20 @@ def simulate_generation(cfg: GenerationConfig) -> GenerationResult:
     return GenerationResult(state=PureState2Q(p2_block), postselect_probability=prob)
 
 
-def apply_noise(state: PureState2Q, nm: NoiseModel, rng_seed: int = 0,
-                jitter_samples: int = 201) -> DensityMatrix:
+def apply_noise(state: PureState2Q, nm: NoiseModel) -> DensityMatrix:
     """Mix the state with arm-phase jitter and a depolarizing floor.
 
     rho = (1 - p) * E_delta[|psi(delta)><psi(delta)|] + p * I/4, where
     delta ~ N(0, sigma^2) jitters the arm-phase difference, which
     multiplies the photon-1 |V> branch by exp(i delta). The Gaussian
-    average uses ``jitter_samples`` Gauss-Hermite nodes, so the result
-    is deterministic; ``rng_seed`` is kept in the signature for
-    interface stability but does not influence the quadrature.
+    average is exact: E[exp(i delta)] = exp(-sigma^2 / 2), a real factor
+    on the H1/V1 coherences.
     """
-    del rng_seed
     amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
-    sigma = nm.phase_jitter_sigma
-    if sigma > 0.0:
-        nodes, weights = np.polynomial.hermite.hermgauss(jitter_samples)
-        deltas = np.sqrt(2.0) * sigma * nodes
-        weights = weights / np.sqrt(np.pi)
-        # averaging the V1-branch phase damps the H1/V1 coherences
-        damping = np.sum(weights * np.exp(1j * deltas))
-        rho[:2, 2:] *= np.conj(damping)
-        rho[2:, :2] *= damping
+    damping = np.exp(-nm.phase_jitter_sigma ** 2 / 2)
+    rho[:2, 2:] *= damping
+    rho[2:, :2] *= damping
     p = nm.depolarizing_p
     mixed = (1 - p) * rho + p * np.eye(4) / 4
     mixed = (mixed + mixed.conj().T) / 2

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .measurement import CountRecord, setting_outcome_kets, tomography_settings
-from .qmath import DensityMatrix, PureState2Q, as_density, concurrence, fidelity, tensor
+from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurrence,
+                    fidelity, tensor)
 from .stats import DegenerateDataError
 
 _RECTILINEAR_ROWS = slice(0, 4)   # V(x)V, V(x)H, H(x)H, H(x)V
@@ -76,6 +77,10 @@ _KETS = _outcome_ket_stack()                       # (16, 4, 4)
 # row-vectorized projectors: row . M.ravel() = <v|M|v> = Tr(M |v><v|)
 _PROJ_ALL = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
 _PROJ_TRANSMITTED = _PROJ_ALL.reshape(16, 4, 16)[:, 0, :]
+# two-qubit Pauli basis of linear inversion and the map from its
+# coefficients to the transmitted-port probabilities
+_PAULI_BASIS = np.array([tensor(p, q) / 2 for p in (I2, X, Y, Z) for q in (I2, X, Y, Z)])
+_INVERSION_MATRIX = _PROJ_TRANSMITTED @ _PAULI_BASIS.reshape(16, 16).T
 
 
 def simulate_tomography(state, rate: float, duration: float, seed: int = 0,
@@ -123,14 +128,8 @@ def _linear_inversion(counts16: np.ndarray) -> np.ndarray:
     n_total = counts16[_RECTILINEAR_ROWS].sum()
     if n_total <= 0:
         raise DegenerateDataError("rectilinear settings recorded no counts")
-    pauli2 = [np.eye(2, dtype=complex),
-              np.array([[0, 1], [1, 0]], dtype=complex),
-              np.array([[0, -1j], [1j, 0]], dtype=complex),
-              np.array([[1, 0], [0, -1]], dtype=complex)]
-    basis = np.array([tensor(p, q) / 2 for p in pauli2 for q in pauli2])
-    b_mat = _PROJ_TRANSMITTED @ basis.reshape(16, 16).T
-    coeffs = np.linalg.solve(b_mat, counts16 / n_total)
-    rho = np.tensordot(coeffs, basis, axes=1)
+    coeffs = np.linalg.solve(_INVERSION_MATRIX, counts16 / n_total)
+    rho = np.tensordot(coeffs, _PAULI_BASIS, axes=1)
     rho = (rho + rho.conj().T) / 2
     vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals.real, 1e-6, None)

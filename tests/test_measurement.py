@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
-from wgstate.measurement import (CountRecord, analyzer_overlap, axis_state,
+from wgstate.measurement import (CountRecord, _overlap_grid, analyzer_overlap, axis_state,
                                  general_axis_observable, outcome_probabilities,
                                  pauli_observable, simulate_counts,
                                  solve_projector_waveplates, tomography_settings)
+from wgstate.optics import WaveplateKind, waveplate_jones_lab
 from wgstate.qmath import PAULIS, PureState2Q, expectation, tensor
 from wgstate.stategen import GenerationConfig, simulate_generation, weighted_graph_state
 
@@ -204,6 +208,50 @@ class TestWaveplateSolver:
             overlap = analyzer_overlap(setting.hwp_deg, setting.qwp_deg,
                                        axis_state(beta, alpha, outcome))
             assert overlap >= 1 - 1e-8
+
+    def test_circular_state_takes_the_q_zero_kink(self):
+        # R: the solutions form a continuum; (22.5, 0) is exact and has
+        # the smallest |h| + |q| on it
+        setting = solve_projector_waveplates(np.pi / 2, np.pi / 2, "-")
+        assert (setting.hwp_deg, setting.qwp_deg) == (22.5, 0.0)
+        assert setting.residual == 0.0
+
+    def test_tie_breaks_toward_positive_qwp(self):
+        # D: (-22.5, 45) and (-22.5, -45) tie on |h| + |q|
+        setting = solve_projector_waveplates(np.pi / 2, 0.0, "+")
+        assert setting.hwp_deg == pytest.approx(-22.5, abs=1e-9)
+        assert setting.qwp_deg == pytest.approx(45.0, abs=1e-9)
+
+    @settings(deadline=None)
+    @given(beta=st.floats(0.0, np.pi), alpha=st.floats(-np.pi, np.pi),
+           outcome=st.sampled_from("+-"))
+    def test_exact_and_minimal(self, beta, alpha, outcome):
+        ket = axis_state(beta, alpha, outcome)
+        setting = solve_projector_waveplates(beta, alpha, outcome)
+        h, q = setting.hwp_deg, setting.qwp_deg
+        assert analyzer_overlap(h, q, ket) >= 1 - 1e-12
+        assert -90.0 < h <= 90.0 and -90.0 < q <= 90.0
+        assert setting.residual >= 0.0
+        # reference by root finding: full transmission needs a linear
+        # polarization behind the QWP, so every exact q is a zero of S3
+        # there; at such a q the transmission is cos^2 of twice the HWP's
+        # miss, so an h with residual <= 1e-4 lies within 0.29 deg of an
+        # exact h
+        def s3_after_qwp(q_deg):
+            a, b = waveplate_jones_lab(WaveplateKind.QWP, np.radians(q_deg)) @ ket
+            return (np.conj(a) * b).imag
+
+        q_grid = np.linspace(-90.0, 90.0, 181)
+        s3 = [s3_after_qwp(x) for x in q_grid]
+        exact_qs = [x for x, f in zip(q_grid, s3) if f == 0.0]
+        exact_qs += [brentq(s3_after_qwp, x0, x1, xtol=1e-12)
+                     for x0, x1, f0, f1 in zip(q_grid, q_grid[1:], s3, s3[1:])
+                     if f0 * f1 < 0]
+        h_grid = np.arange(-359, 361) * 0.25
+        for exact_q in exact_qs:
+            near = 1.0 - _overlap_grid(h_grid, exact_q, ket) <= 1e-4
+            assert near.any()
+            assert np.abs(h_grid[near]).min() + abs(exact_q) >= abs(h) + abs(q) - 0.3
 
 
 class TestWrapPlateDeg:
