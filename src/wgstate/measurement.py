@@ -145,8 +145,8 @@ class CountRecord:
         c = np.asarray(self.counts, dtype=np.int64).reshape(4)
         if (c < 0).any():
             raise ValueError("counts must be non-negative")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
+        if not (np.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
 

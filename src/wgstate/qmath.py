@@ -139,7 +139,8 @@ def concurrence(rho) -> float:
     C = max(0, l1 - l2 - l3 - l4) are computed as the singular values
     of B^T (Y (x) Y) B with rho = B B^dag, which avoids squaring the
     matrix and stays accurate at the rank boundary. Eigenvalues of rho
-    below numerical noise are treated as exact zeros.
+    below numerical noise are treated as exact zeros, and a value that
+    rounding carries above 1 is reported as 1.
     """
     m = as_density(rho)
     vals, vecs = np.linalg.eigh(m)
@@ -148,7 +149,7 @@ def concurrence(rho) -> float:
     b = vecs * np.sqrt(vals)
     yy = tensor(Y, Y)
     lams = np.linalg.svd(b.T @ yy @ b, compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
+    return float(min(1.0, max(0.0, lams[0] - lams[1] - lams[2] - lams[3])))
 
 
 def expectation(obs, state) -> float:

@@ -23,7 +23,8 @@ from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurr
 from .stats import DegenerateDataError
 
 _RECTILINEAR_ROWS = slice(0, 4)   # V(x)V, V(x)H, H(x)H, H(x)V
-_LOWER_INDICES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+_DIAG = np.diag_indices(4)
+_LOWER = np.tril_indices(4, -1)   # (1,0), (2,0), (2,1), (3,0), (3,1), (3,2)
 
 
 class ReconstructionError(RuntimeError):
@@ -107,18 +108,23 @@ def simulate_tomography(state, rate: float, duration: float, seed: int = 0,
 def _cholesky_params(rho: np.ndarray) -> np.ndarray:
     t_mat = np.linalg.cholesky(rho + 1e-12 * np.eye(4))
     params = np.empty(16)
-    params[:4] = np.diag(t_mat).real
-    for i, (r, c) in enumerate(_LOWER_INDICES):
-        params[4 + 2 * i] = t_mat[r, c].real
-        params[5 + 2 * i] = t_mat[r, c].imag
+    params[:4] = t_mat[_DIAG].real
+    params[4::2] = t_mat[_LOWER].real
+    params[5::2] = t_mat[_LOWER].imag
     return params
 
 
-def _rho_from_params(t: np.ndarray) -> np.ndarray:
+def _t_matrix(t: np.ndarray) -> np.ndarray:
+    """Lower-triangular T of the parameter vector: the real diagonal,
+    then (real, imaginary) pairs in _LOWER order."""
     t_mat = np.zeros((4, 4), dtype=complex)
-    t_mat[np.diag_indices(4)] = t[:4]
-    for i, (r, c) in enumerate(_LOWER_INDICES):
-        t_mat[r, c] = t[4 + 2 * i] + 1j * t[5 + 2 * i]
+    t_mat[_DIAG] = t[:4]
+    t_mat[_LOWER] = t[4::2] + 1j * t[5::2]
+    return t_mat
+
+
+def _rho_from_params(t: np.ndarray) -> np.ndarray:
+    t_mat = _t_matrix(t)
     rho = t_mat.conj().T @ t_mat
     return rho / np.trace(rho).real
 
@@ -137,20 +143,30 @@ def _linear_inversion(counts16: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian",
-                    outcomes: str = "all") -> DensityMatrix:
-    """Maximum-likelihood density matrix for a tomography dataset.
+# per-outcome likelihood in probability space: p, ratios -> (sum of the
+# terms, derivative of each term in its p)
+def _gaussian_terms(p, ratios):
+    return np.sum((p - ratios) ** 2 / (2 * p)), (1 - (ratios / p) ** 2) / 2
 
-    ``outcomes="all"`` fits the full four-outcome records;
-    ``outcomes="transmitted"`` uses only each setting's transmitted-pair
-    count (the classic 16-number reconstruction). The Gaussian
-    likelihood weighs squared residuals by the expected counts; the
-    Poisson option is the exact counting likelihood.
+
+def _poisson_terms(p, ratios):
+    return np.sum(p - ratios * np.log(p)), 1 - ratios / p
+
+
+# likelihood -> (terms, floor clamped onto the predicted probabilities)
+_LIKELIHOODS = {"gaussian": (_gaussian_terms, 1e-9), "poisson": (_poisson_terms, 1e-12)}
+
+
+def _objective(counts: np.ndarray, likelihood: str, outcomes: str):
+    """The fit's objective, t -> (negative log-likelihood, its gradient),
+    and the photon flux that normalizes it.
+
+    With rho = T^dag T / tau, tau = Tr(T^dag T), and g_k = df/dp_k, the
+    differential is df = Tr(C (dT^dag T + T^dag dT)) for
+    C = (B - Tr(B rho) I) / tau and B = sum_k g_k Pi_k, so
+    df/dRe T_rc = 2 Re(T C)_rc and df/dIm T_rc = 2 Im(T C)_rc
+    (James, Kwiat, Munro & White, PRA 64, 052312, 2001).
     """
-    counts = data.counts.astype(float)
-    if counts.sum() <= 0:
-        raise DegenerateDataError("dataset contains no counts")
-
     if outcomes == "all":
         observed = counts.ravel()
         proj = _PROJ_ALL
@@ -163,26 +179,65 @@ def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian",
         raise ValueError(f"unknown outcomes mode {outcomes!r}")
     if flux <= 0:
         raise DegenerateDataError("rectilinear settings recorded no counts")
-
-    # objectives are written in probability space and normalized by the
+    if likelihood not in _LIKELIHOODS:
+        raise ValueError(f"unknown likelihood {likelihood!r}")
+    terms, floor = _LIKELIHOODS[likelihood]
+    # the objective is written in probability space and normalized by the
     # flux, so rescaling every count leaves the minimizer unchanged
     ratios = observed / flux
-    if likelihood == "gaussian":
-        def nll(t):
-            p = np.maximum((proj @ _rho_from_params(t).ravel()).real, 1e-9)
-            return float(flux * np.sum((p - ratios) ** 2 / (2 * p)))
-    elif likelihood == "poisson":
-        def nll(t):
-            p = np.maximum((proj @ _rho_from_params(t).ravel()).real, 1e-12)
-            return float(flux * np.sum(p - ratios * np.log(p)))
-    else:
-        raise ValueError(f"unknown likelihood {likelihood!r}")
+    # the value of the saturated fit p = ratios; without it the Poisson
+    # objective carries a constant of ~flux * sum(r log r), and L-BFGS-B's
+    # relative ftol then stops up to ~1e-6 away from the minimizer in rho
+    saturated = terms(np.maximum(ratios, floor), ratios)[0]
 
-    starts = [_cholesky_params(_linear_inversion(counts[:, 0])),
-              _cholesky_params(np.eye(4) / 4)]
+    def nll(t):
+        t_mat = _t_matrix(t)
+        gram = t_mat.conj().T @ t_mat
+        tau = np.trace(gram).real
+        rho = gram / tau
+        raw = (proj @ rho.ravel()).real
+        value, dp = terms(np.maximum(raw, floor), ratios)
+        # a clamped probability is constant in the parameters
+        g = np.where(raw > floor, flux * dp, 0.0)
+        # row k of proj is Pi_k^T flattened
+        b = (g @ proj).reshape(4, 4).T
+        tc = 2 * t_mat @ ((b - (g @ raw) * np.eye(4)) / tau)
+        grad = np.empty(16)
+        grad[:4] = tc[_DIAG].real
+        grad[4::2] = tc[_LOWER].real
+        grad[5::2] = tc[_LOWER].imag
+        return float(flux * (value - saturated)), grad
+
+    return nll, flux
+
+
+def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian",
+                    outcomes: str = "all") -> DensityMatrix:
+    """Maximum-likelihood density matrix for a tomography dataset.
+
+    ``outcomes="all"`` fits the full four-outcome records;
+    ``outcomes="transmitted"`` uses only each setting's transmitted-pair
+    count (the classic 16-number reconstruction). The Gaussian
+    likelihood weighs squared residuals by the expected counts; the
+    Poisson option is the exact counting likelihood. L-BFGS-B minimizes
+    it with the analytic gradient in the Cholesky parameters. It starts
+    from the linear-inversion estimate, which needs transmitted counts in
+    the rectilinear settings, and from the maximally mixed state when
+    that is missing or does not converge.
+    """
+    counts = data.counts.astype(float)
+    if counts.sum() <= 0:
+        raise DegenerateDataError("dataset contains no counts")
+    nll, flux = _objective(counts, likelihood, outcomes)
+
+    starts = [_cholesky_params(np.eye(4) / 4)]
+    # linear inversion reads the transmitted counts only, which a sparse
+    # resample can leave empty in the rectilinear settings
+    if counts[_RECTILINEAR_ROWS, 0].sum() > 0:
+        starts.insert(0, _cholesky_params(_linear_inversion(counts[:, 0])))
     best = None
     for start in starts:
-        res = minimize(nll, start, method="L-BFGS-B",
+        res = minimize(nll, start, jac=True, method="L-BFGS-B",
                        options={"maxiter": 2000, "ftol": 1e-14, "gtol": 1e-9})
         if best is None or res.fun < best.fun:
             best = res
@@ -275,6 +330,8 @@ def read_dataset_csv(path) -> TomographyDataset:
                 raise ValueError(f"malformed dataset CSV row: {row!r}") from exc
             if not 0 <= idx < 16 or len(counts) != 4:
                 raise ValueError(f"malformed dataset CSV row: {row!r}")
+            if idx in rows:
+                raise ValueError(f"malformed dataset CSV: setting {idx} appears twice")
             if row["projector_label"] != settings[idx].label:
                 raise ValueError(
                     f"row {idx} label {row['projector_label']!r} does not match "

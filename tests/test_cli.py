@@ -189,6 +189,49 @@ class TestTomoCommand:
         assert main(["tomo", "reconstruct", "--in", "bad.csv", "--phi12", "0",
                      "--out", "r.json", "--no-timestamp"]) == 2
 
+    def test_sparse_data_with_empty_resamples(self, tmp_path, monkeypatch):
+        # ~2 counts per setting and one rectilinear transmitted count: some
+        # of the 20 resamples have no rectilinear transmitted counts at all
+        monkeypatch.chdir(tmp_path)
+        phi = "3.141592653589793"
+        assert main(["tomo", "simulate", "--phi12", phi, "--rate", "0.2",
+                     "--poisson", "--seed", "1", "--out", "d.csv",
+                     "--no-timestamp"]) == 0
+        assert main(["tomo", "reconstruct", "--in", "d.csv", "--phi12", phi,
+                     "--mc", "20", "--seed", "1", "--out", "r.json",
+                     "--no-timestamp"]) == 0
+        data = load_json(tmp_path / "r.json")
+        assert data["mc_samples"] == 20
+        assert 0.0 <= data["concurrence"]["mean"] <= 1.0
+
+    def _dataset_lines(self, tmp_path):
+        assert main(["tomo", "simulate", "--phi12", "1.0", "--out", "d.csv",
+                     "--no-timestamp"]) == 0
+        return (tmp_path / "d.csv").read_text().splitlines()
+
+    def _reconstruct(self, capsys):
+        rc = main(["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1.0",
+                   "--mc", "2", "--out", "r.json", "--no-timestamp"])
+        return rc, capsys.readouterr().err
+
+    def test_duplicate_row_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        lines = self._dataset_lines(tmp_path)
+        (tmp_path / "d.csv").write_text("\n".join(lines + [lines[5]]) + "\n")
+        rc, err = self._reconstruct(capsys)
+        assert rc == 2
+        assert "appears twice" in err
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_bad_duration_exits_two(self, tmp_path, monkeypatch, capsys, duration):
+        monkeypatch.chdir(tmp_path)
+        lines = self._dataset_lines(tmp_path)
+        lines[7] = lines[7].rsplit(",", 1)[0] + "," + duration
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        rc, err = self._reconstruct(capsys)
+        assert rc == 2
+        assert "duration must be finite" in err
+
     def test_default_mc_is_hundred(self):
         from wgstate.cli import build_parser
         parser = build_parser()

@@ -153,6 +153,11 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             CountRecord(counts=np.array([-1, 0, 0, 0]))
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_count_record_duration_finite_and_non_negative(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            CountRecord(counts=np.ones(4, dtype=int), duration=duration)
+
 
 class TestTomographySettings:
     def test_sixteen_rows(self):

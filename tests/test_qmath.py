@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wgstate.qmath import (DensityMatrix, NonPhysicalStateError, PureState2Q,
                            I2, X, Y, Z, concurrence, expectation, fidelity,
@@ -92,6 +94,18 @@ class TestConcurrence:
         for phi in np.linspace(0.0, np.pi, 33):
             c = concurrence(weighted_graph_state(phi).density())
             assert c == pytest.approx(abs(np.sin(phi / 2)), abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32),
+           rank=st.integers(1, 4))
+    # the maximal-weight graph state (1, 1, 1, -1)/2: its spectrum rounds to 1 + 4e-16
+    @example(entries=[1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0, 0, 0, 0, -1.0] + [0.0] * 19, rank=1)
+    def test_lies_in_unit_interval(self, entries, rank):
+        # rho = A A^dag / Tr(A A^dag) for a random 4 x rank complex A
+        a = (np.reshape(entries[:16], (4, 4)) + 1j * np.reshape(entries[16:], (4, 4)))[:, :rank]
+        norm = np.vdot(a, a).real
+        assume(norm > 1e-6)
+        assert 0.0 <= concurrence(a @ a.conj().T / norm) <= 1.0
 
 
 class TestExpectation:

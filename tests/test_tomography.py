@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wgstate.tomography as tomography
 from wgstate.measurement import CountRecord, setting_outcome_kets, tomography_settings
-from wgstate.qmath import DensityMatrix, PureState2Q, fidelity, trace_distance
-from wgstate.stategen import weighted_graph_state
+from wgstate.qmath import DensityMatrix, PureState2Q, as_density, fidelity, trace_distance
+from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 from wgstate.stats import DegenerateDataError
 from wgstate.tomography import (ReconstructionReport, TomographyDataset,
                                 mle_reconstruct, monte_carlo_report,
                                 read_dataset_csv, simulate_tomography,
                                 write_dataset_csv)
+
+LIKELIHOODS = ("gaussian", "poisson")
+
+
+def scaled_dataset(data, factor):
+    return TomographyDataset(records=tuple(
+        CountRecord(counts=r.counts * factor, duration=r.duration) for r in data.records))
 
 
 def brute_force_probs(state, setting):
@@ -84,10 +94,20 @@ class TestMLE:
     def test_scale_invariance(self):
         target = weighted_graph_state(np.pi / 4)
         base = simulate_tomography(target, rate=150.0, duration=10.0)
-        scaled = TomographyDataset(records=tuple(
-            CountRecord(counts=r.counts * 7, duration=r.duration)
-            for r in base.records))
-        assert trace_distance(mle_reconstruct(base), mle_reconstruct(scaled)) < 1e-6
+        assert trace_distance(mle_reconstruct(base),
+                              mle_reconstruct(scaled_dataset(base, 7))) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(phi=st.floats(0.0, np.pi), depolarizing=st.floats(0.0, 0.5),
+           rate=st.sampled_from([3.0, 15.0, 150.0]), seed=st.integers(0, 2 ** 32 - 1),
+           factor=st.integers(2, 9), likelihood=st.sampled_from(LIKELIHOODS))
+    def test_scale_invariance_under_shot_noise(self, phi, depolarizing, rate, seed,
+                                               factor, likelihood):
+        state = apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=depolarizing))
+        base = simulate_tomography(state, rate, 10.0, seed=seed, poisson=True)
+        assert trace_distance(
+            mle_reconstruct(base, likelihood=likelihood),
+            mle_reconstruct(scaled_dataset(base, factor), likelihood=likelihood)) < 1e-6
 
     def test_output_physical_for_noisy_counts(self):
         rng = np.random.default_rng(17)
@@ -100,6 +120,48 @@ class TestMLE:
         records = tuple(CountRecord(counts=np.zeros(4, dtype=int)) for _ in range(16))
         with pytest.raises(DegenerateDataError):
             mle_reconstruct(TomographyDataset(records=records))
+
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    def test_no_rectilinear_transmitted_counts(self, likelihood):
+        # what a sparse Monte Carlo resample can leave: linear inversion
+        # has nothing to normalize by, the other outcomes still carry flux
+        data = simulate_tomography(weighted_graph_state(np.pi), 150.0, 10.0, seed=2, poisson=True)
+        counts = data.counts.copy()
+        counts[:4, 0] = 0
+        rho = mle_reconstruct(TomographyDataset(records=tuple(
+            CountRecord(counts=row) for row in counts)), likelihood=likelihood)
+        assert isinstance(rho, DensityMatrix)
+
+
+class TestGradient:
+    """The analytic gradient of the fit's objective against central differences."""
+
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
+    def test_matches_central_differences(self, likelihood, outcomes):
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
+        nll, _flux = tomography._objective(data.counts.astype(float), likelihood, outcomes)
+        rng = np.random.default_rng(8)
+        near_pure = (1 - 1e-3) * as_density(weighted_graph_state(2.0)) + 1e-3 * np.eye(4) / 4
+        # random points are unnormalized: Tr(T^dag T) is far from 1
+        points = [rng.normal(size=16) for _ in range(3)] + [tomography._cholesky_params(near_pure)]
+        h = 1e-6
+        for t in points:
+            central = np.array([(nll(t + h * e)[0] - nll(t - h * e)[0]) / (2 * h)
+                                for e in np.eye(16)])
+            assert np.linalg.norm(nll(t)[1] - central) <= 1e-5 * np.linalg.norm(central)
+
+    def test_fit_passes_the_gradient(self, monkeypatch):
+        jacs = []
+        minimize = tomography.minimize
+
+        def spy(fun, x0, **kwargs):
+            jacs.append(kwargs.get("jac"))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", spy)
+        mle_reconstruct(simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0))
+        assert jacs and all(jac is True for jac in jacs)
 
 
 class TestMonteCarloReport:
@@ -144,6 +206,26 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text("setting_index,projector_label\n0,HxH\n")
         with pytest.raises(ValueError):
+            read_dataset_csv(path)
+
+    def test_duplicate_setting_rejected(self, tmp_path):
+        data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
+        path = tmp_path / "dup.csv"
+        write_dataset_csv(path, data)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(ValueError, match="twice"):
+            read_dataset_csv(path)
+
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_bad_duration_rejected(self, tmp_path, duration):
+        data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
+        path = tmp_path / "bad_duration.csv"
+        write_dataset_csv(path, data)
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + duration
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="duration"):
             read_dataset_csv(path)
 
     def test_truncated_csv_rejected(self, tmp_path):
