@@ -1,16 +1,15 @@
 """The bin-bootstrap pipeline on a synthetic sensing run.
 
 Simulates binned coincidence counts at the operating point and the two
-shifted phases, then bootstraps the expectation value, single-shot
-variance, slope, and the estimator-variance ratio, comparing each
-against the ideal values.
+shifted phases, resamples each setting once, and derives the expectation
+value, single-shot variance, slope and estimator-variance ratio from the
+same replicates, comparing each against the ideal values.
 """
 
 import numpy as np
 
 from wgstate import (BinnedCounts, BootstrapConfig, SensingConfig,
-                     bootstrap_derivative, bootstrap_expectation,
-                     bootstrap_ratio, bootstrap_variance, encoding_unitary,
+                     bootstrap_sensing, encoding_unitary,
                      outcome_probabilities, pauli_observable, sense,
                      simulate_counts, weighted_graph_state)
 from wgstate.qmath import PureState2Q
@@ -36,18 +35,17 @@ minus = binned(-H_SHIFT, 300)
 cfg = BootstrapConfig(mu=10000, seed=1)
 
 ideal = sense(state, obs, SensingConfig(phi12=PHI12, h=H_SHIFT))
-expectation = bootstrap_expectation(center, obs.weights, cfg)
-variance = bootstrap_variance(center, obs.weights, cfg)
-slope = bootstrap_derivative(plus, minus, H_SHIFT, obs.weights, cfg)
-ratio = bootstrap_ratio(center, plus, minus, H_SHIFT, obs.weights, cfg)
+boot = bootstrap_sensing(center, plus, minus, H_SHIFT, obs.weights, cfg)
 
 print(f"weight pi, Z(x)Y, {N_BINS} bins x {RATE:.0f} cps x {DURATION:.0f} s, "
       f"{cfg.mu} bootstrap replicates")
 print(f"{'quantity':22s} {'bootstrap mean':>14s} {'95% CI':>22s} {'ideal':>8s}")
-rows = [("expectation", expectation, ideal.expectation),
-        ("single-shot variance", variance, ideal.single_shot_variance),
-        ("slope", slope, ideal.derivative_magnitude),
-        ("estimator variance", ratio, ideal.estimator_variance)]
+rows = [("expectation", boot.expectation, ideal.expectation),
+        ("single-shot variance", boot.single_shot_variance,
+         ideal.single_shot_variance),
+        ("slope", boot.derivative, ideal.derivative_magnitude),
+        ("estimator variance", boot.estimator_variance,
+         ideal.estimator_variance)]
 for name, res, truth in rows:
     ci = f"[{res.ci_low:+.4f}, {res.ci_high:+.4f}]"
     print(f"{name:22s} {res.mean:+14.4f} {ci:>22s} {truth:+8.4f}")
@@ -56,4 +54,4 @@ nu = center.total
 print()
 print(f"shot-noise scale: nu = {nu} pooled counts, so the expectation's "
       f"sampling noise ~ 1/sqrt(nu) = {1 / np.sqrt(nu):.4f}")
-print(f"clamped ratio replicates: {ratio.n_clamped} of {cfg.mu}")
+print(f"clamped ratio replicates: {boot.estimator_variance.n_clamped} of {cfg.mu}")

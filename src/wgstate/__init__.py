@@ -32,9 +32,8 @@ from .metrology import (DerivativeVanishesError, SearchConfig, SearchError,
                         qfi_closed_form, qfi_numeric, sense)
 from .stats import (BinnedCounts, BootstrapConfig, BootstrapResult,
                     CosineFitError, DegenerateDataError, FitResult,
-                    bootstrap_derivative, bootstrap_expectation,
-                    bootstrap_ratio, bootstrap_variance, cosine_fit,
-                    visibility)
+                    SensingBootstrap, bootstrap_expectation,
+                    bootstrap_sensing, cosine_fit, visibility)
 from .tomography import (ReconstructionError, ReconstructionReport,
                          TomographyDataset, mle_reconstruct,
                          monte_carlo_report, read_dataset_csv,

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage errors, 3 degenerate data (empty counts,
+Exit codes: 0 success, 2 usage errors (including non-finite numbers and
+files that cannot be read or written), 3 degenerate data (empty counts,
 vanishing post-selection), 4 numerical failures (optimizers, fits).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
@@ -33,9 +34,8 @@ from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        mzi_phase_condition, simulate_generation,
                        weighted_graph_state)
 from .stats import (BinnedCounts, BootstrapConfig, CosineFitError,
-                    DegenerateDataError, bootstrap_derivative,
-                    bootstrap_expectation, bootstrap_ratio,
-                    bootstrap_variance, cosine_fit, visibility)
+                    DegenerateDataError, bootstrap_sensing, cosine_fit,
+                    visibility)
 from .tomography import (ReconstructionError, monte_carlo_report,
                          read_dataset_csv, simulate_tomography,
                          write_dataset_csv)
@@ -47,8 +47,15 @@ _DEGENERATE_EXIT = 3
 _NUMERICAL_EXIT = 4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WGSTATE_SEED", "12345"))
+def _finite_float(text: str) -> float:
+    """argparse type for every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _complex_pairs(values) -> list:
@@ -251,12 +258,9 @@ def _cmd_sense(args) -> int:
                                  args.duration, args.bins, rng)
             for name, theta in thetas.items()}
 
-    cfg = BootstrapConfig(mu=args.replicates, seed=args.seed)
-    w = obs.weights
-    expectation = bootstrap_expectation(bins["center"], w, cfg)
-    variance = bootstrap_variance(bins["center"], w, cfg)
-    derivative = bootstrap_derivative(bins["plus"], bins["minus"], h, w, cfg)
-    ratio = bootstrap_ratio(bins["center"], bins["plus"], bins["minus"], h, w, cfg)
+    boot = bootstrap_sensing(bins["center"], bins["plus"], bins["minus"], h,
+                             obs.weights,
+                             BootstrapConfig(mu=args.replicates, seed=args.seed))
 
     def block(result):
         out = {"mean": result.mean, "ci95": [result.ci_low, result.ci_high]}
@@ -273,10 +277,7 @@ def _cmd_sense(args) -> int:
         "theta_star": args.theta_star,
         "shift_deg": args.shift_deg,
         "rate": args.rate, "duration": args.duration, "bins": args.bins,
-        "expectation": block(expectation),
-        "single_shot_variance": block(variance),
-        "derivative": block(derivative),
-        "estimator_variance": block(ratio),
+        **{name: block(result) for name, result in vars(boot).items()},
         "ideal": {
             "expectation": ideal.expectation,
             "derivative_magnitude": ideal.derivative_magnitude,
@@ -294,6 +295,7 @@ def _cmd_sense(args) -> int:
                 c = record.counts
                 fh.write(f"{name},{i},{c[0]},{c[1]},{c[2]},{c[3]},{record.duration:g}\n")
     _write_manifest(args, [json_path, csv_path])
+    ratio = boot.estimator_variance
     print(f"sense phi12={args.phi12:.4f} {obs.label}: (Dtheta)^2 = "
           f"{ratio.mean:.2f} [{ratio.ci_low:.2f}, {ratio.ci_high:.2f}]")
     return 0
@@ -319,11 +321,7 @@ def _cmd_tomo_simulate(args) -> int:
 
 
 def _cmd_tomo_reconstruct(args) -> int:
-    try:
-        dataset = read_dataset_csv(args.infile)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_EXIT
+    dataset = read_dataset_csv(args.infile)
     target = weighted_graph_state(args.phi12)
     report = monte_carlo_report(dataset, target, n=args.mc, seed=args.seed,
                                 likelihood=args.likelihood)
@@ -353,7 +351,11 @@ def _cmd_tomo_reconstruct(args) -> int:
 def _cmd_fringe(args) -> int:
     if args.steps < 4:
         raise ValueError("--steps must be at least 4")
+    if not 0 <= args.contrast <= 1:
+        raise ValueError("--contrast must lie in [0, 1]")
     start, stop = args.varphi_range
+    if start == stop:
+        raise ValueError("--varphi-range needs START != STOP")
     varphis = start + (stop - start) * np.arange(args.steps) / args.steps
     probs = (1 + args.contrast * np.cos(varphis)) / 2
     means = args.rate * args.duration * probs
@@ -401,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=int,
+                       default=os.environ.get("WGSTATE_SEED", "12345"),
                        help="RNG seed (default: WGSTATE_SEED or 12345)")
         p.add_argument("--manifest", default=None,
                        help="manifest path (default: first output + .manifest.json)")
@@ -409,13 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="omit the timestamp from the manifest")
 
     p = sub.add_parser("state", help="construct or simulate the weighted graph state")
-    p.add_argument("--phi12", type=float, required=True, help="graph weight (radians)")
+    p.add_argument("--phi12", type=_finite_float, required=True,
+                   help="graph weight (radians)")
     p.add_argument("--pipeline", action="store_true",
                    help="propagate through the optical train instead of the "
                         "direct construction")
-    p.add_argument("--varphi-prime", type=float, default=None,
+    p.add_argument("--varphi-prime", type=_finite_float, default=None,
                    help="override the arm-phase difference (radians; pipeline only)")
-    p.add_argument("--noise", nargs=2, type=float, metavar=("P", "SIGMA"),
+    p.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
                    default=None, help="depolarizing weight and phase-jitter sigma")
     p.add_argument("--out", required=True)
     add_common(p)
@@ -425,29 +429,31 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid", type=int, default=None,
                        help="number of weights on [0, pi]")
-    group.add_argument("--phi12", type=float, default=None)
+    group.add_argument("--phi12", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_qfi)
 
     p = sub.add_parser("optimize", help="search for the best local measurement")
-    p.add_argument("--phi12", type=float, required=True)
+    p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--kind", choices=("pauli", "general"), required=True)
-    p.add_argument("--theta-star", type=float, default=0.0)
-    p.add_argument("--shift-deg", type=float, default=5.0)
+    p.add_argument("--theta-star", type=_finite_float, default=0.0)
+    p.add_argument("--shift-deg", type=_finite_float, default=5.0)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("sense", help="simulate a sensing run with bootstrap errors")
-    p.add_argument("--phi12", type=float, required=True)
+    p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--observable", required=True,
                    help="'ZY', 'I,Y' or 'axis:b1,a1,b2,a2' (degrees)")
-    p.add_argument("--rate", type=float, default=150.0, help="coincidences/second")
-    p.add_argument("--duration", type=float, default=10.0, help="seconds per bin")
+    p.add_argument("--rate", type=_finite_float, default=150.0,
+                   help="coincidences/second")
+    p.add_argument("--duration", type=_finite_float, default=10.0,
+                   help="seconds per bin")
     p.add_argument("--bins", type=int, default=6)
-    p.add_argument("--theta-star", type=float, default=0.0)
-    p.add_argument("--shift-deg", type=float, default=5.0)
+    p.add_argument("--theta-star", type=_finite_float, default=0.0)
+    p.add_argument("--shift-deg", type=_finite_float, default=5.0)
     p.add_argument("--replicates", type=int, default=10000)
     p.add_argument("--out", required=True, help="output basename (.json/.csv)")
     add_common(p)
@@ -457,11 +463,11 @@ def build_parser() -> argparse.ArgumentParser:
     tomo_sub = p.add_subparsers(dest="tomo_command", required=True)
 
     ps = tomo_sub.add_parser("simulate", help="write a 16-setting dataset CSV")
-    ps.add_argument("--phi12", type=float, required=True)
-    ps.add_argument("--rate", type=float, default=150.0)
-    ps.add_argument("--duration", type=float, default=10.0)
+    ps.add_argument("--phi12", type=_finite_float, required=True)
+    ps.add_argument("--rate", type=_finite_float, default=150.0)
+    ps.add_argument("--duration", type=_finite_float, default=10.0)
     ps.add_argument("--poisson", action="store_true")
-    ps.add_argument("--noise", nargs=2, type=float, metavar=("P", "SIGMA"),
+    ps.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
                     default=None)
     ps.add_argument("--out", required=True)
     add_common(ps)
@@ -469,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = tomo_sub.add_parser("reconstruct", help="MLE + Monte Carlo from a dataset CSV")
     pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--phi12", type=float, required=True,
+    pr.add_argument("--phi12", type=_finite_float, required=True,
                     help="target graph weight for the fidelity report")
     pr.add_argument("--mc", type=int, default=100)
     pr.add_argument("--likelihood", choices=("gaussian", "poisson"),
@@ -479,12 +485,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=_cmd_tomo_reconstruct, command="tomo reconstruct")
 
     p = sub.add_parser("fringe", help="sweep the arm phase and fit the fringe")
-    p.add_argument("--varphi-range", nargs=2, type=float, default=(0.0, 2 * np.pi),
-                   metavar=("START", "STOP"))
+    p.add_argument("--varphi-range", nargs=2, type=_finite_float,
+                   default=(0.0, 2 * np.pi), metavar=("START", "STOP"))
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--rate", type=float, default=150.0)
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--contrast", type=float, default=1.0,
+    p.add_argument("--rate", type=_finite_float, default=150.0)
+    p.add_argument("--duration", type=_finite_float, default=10.0)
+    p.add_argument("--contrast", type=_finite_float, default=1.0,
                    help="fringe contrast of the simulated law")
     p.add_argument("--exact", action="store_true", help="skip Poisson sampling")
     p.add_argument("--out", required=True, help="output basename (.json/.csv)")
@@ -506,7 +512,7 @@ def main(argv=None) -> int:
             ReconstructionError, DerivativeVanishesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _NUMERICAL_EXIT
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 

@@ -6,6 +6,13 @@ outcome-pair counts each. A bootstrap replicate redraws L bins with
 replacement, pools them, and evaluates the weighted-count estimator
 E = sum_k w_k N_k / sum_k N_k. Point estimates are replicate means and
 confidence intervals are empirical percentiles.
+
+A sensing run has three settings: the operating point and the phases
+shifted by +-h. ``bootstrap_sensing`` resamples each of them once and
+derives the expectation, the single-shot variance 1 - E^2, the slope and
+the estimator variance from those same replicates, so replicate b of
+every statistic comes from one draw of the data (Efron & Tibshirani,
+An Introduction to the Bootstrap, 1993).
 """
 
 from __future__ import annotations
@@ -132,11 +139,6 @@ def _summarize(samples: np.ndarray, ci_level: float,
                            n_clamped=n_clamped)
 
 
-def _spawn_rngs(seed: int, n: int):
-    """Independent child generators, split from the master seed in order."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def bootstrap_expectation(bins: BinnedCounts, weights,
                           cfg: BootstrapConfig) -> BootstrapResult:
     """Bin bootstrap of the expectation-value estimator."""
@@ -144,65 +146,53 @@ def bootstrap_expectation(bins: BinnedCounts, weights,
     if counts.sum() == 0:
         raise DegenerateDataError("no counts recorded")
     w = _weight_vector(weights)
-    (rng,) = _spawn_rngs(cfg.seed, 1)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     samples = _resampled_estimators(counts, w, cfg.mu, rng)
     return _summarize(samples, cfg.ci_level)
 
 
-def bootstrap_variance(bins: BinnedCounts, weights,
-                       cfg: BootstrapConfig) -> BootstrapResult:
-    """Bin bootstrap of the single-shot variance 1 - E^2."""
-    counts = bins.counts
-    if counts.sum() == 0:
-        raise DegenerateDataError("no counts recorded")
-    w = _weight_vector(weights)
-    (rng,) = _spawn_rngs(cfg.seed, 1)
-    samples = 1.0 - _resampled_estimators(counts, w, cfg.mu, rng) ** 2
-    return _summarize(samples, cfg.ci_level)
+@dataclass(frozen=True)
+class SensingBootstrap:
+    """The four statistics of a sensing run, from one set of replicates."""
+
+    expectation: BootstrapResult
+    single_shot_variance: BootstrapResult
+    derivative: BootstrapResult
+    estimator_variance: BootstrapResult
 
 
-def bootstrap_derivative(bins_plus: BinnedCounts, bins_minus: BinnedCounts,
-                         h: float, weights,
-                         cfg: BootstrapConfig) -> BootstrapResult:
-    """Bin bootstrap of the two-point slope [E(+h) - E(-h)] / (2h).
+def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
+                      bins_minus: BinnedCounts, h: float, weights,
+                      cfg: BootstrapConfig) -> SensingBootstrap:
+    """Bin bootstrap of a sensing run at the operating point and +-h.
 
-    The two settings are resampled independently; replicate b pairs the
-    b-th resample of each.
+    Each setting is resampled once, from children 0, 1 and 2 of the
+    master seed. Replicate b gives E_c, the slope (E_+ - E_-) / (2h) and
+    the estimator variance (1 - E_c^2) / |slope|^2 from the b-th resample
+    of each setting. The squared slope in the denominator is clamped from
+    below by ``cfg.epsilon`` and the number of clamped replicates is
+    reported.
     """
     if h <= 0:
         raise ValueError("shift h must be > 0")
-    if bins_plus.total == 0 or bins_minus.total == 0:
-        raise DegenerateDataError("a shifted setting has no counts")
+    settings = (bins_center, bins_plus, bins_minus)
+    if any(b.total == 0 for b in settings):
+        raise DegenerateDataError("a setting has no counts")
     w = _weight_vector(weights)
-    rng_p, rng_m = _spawn_rngs(cfg.seed, 2)
-    e_plus = _resampled_estimators(bins_plus.counts, w, cfg.mu, rng_p)
-    e_minus = _resampled_estimators(bins_minus.counts, w, cfg.mu, rng_m)
-    return _summarize((e_plus - e_minus) / (2 * h), cfg.ci_level)
-
-
-def bootstrap_ratio(bins_center: BinnedCounts, bins_plus: BinnedCounts,
-                    bins_minus: BinnedCounts, h: float, weights,
-                    cfg: BootstrapConfig) -> BootstrapResult:
-    """Bin bootstrap of the estimator variance (1 - E^2) / |slope|^2.
-
-    Per replicate the three settings are resampled independently; the
-    squared slope in the denominator is clamped from below by
-    ``cfg.epsilon`` and the number of clamped replicates is reported.
-    """
-    if h <= 0:
-        raise ValueError("shift h must be > 0")
-    for b in (bins_center, bins_plus, bins_minus):
-        if b.total == 0:
-            raise DegenerateDataError("a setting has no counts")
-    w = _weight_vector(weights)
-    rng_c, rng_p, rng_m = _spawn_rngs(cfg.seed, 3)
-    e_center = _resampled_estimators(bins_center.counts, w, cfg.mu, rng_c)
-    e_plus = _resampled_estimators(bins_plus.counts, w, cfg.mu, rng_p)
-    e_minus = _resampled_estimators(bins_minus.counts, w, cfg.mu, rng_m)
-    slope_sq = ((e_plus - e_minus) / (2 * h)) ** 2
-    clamped = slope_sq < cfg.epsilon
-    samples = (1.0 - e_center ** 2) / np.maximum(slope_sq, cfg.epsilon)
-    return _summarize(samples, cfg.ci_level, n_clamped=int(clamped.sum()))
+    children = np.random.SeedSequence(cfg.seed).spawn(3)
+    e_center, e_plus, e_minus = (
+        _resampled_estimators(b.counts, w, cfg.mu, np.random.default_rng(child))
+        for b, child in zip(settings, children))
+    variance = 1.0 - e_center ** 2
+    slope = (e_plus - e_minus) / (2 * h)
+    slope_sq = slope ** 2
+    return SensingBootstrap(
+        expectation=_summarize(e_center, cfg.ci_level),
+        single_shot_variance=_summarize(variance, cfg.ci_level),
+        derivative=_summarize(slope, cfg.ci_level),
+        estimator_variance=_summarize(
+            variance / np.maximum(slope_sq, cfg.epsilon), cfg.ci_level,
+            n_clamped=int((slope_sq < cfg.epsilon).sum())))
 
 
 def visibility(n_max: float, n_min: float) -> float:

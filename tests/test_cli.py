@@ -282,6 +282,85 @@ class TestUsageErrors:
         assert args.seed == 777
 
 
+def usage_error(argv, capsys):
+    """Exit code and error line of a run that argparse rejects (after its usage)."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    stderr = capsys.readouterr().err
+    assert "Traceback" not in stderr
+    line = stderr.strip().splitlines()[-1]
+    assert "error:" in line
+    return err.value.code, line
+
+
+def command_error(argv, capsys):
+    """Exit code and stderr of a run that fails inside its command."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return rc, err
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("argv, option", [
+        (["qfi", "--phi12", "nan", "--out", "q.csv"], "--phi12"),
+        (["sense", "--phi12", "0", "--observable", "IY", "--rate", "nan",
+          "--out", "s"], "--rate"),
+        (["sense", "--phi12", "0", "--observable", "IY", "--rate", "inf",
+          "--out", "s"], "--rate"),
+        (["sense", "--phi12", "0", "--observable", "IY", "--shift-deg", "nan",
+          "--out", "s"], "--shift-deg"),
+        (["sense", "--phi12", "0", "--observable", "IY", "--theta-star", "nan",
+          "--out", "s"], "--theta-star"),
+        (["fringe", "--rate", "inf", "--out", "f"], "--rate"),
+        (["fringe", "--contrast", "nan", "--out", "f"], "--contrast"),
+    ])
+    def test_non_finite_float_exits_two(self, tmp_path, monkeypatch, capsys,
+                                        argv, option):
+        monkeypatch.chdir(tmp_path)
+        code, line = usage_error(argv + ["--no-timestamp"], capsys)
+        assert code == 2
+        assert f"argument {option}: expected a finite number" in line
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("contrast", ["2", "-0.1"])
+    def test_fringe_contrast_outside_unit_interval_exits_two(
+            self, tmp_path, monkeypatch, capsys, contrast):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["fringe", "--contrast", contrast, "--out", "f",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert "--contrast must lie in [0, 1]" in err
+
+    def test_fringe_empty_range_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["fringe", "--varphi-range", "0", "0", "--out", "f",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert "--varphi-range" in err
+
+    def test_non_integer_seed_env_var_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("WGSTATE_SEED", "abc")
+        code, line = usage_error(["qfi", "--grid", "3", "--out", "q.csv"], capsys)
+        assert code == 2
+        assert "argument --seed: invalid int value: 'abc'" in line
+        # an explicit --seed does not read the environment
+        assert main(["qfi", "--grid", "3", "--seed", "1", "--out", "q.csv"]) == 0
+
+    def test_os_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["state", "--phi12", "1",
+                                 "--out", str(tmp_path / "missing" / "s.json")],
+                                capsys)
+        assert rc == 2
+        assert "No such file or directory" in err
+        rc, err = command_error(["tomo", "reconstruct", "--in", "absent.csv",
+                                 "--phi12", "1", "--out", "r.json"], capsys)
+        assert rc == 2
+        assert "absent.csv" in err
+
+
 class TestObservableSpecParsing:
     def test_axis_spec(self, tmp_path, monkeypatch):
         # X on photon 1 (beta=90, alpha=0), Y on photon 2 (beta=90, alpha=90)

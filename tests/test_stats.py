@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgstate.measurement import (CountRecord, outcome_probabilities,
                                  pauli_observable)
 from wgstate.stategen import weighted_graph_state
 from wgstate.stats import (BinnedCounts, BootstrapConfig, DegenerateDataError,
-                           FitResult, bootstrap_derivative,
-                           bootstrap_expectation, bootstrap_ratio,
-                           bootstrap_variance, cosine_fit, visibility)
+                           FitResult, bootstrap_expectation,
+                           bootstrap_sensing, cosine_fit, visibility)
 
 ZY = pauli_observable("Z", "Y")
 ZY_WEIGHTS = ZY.weights
@@ -46,6 +47,16 @@ class TestValidation:
         with pytest.raises(DegenerateDataError):
             bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(seed=0))
 
+    def test_sensing_rejects_empty_setting_and_bad_shift(self):
+        empty = make_bins([[0, 0, 0, 0]] * 3)
+        full = make_bins([[1, 2, 3, 4]] * 3)
+        for triple in ((empty, full, full), (full, empty, full), (full, full, empty)):
+            with pytest.raises(DegenerateDataError):
+                bootstrap_sensing(*triple, np.radians(5), ZY_WEIGHTS,
+                                  BootstrapConfig(seed=0))
+        with pytest.raises(ValueError):
+            bootstrap_sensing(full, full, full, 0.0, ZY_WEIGHTS, BootstrapConfig(seed=0))
+
 
 class TestBootstrapExpectation:
     def test_identical_bins_zero_width(self):
@@ -77,16 +88,21 @@ class TestBootstrapExpectation:
 
 
 class TestBootstrapVariance:
+    # the single-shot variance uses the center setting only; the shifted
+    # settings repeat it here
+
     def test_all_ones_when_expectation_vanishes(self):
         # equal counts in every outcome keep E identically zero
         bins = make_bins([[25, 25, 25, 25]] * 6)
-        res = bootstrap_variance(bins, ZY_WEIGHTS, BootstrapConfig(mu=500, seed=4))
+        res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
+                                BootstrapConfig(mu=500, seed=4)).single_shot_variance
         assert np.all(res.samples == 1.0)
 
     def test_recovers_known_variance(self):
         rng = np.random.default_rng(23)
         bins = poisson_bins(weighted_graph_state(np.pi / 2), ZY, 1500, 6, rng)
-        res = bootstrap_variance(bins, ZY_WEIGHTS, BootstrapConfig(seed=5))
+        res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
+                                BootstrapConfig(seed=5)).single_shot_variance
         assert res.ci_low <= 0.75 <= res.ci_high
 
     def test_single_shot_recovery(self):
@@ -107,12 +123,14 @@ class TestBootstrapVariance:
 
 
 class TestBootstrapDerivative:
+    # the slope uses the shifted settings only; the center repeats +h here
+
     def test_symmetric_difference_vanishes(self):
         rng = np.random.default_rng(24)
         counts = rng.poisson(500, size=(6, 4))
         bins = make_bins(counts)
-        res = bootstrap_derivative(bins, bins, np.radians(5), ZY_WEIGHTS,
-                                   BootstrapConfig(seed=6))
+        res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
+                                BootstrapConfig(seed=6)).derivative
         assert res.ci_low <= 0.0 <= res.ci_high
 
     def test_recovers_slope_two(self):
@@ -121,7 +139,8 @@ class TestBootstrapDerivative:
         state = weighted_graph_state(np.pi)
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
-        res = bootstrap_derivative(plus, minus, h, ZY_WEIGHTS, BootstrapConfig(seed=7))
+        res = bootstrap_sensing(plus, plus, minus, h, ZY_WEIGHTS,
+                                BootstrapConfig(seed=7)).derivative
         assert res.ci_low <= 2.0 <= res.ci_high
 
     def test_halving_shift_doubles_ci_width(self):
@@ -132,8 +151,8 @@ class TestBootstrapDerivative:
         for shift in (h, h / 2):
             plus = poisson_bins(state, ZY, 1500, 6, rng, theta=shift)
             minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-shift)
-            res = bootstrap_derivative(plus, minus, shift, ZY_WEIGHTS,
-                                       BootstrapConfig(seed=8))
+            res = bootstrap_sensing(plus, plus, minus, shift, ZY_WEIGHTS,
+                                    BootstrapConfig(seed=8)).derivative
             widths[shift] = res.ci_high - res.ci_low
         assert 1.5 <= widths[h / 2] / widths[h] <= 2.5
 
@@ -149,18 +168,70 @@ class TestBootstrapRatio:
         center = poisson_bins(state, ZY, 1500, 6, rng)
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
-        res = bootstrap_ratio(center, plus, minus, h, ZY_WEIGHTS,
-                              BootstrapConfig(seed=10))
+        res = bootstrap_sensing(center, plus, minus, h, ZY_WEIGHTS,
+                                BootstrapConfig(seed=10)).estimator_variance
         assert res.ci_low <= 0.25 <= res.ci_high
         assert res.n_clamped == 0
 
     def test_zero_derivative_clamps(self):
         bins = make_bins([[30, 10, 20, 40]] * 6)
         cfg = BootstrapConfig(mu=500, seed=11)
-        res = bootstrap_ratio(bins, bins, bins, np.radians(5), ZY_WEIGHTS, cfg)
+        res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
+                                cfg).estimator_variance
         assert res.n_clamped == cfg.mu
         e = (np.array([30, 10, 20, 40]) @ np.array([1, -1, -1, 1])) / 100
         assert np.all(res.samples == pytest.approx((1 - e ** 2) / cfg.epsilon))
+
+
+class TestBootstrapSensing:
+    def test_shared_replicates(self):
+        # identical center bins make every single-shot variance replicate one
+        # value v, so the estimator variance is v over the squared slope of
+        # the same replicate
+        rng = np.random.default_rng(28)
+        h = np.radians(5)
+        state = weighted_graph_state(np.pi)
+        center = make_bins([[40, 10, 30, 20]] * 6)
+        plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
+        minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
+        cfg = BootstrapConfig(mu=2000, seed=13)
+        res = bootstrap_sensing(center, plus, minus, h, ZY_WEIGHTS, cfg)
+        v = res.single_shot_variance.samples
+        assert np.all(v == v[0])
+        expected = np.sort(v[0] / np.maximum(res.derivative.samples ** 2, cfg.epsilon))
+        assert np.array_equal(expected, res.estimator_variance.samples)
+
+    def test_expectation_stream_matches_bootstrap_expectation(self):
+        rng = np.random.default_rng(29)
+        state = weighted_graph_state(np.pi / 2)
+        center, plus, minus = (poisson_bins(state, ZY, 800, 6, rng) for _ in range(3))
+        cfg = BootstrapConfig(mu=1000, seed=14)
+        res = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
+        alone = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
+        assert np.array_equal(res.expectation.samples, alone.samples)
+
+
+def _bins_strategy():
+    rows = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+    return st.lists(rows, min_size=2, max_size=6).map(make_bins)
+
+
+class TestBootstrapDeterminism:
+    @settings(max_examples=25, deadline=None)
+    @given(center=_bins_strategy(), plus=_bins_strategy(), minus=_bins_strategy(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_repeat_call_gives_identical_samples(self, center, plus, minus, seed):
+        assume(min(b.total for b in (center, plus, minus)) > 0)
+        cfg = BootstrapConfig(mu=100, seed=seed)
+        a = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
+        b = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
+        assert np.array_equal(a.samples, b.samples)
+        first = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
+        second = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
+        for name, result in vars(first).items():
+            again = getattr(second, name)
+            assert np.array_equal(result.samples, again.samples), name
+            assert result.n_clamped == again.n_clamped, name
 
 
 class TestVisibility:
