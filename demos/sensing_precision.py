@@ -19,7 +19,7 @@ for k in range(8, -1, -1):
     phi12 = k * np.pi / 8
     qcrb = 1.0 / qfi_closed_form(phi12)
     pauli_obs, pauli_res = pauli_search(phi12)
-    gen_obs, gen_res = general_axis_search(phi12, seed=12345)
+    gen_obs, gen_res = general_axis_search(phi12)
     labels = "(x)".join(pauli_obs.pauli_labels)
     below = "  < SQL" if gen_res.estimator_variance < sql else ""
     print(f"  {phi12 / np.pi:5.3f}   {qcrb:6.4f}   {labels:5s} "
@@ -28,7 +28,7 @@ for k in range(8, -1, -1):
 
 print()
 print("=== realizing the maximal-weight optimum ===")
-obs, res = general_axis_search(np.pi, seed=12345)
+obs, res = general_axis_search(np.pi)
 b1, a1, b2, a2 = obs.axis_angles
 print(f"axes: photon 1 (beta, alpha) = ({np.degrees(b1):.2f}, {np.degrees(a1):.2f}) deg, "
       f"photon 2 = ({np.degrees(b2):.2f}, {np.degrees(a2):.2f}) deg")

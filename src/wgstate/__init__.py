@@ -4,8 +4,8 @@ The package covers the full software side of the experiment: Jones-
 calculus propagation through the generation train, construction of the
 ideal weighted graph state, projective measurement and coincidence
 counting, sixteen-setting maximum-likelihood tomography, phase sensing
-against the quantum Cramer-Rao bound with exhaustive Pauli and
-differential-evolution general-axis measurement searches, and the
+against the quantum Cramer-Rao bound with an exhaustive Pauli and a
+deterministic general-axis measurement search, and the
 bin-bootstrap statistics pipeline.
 """
 
@@ -26,7 +26,7 @@ from .measurement import (CountRecord, Observable, ProjectorSetting,
                           general_axis_observable, outcome_probabilities,
                           pauli_observable, simulate_counts,
                           solve_projector_waveplates, tomography_settings)
-from .metrology import (DerivativeVanishesError, SearchConfig, SearchError,
+from .metrology import (DerivativeVanishesError, SearchError,
                         SensingConfig, SensingResult, encoding_unitary,
                         general_axis_search, limits, pauli_search,
                         qfi_closed_form, qfi_numeric, sense)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage errors (including non-finite numbers and
-files that cannot be read or written), 3 degenerate data (empty counts,
-vanishing post-selection), 4 numerical failures (optimizers, fits).
+Exit codes: 0 success, 2 usage errors (including non-finite numbers,
+negative rates and durations, and files that cannot be read or written),
+3 degenerate data (empty counts, vanishing post-selection), 4 numerical
+failures (optimizers, fits).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -26,8 +27,8 @@ from .measurement import (Observable, CountRecord, general_axis_observable,
                           outcome_probabilities, pauli_observable,
                           solve_projector_waveplates, WaveplateSolverError)
 from .metrology import (DerivativeVanishesError, SearchError, SensingConfig,
-                        SearchConfig, encoding_unitary, general_axis_search,
-                        limits, pauli_search, qfi_closed_form, sense)
+                        encoding_unitary, general_axis_search, limits,
+                        pauli_search, qfi_closed_form, sense)
 from .qmath import PureState2Q, concurrence, fidelity
 from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        NoiseModel, apply_noise, canonical_config,
@@ -55,6 +56,14 @@ def _finite_float(text: str) -> float:
         value = np.nan
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type for rates and durations: finite and >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
     return value
 
 
@@ -210,8 +219,7 @@ def _cmd_optimize(args) -> int:
     if args.kind == "pauli":
         obs, result = pauli_search(args.phi12, cfg)
     else:
-        obs, result = general_axis_search(args.phi12, cfg, SearchConfig(),
-                                          seed=args.seed)
+        obs, result = general_axis_search(args.phi12, cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
@@ -447,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--observable", required=True,
                    help="'ZY', 'I,Y' or 'axis:b1,a1,b2,a2' (degrees)")
-    p.add_argument("--rate", type=_finite_float, default=150.0,
+    p.add_argument("--rate", type=_non_negative_float, default=150.0,
                    help="coincidences/second")
-    p.add_argument("--duration", type=_finite_float, default=10.0,
+    p.add_argument("--duration", type=_non_negative_float, default=10.0,
                    help="seconds per bin")
     p.add_argument("--bins", type=int, default=6)
     p.add_argument("--theta-star", type=_finite_float, default=0.0)
@@ -464,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = tomo_sub.add_parser("simulate", help="write a 16-setting dataset CSV")
     ps.add_argument("--phi12", type=_finite_float, required=True)
-    ps.add_argument("--rate", type=_finite_float, default=150.0)
-    ps.add_argument("--duration", type=_finite_float, default=10.0)
+    ps.add_argument("--rate", type=_non_negative_float, default=150.0)
+    ps.add_argument("--duration", type=_non_negative_float, default=10.0)
     ps.add_argument("--poisson", action="store_true")
     ps.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
                     default=None)
@@ -488,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--varphi-range", nargs=2, type=_finite_float,
                    default=(0.0, 2 * np.pi), metavar=("START", "STOP"))
     p.add_argument("--steps", type=int, default=30)
-    p.add_argument("--rate", type=_finite_float, default=150.0)
-    p.add_argument("--duration", type=_finite_float, default=10.0)
+    p.add_argument("--rate", type=_non_negative_float, default=150.0)
+    p.add_argument("--duration", type=_non_negative_float, default=10.0)
     p.add_argument("--contrast", type=_finite_float, default=1.0,
                    help="fringe contrast of the simulated law")
     p.add_argument("--exact", action="store_true", help="skip Poisson sampling")

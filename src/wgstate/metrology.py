@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import NonlinearConstraint, differential_evolution, minimize
+# differential_evolution is unused here; bench/spans.py rebinds it to trace it
+from scipy.optimize import NonlinearConstraint, differential_evolution, minimize  # noqa: F401
 
 from .measurement import Observable, general_axis_observable, pauli_observable
-from .optics import rotation_gate
-from .qmath import I2, X, Z, PureState2Q, as_density, tensor
+from .optics import rotation_gate, wrap_angle
+from .qmath import I2, X, Y, Z, PureState2Q, as_density, tensor
 from .stategen import weighted_graph_state
 
 GENERATOR = (tensor(X, I2) + tensor(I2, Z)) / 2
@@ -57,34 +58,6 @@ class SensingResult:
     derivative_magnitude: float
     single_shot_variance: float
     estimator_variance: float
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the general-axis observable search.
-
-    The derivative-favoring penalty steers the optimizer along the
-    near-degenerate variance floor toward its large-slope end;
-    ``variance_tolerance`` bounds how much variance the subsequent
-    re-ranking may trade for slope, and ``neighborhood_radius`` (radians)
-    sets the sampling cube of the final re-rank.
-    """
-
-    penalty_weight: float = 0.02
-    de_population: int = 40
-    de_generations: int = 300
-    refine: bool = True
-    neighborhood_radius: float = np.radians(2.0)
-    variance_tolerance: float = 1e-4
-    neighborhood_samples: int = 400
-
-    def __post_init__(self):
-        if self.penalty_weight < 0:
-            raise ValueError("penalty_weight must be >= 0")
-        if self.de_population < 8:
-            raise ValueError("de_population must be >= 8")
-        if self.variance_tolerance <= 0:
-            raise ValueError("variance_tolerance must be > 0")
 
 
 def encoding_unitary(theta: float) -> np.ndarray:
@@ -196,109 +169,109 @@ def pauli_search(phi12: float, cfg: SensingConfig | None = None,
                               estimator_variance=est)
 
 
-_AXIS_BOUNDS = [(0.0, np.pi), (-np.pi, np.pi), (0.0, np.pi), (-np.pi, np.pi)]
+# the search minimizes var/s^2 + PENALTY_WEIGHT/|s|, then spends up to
+# VARIANCE_TOLERANCE of estimator variance on a larger slope
+PENALTY_WEIGHT = 0.02
+VARIANCE_TOLERANCE = 1e-4
+
+# start grid: polar angles at the midpoints (i + 1/2) pi/12 of the upper
+# hemisphere, which skips the pole and the mirrored -n copies of each axis
+# (A(pi - beta, alpha + pi) = -A(beta, alpha)), times 12 azimuths
+_GRID_BETA, _GRID_ALPHA = (g.ravel() for g in np.meshgrid(
+    (np.arange(6) + 0.5) * np.pi / 12, np.arange(12) * np.pi / 6 - np.pi,
+    indexing="ij"))
 
 
-def _axis_metrics_factory(phi12: float, theta_star: float):
-    """Fast (expectation, slope, variance) evaluator over axis angles."""
+def _canonical_axis(beta: float, alpha: float) -> tuple[float, float]:
+    """The same axis with beta in [0, pi] and alpha in (-pi, pi]."""
+    beta = wrap_angle(beta)
+    if beta < 0:
+        beta, alpha = -beta, alpha + np.pi
+    return beta, wrap_angle(alpha)
+
+
+def _bloch(beta, alpha) -> np.ndarray:
+    """Unit vector (sin b cos a, sin b sin a, cos b), component index first."""
+    sb = np.sin(beta)
+    return np.array([sb * np.cos(alpha), sb * np.sin(alpha), np.cos(beta)])
+
+
+def _axis_correlations(phi12: float, theta_star: float):
+    """3 x 3 matrices C and D with <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2
+    for the product observable A = (n1 . sigma) (x) (n2 . sigma)."""
     psi = encoding_unitary(theta_star) @ weighted_graph_state(phi12).amplitudes
     # at theta_star the slope is the commutator expectation in the
     # encoded state: d<A>/dtheta = -2 Im <H psi | A psi>
-    hpsi = GENERATOR @ psi
-    psi_m = psi.reshape(2, 2)
-    hpsi_m = hpsi.reshape(2, 2)
-
-    def axis_matrix(beta, alpha):
-        cb, sb = np.cos(beta), np.sin(beta)
-        off = sb * np.exp(-1j * alpha)
-        return np.array([[cb, off], [np.conj(off), -cb]])
-
-    def metrics(params):
-        a1 = axis_matrix(params[0], params[1])
-        a2 = axis_matrix(params[2], params[3])
-        apsi = a1 @ psi_m @ a2.T
-        exp_val = float(np.real(np.sum(psi_m.conj() * apsi)))
-        deriv = float(-2 * np.imag(np.sum(hpsi_m.conj() * apsi)))
-        return exp_val, deriv, 1.0 - exp_val ** 2
-
-    return metrics
+    hpsi = (GENERATOR @ psi).reshape(2, 2)
+    psi = psi.reshape(2, 2)
+    sigma = np.array([X, Y, Z])
+    # (sigma_i (x) sigma_j) psi for every pair (i, j)
+    apsi = np.einsum("iab,bd,jcd->ijac", sigma, psi, sigma)
+    corr = np.real(np.einsum("ac,ijac->ij", psi.conj(), apsi))
+    slope = -2 * np.imag(np.einsum("ac,ijac->ij", hpsi.conj(), apsi))
+    return corr, slope
 
 
-def general_axis_search(phi12: float, cfg: SensingConfig | None = None,
-                        sc: SearchConfig | None = None,
-                        seed: int = 12345) -> tuple[Observable, SensingResult]:
-    """Differential-evolution search over local general-axis products.
+def _penalized(exp_val, deriv):
+    """var/s^2 + PENALTY_WEIGHT/|s| with var = 1 - <A>^2; elementwise."""
+    slope = np.maximum(np.abs(deriv), 1e-12)
+    return (1.0 - exp_val ** 2) / slope ** 2 + PENALTY_WEIGHT / slope
 
-    Minimizes the penalized objective (estimator variance plus
-    ``penalty_weight / |slope|``) over the four Bloch angles, refines
-    with Powell and a slope-maximizing step constrained to the
-    ``variance_tolerance`` band, then re-ranks a sampled neighborhood
-    (radius ``neighborhood_radius``, ``neighborhood_samples`` points,
-    stream seeded with ``seed + 1``) for the largest slope among
-    variance-tied points.
+
+def general_axis_search(phi12: float, cfg: SensingConfig | None = None
+                        ) -> tuple[Observable, SensingResult]:
+    """Deterministic search over local general-axis products.
+
+    The contract: minimize the penalized objective (estimator variance
+    plus ``PENALTY_WEIGHT / |slope|``) over the four Bloch angles, then
+    take the largest slope whose estimator variance stays within
+    ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
+    a fixed 72 x 72 grid of axis pairs; one unbounded Powell run starts
+    from the best pair, and an unbounded SLSQP step pushes the slope
+    under the variance cap. The angles are reported with beta in
+    [0, pi] and alpha in (-pi, pi].
     """
     cfg = cfg or SensingConfig(phi12=phi12)
-    sc = sc or SearchConfig()
-    metrics = _axis_metrics_factory(phi12, cfg.theta_star)
+    corr, slope_matrix = _axis_correlations(phi12, cfg.theta_star)
+
+    def metrics(params):
+        n1, n2 = _bloch(params[0], params[1]), _bloch(params[2], params[3])
+        exp_val = float(n1 @ corr @ n2)
+        return exp_val, float(n1 @ slope_matrix @ n2), 1.0 - exp_val ** 2
 
     def est_var(params):
         exp_val, deriv, var = metrics(params)
         return var / max(deriv ** 2, 1e-300)
 
     def objective(params):
-        exp_val, deriv, var = metrics(params)
-        slope = max(abs(deriv), 1e-12)
-        return var / slope ** 2 + sc.penalty_weight / slope
+        return float(_penalized(*metrics(params)[:2]))
 
-    res = differential_evolution(
-        objective, _AXIS_BOUNDS, seed=seed,
-        popsize=max(2, sc.de_population // len(_AXIS_BOUNDS)),
-        maxiter=sc.de_generations, strategy="rand1bin", tol=1e-12,
-        polish=False)
-    x, fun = res.x, res.fun
-    if not np.isfinite(fun):
-        raise SearchError(f"search diverged; best objective {fun!r}")
+    n = _bloch(_GRID_BETA, _GRID_ALPHA)
+    grid = _penalized(n.T @ corr @ n, n.T @ slope_matrix @ n)
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    start = np.array([_GRID_BETA[i], _GRID_ALPHA[i], _GRID_BETA[j], _GRID_ALPHA[j]])
+    res = minimize(objective, start, method="Powell",
+                   options={"xtol": 1e-10, "ftol": 1e-12})
+    if not np.isfinite(res.fun):
+        raise SearchError(f"search diverged; best objective {res.fun!r}")
+    x = res.x
 
-    if sc.refine:
-        ref = minimize(objective, x, method="Powell", bounds=_AXIS_BOUNDS,
-                       options={"xtol": 1e-10, "ftol": 1e-12})
-        if ref.fun < fun:
-            x, fun = ref.x, ref.fun
-        # push the slope as far as the variance tolerance allows
-        cap = est_var(x) + sc.variance_tolerance
-        slope_ref = minimize(
-            lambda p: -abs(metrics(p)[1]), x, method="SLSQP",
-            bounds=_AXIS_BOUNDS,
-            constraints=[NonlinearConstraint(est_var, -np.inf, cap)],
-            options={"maxiter": 200, "ftol": 1e-12})
-        if (slope_ref.success and est_var(slope_ref.x) <= cap + 1e-9
-                and -slope_ref.fun > abs(metrics(x)[1])):
-            x = slope_ref.x
-    else:
-        cap = est_var(x) + sc.variance_tolerance
+    # push the slope as far as the variance tolerance allows
+    cap = est_var(x) + VARIANCE_TOLERANCE
+    slope_ref = minimize(
+        lambda p: -abs(metrics(p)[1]), x, method="SLSQP",
+        constraints=[NonlinearConstraint(est_var, -np.inf, cap)],
+        options={"maxiter": 200, "ftol": 1e-12})
+    if (slope_ref.success and est_var(slope_ref.x) <= cap + 1e-9
+            and -slope_ref.fun > abs(metrics(x)[1])):
+        x = slope_ref.x
 
-    # neighborhood re-rank: largest slope among variance-tied samples
-    rng = np.random.default_rng(seed + 1)
-    lo = np.array([b[0] for b in _AXIS_BOUNDS])
-    hi = np.array([b[1] for b in _AXIS_BOUNDS])
-    samples = np.clip(
-        x + rng.uniform(-sc.neighborhood_radius, sc.neighborhood_radius,
-                        (sc.neighborhood_samples, 4)),
-        lo, hi)
-    vref = est_var(x)
-    threshold = min(vref, cap) + sc.variance_tolerance
-    best_x, best_slope = x, abs(metrics(x)[1])
-    for candidate in samples:
-        exp_val, deriv, var = metrics(candidate)
-        if var / max(deriv ** 2, 1e-300) <= threshold and abs(deriv) > best_slope:
-            best_x, best_slope = candidate, abs(deriv)
-
-    obs = general_axis_observable(*best_x)
-    exp_val, deriv, var = metrics(best_x)
+    angles = (*_canonical_axis(x[0], x[1]), *_canonical_axis(x[2], x[3]))
+    exp_val, deriv, var = metrics(angles)
     if abs(deriv) < DERIVATIVE_FLOOR:
         raise SearchError("search converged to a zero-slope observable")
     result = SensingResult(expectation=exp_val,
                            derivative_magnitude=abs(deriv),
                            single_shot_variance=var,
                            estimator_variance=var / deriv ** 2)
-    return obs, result
+    return general_axis_observable(*angles), result

@@ -116,6 +116,15 @@ class TestOptimizeCommand:
         assert main(argv + ["--out", "b.json"]) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_general_output_does_not_depend_on_seed(self, tmp_path, monkeypatch):
+        # the general-axis search is deterministic: --seed reaches only the manifest
+        monkeypatch.chdir(tmp_path)
+        argv = ["optimize", "--phi12", "1.9634954084936207", "--kind", "general",
+                "--no-timestamp"]
+        assert main(argv + ["--seed", "1", "--out", "a.json"]) == 0
+        assert main(argv + ["--seed", "2", "--out", "b.json"]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
 
 class TestSenseCommand:
     def test_max_weight_recovers_heisenberg_limit(self, tmp_path, monkeypatch):
@@ -321,6 +330,23 @@ class TestBadInputs:
         code, line = usage_error(argv + ["--no-timestamp"], capsys)
         assert code == 2
         assert f"argument {option}: expected a finite number" in line
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sense", "--phi12", "0", "--observable", "IY", "--duration", "-1",
+          "--out", "s"], "--duration"),
+        (["sense", "--phi12", "0", "--observable", "IY", "--rate", "-1",
+          "--out", "s"], "--rate"),
+        (["fringe", "--duration", "-1", "--out", "f"], "--duration"),
+        (["tomo", "simulate", "--phi12", "0", "--rate", "-1", "--out", "d.csv"],
+         "--rate"),
+    ])
+    def test_negative_rate_or_duration_exits_two(self, tmp_path, monkeypatch,
+                                                 capsys, argv, option):
+        monkeypatch.chdir(tmp_path)
+        code, line = usage_error(argv + ["--no-timestamp"], capsys)
+        assert code == 2
+        assert f"argument {option}: expected a non-negative number" in line
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("contrast", ["2", "-0.1"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wgstate.measurement import general_axis_observable, pauli_observable
-from wgstate.metrology import (DerivativeVanishesError, SearchConfig,
+from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
                                SensingConfig, encoding_unitary,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
@@ -163,16 +163,39 @@ class TestPauliSearch:
 
 class TestGeneralAxisSearch:
     def test_maximal_weight_reaches_heisenberg_limit(self):
-        obs, res = general_axis_search(np.pi, seed=12345)
+        obs, res = general_axis_search(np.pi)
         assert res.estimator_variance == pytest.approx(0.25, abs=1e-6)
         assert res.derivative_magnitude == pytest.approx(2.0, abs=1e-4)
         assert obs.axis_angles is not None
 
-    def test_search_config_validation(self):
-        with pytest.raises(ValueError):
-            SearchConfig(de_population=4)
-        with pytest.raises(ValueError):
-            SearchConfig(variance_tolerance=0.0)
+    @pytest.mark.parametrize("phi12, variance", [(1.88, 0.32606), (1.91, 0.32167)])
+    def test_no_worse_than_differential_evolution(self, phi12, variance):
+        # the variances the former seeded differential evolution reached.
+        # Bounded Powell from an 8^4 grid that holds the beta = 0 pole once
+        # per alpha sticks on the beta bound near these weights: 0.3334 at
+        # phi12 = 1.91
+        _, res = general_axis_search(phi12)
+        assert res.estimator_variance <= variance + VARIANCE_TOLERANCE
+
+    def test_between_qcrb_and_pauli_with_canonical_angles(self):
+        for phi in np.linspace(0.0, np.pi, 33):
+            bound = 1.0 / qfi_closed_form(phi)
+            for theta in (0.0, 0.7, -2.1):
+                cfg = SensingConfig(phi12=phi, theta_star=theta)
+                obs, res = general_axis_search(phi, cfg)
+                pauli = pauli_search(phi, cfg)[1].estimator_variance
+                assert bound - 1e-9 <= res.estimator_variance <= pauli + 1e-6
+                beta1, alpha1, beta2, alpha2 = obs.axis_angles
+                for beta, alpha in ((beta1, alpha1), (beta2, alpha2)):
+                    assert 0.0 <= beta <= np.pi
+                    assert -np.pi < alpha <= np.pi
+
+    def test_deterministic(self):
+        cfg = SensingConfig(phi12=1.3, theta_star=0.4)
+        obs_a, res_a = general_axis_search(1.3, cfg)
+        obs_b, res_b = general_axis_search(1.3, cfg)
+        assert obs_a.axis_angles == obs_b.axis_angles
+        assert res_a == res_b
 
 
 def test_limits():
@@ -181,9 +204,3 @@ def test_limits():
     assert hl == 0.25
     assert hl == pytest.approx(1.0 / qfi_closed_form(np.pi), abs=1e-12)
 
-
-def test_general_axis_search_without_refinement():
-    # the evolution stage alone lands near the optimum; refinement and
-    # re-ranking only sharpen it
-    _, res = general_axis_search(np.pi, sc=SearchConfig(refine=False), seed=3)
-    assert res.estimator_variance == pytest.approx(0.25, abs=0.01)
