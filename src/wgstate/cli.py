@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
-negative rates and durations, and files that cannot be read or written),
+negative rates and durations, more than 2**53 expected counts, and files
+that cannot be read or written),
 3 degenerate data (empty counts, vanishing post-selection), 4 numerical
 failures (optimizers, fits).
 Graph weights and phases are given in radians; physical waveplate
@@ -14,6 +15,7 @@ sha256 digests of the outputs is written alongside them.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -46,6 +48,10 @@ SCHEMA_VERSION = 1
 _USAGE_EXIT = 2
 _DEGENERATE_EXIT = 3
 _NUMERICAL_EXIT = 4
+
+# the largest expected count a float64 holds exactly; past it the Poisson
+# draw and the rounding to int64 counts fail
+_MAX_EXPECTED_COUNTS = 2 ** 53
 
 
 def _finite_float(text: str) -> float:
@@ -402,6 +408,16 @@ def _cmd_fringe(args) -> int:
 # ---------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, whose ``--seed`` default is the current WGSTATE_SEED.
+
+    The parser is built once per seed text and reused; parsing does not
+    change it.
+    """
+    return _build_parser(os.environ.get("WGSTATE_SEED", "12345"))
+
+
+@functools.lru_cache(maxsize=1)
+def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wgstate",
         description="Simulation toolkit for tunable-weight two-qubit graph "
@@ -411,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seed", type=int,
-                       default=os.environ.get("WGSTATE_SEED", "12345"),
+        p.add_argument("--seed", type=int, default=default_seed,
                        help="RNG seed (default: WGSTATE_SEED or 12345)")
         p.add_argument("--manifest", default=None,
                        help="manifest path (default: first output + .manifest.json)")
@@ -511,6 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    expected = getattr(args, "rate", 0.0) * getattr(args, "duration", 0.0)
+    if expected > _MAX_EXPECTED_COUNTS:
+        parser.error(f"--rate * --duration must be at most 2**53 expected counts, "
+                     f"got {expected:g}")
     try:
         return args.func(args)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import NonlinearConstraint, differential_evolution, minimize  # noqa: F401
 
 from .measurement import Observable, general_axis_observable, pauli_observable
-from .optics import rotation_gate, wrap_angle
+from .optics import canonical_phase, rotation_gate
 from .qmath import I2, X, Y, Z, PureState2Q, as_density, tensor
 from .stategen import weighted_graph_state
 
@@ -183,11 +183,12 @@ _GRID_BETA, _GRID_ALPHA = (g.ravel() for g in np.meshgrid(
 
 
 def _canonical_axis(beta: float, alpha: float) -> tuple[float, float]:
-    """The same axis with beta in [0, pi] and alpha in (-pi, pi]."""
-    beta = wrap_angle(beta)
+    """The same axis with beta in [0, pi] and alpha in (-pi, pi]; an angle
+    on the +-pi cut is reported as +pi (``optics.canonical_phase``)."""
+    beta = canonical_phase(beta)
     if beta < 0:
         beta, alpha = -beta, alpha + np.pi
-    return beta, wrap_angle(alpha)
+    return beta, canonical_phase(alpha)
 
 
 def _bloch(beta, alpha) -> np.ndarray:

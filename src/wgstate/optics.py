@@ -95,6 +95,20 @@ def wrap_angle(angle: float) -> float:
     return wrap_interval(angle, -np.pi, np.pi)
 
 
+PHASE_CUT_TOL = 1e-9     # rad; far below any fit's precision, far above rounding
+
+
+def canonical_phase(angle: float) -> float:
+    """Wrap a reported phase to (-pi, pi], with the +-pi cut snapped to +pi.
+
+    A phase within ``PHASE_CUT_TOL`` of +-pi is reported as exactly +pi,
+    so a result whose true phase lies on the cut gives the same bytes
+    whichever way the rounding of a fit or search falls.
+    """
+    angle = wrap_angle(angle)
+    return float(np.pi) if abs(angle) >= np.pi - PHASE_CUT_TOL else angle
+
+
 def rot(axis: str, psi: float) -> np.ndarray:
     """exp(-i psi sigma_axis); rotates the Bloch vector by 2*psi."""
     sigma = _AXES[axis]

@@ -23,10 +23,9 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .measurement import OUTCOME_PAIRS, CountRecord
-from .optics import wrap_angle
+from .optics import canonical_phase
 
 REDRAW_CAP = 100
-PHASE_CUT_TOL = 1e-9     # rad; cosine_fit reports a phase this close to +-pi as +pi
 
 
 class DegenerateDataError(ValueError):
@@ -106,6 +105,20 @@ def _weight_vector(weights) -> np.ndarray:
     return w
 
 
+def _pooled(idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Pooled counts of each row of drawn bin indices: ``counts[idx].sum(axis=1)``.
+
+    Each row's draws become bin multiplicities, so the pooling is one
+    (rows, L) @ (L, 4) product. The sums are int64 and therefore exact, so
+    the result does not depend on the summation order.
+    """
+    rows = idx.shape[0]
+    n_bins = counts.shape[0]
+    flat = (idx + n_bins * np.arange(rows)[:, None]).ravel()
+    mult = np.bincount(flat, minlength=rows * n_bins).reshape(rows, n_bins)
+    return mult @ counts
+
+
 def _resampled_estimators(counts: np.ndarray, w: np.ndarray,
                           mu: int, rng) -> np.ndarray:
     """mu replicates of the pooled weighted-count estimator.
@@ -115,7 +128,7 @@ def _resampled_estimators(counts: np.ndarray, w: np.ndarray,
     """
     n_bins = counts.shape[0]
     idx = rng.integers(0, n_bins, size=(mu, n_bins))
-    totals = counts[idx].sum(axis=1)
+    totals = _pooled(idx, counts)
     nu = totals.sum(axis=1)
     redraws = 0
     while (nu == 0).any():
@@ -123,7 +136,7 @@ def _resampled_estimators(counts: np.ndarray, w: np.ndarray,
             raise DegenerateDataError("resampled totals stayed zero after redraw cap")
         bad = nu == 0
         redraw = rng.integers(0, n_bins, size=(int(bad.sum()), n_bins))
-        totals[bad] = counts[redraw].sum(axis=1)
+        totals[bad] = _pooled(redraw, counts)
         nu = totals.sum(axis=1)
         redraws += 1
     return (totals @ w) / nu
@@ -175,14 +188,14 @@ def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
     """
     if h <= 0:
         raise ValueError("shift h must be > 0")
-    settings = (bins_center, bins_plus, bins_minus)
-    if any(b.total == 0 for b in settings):
+    tables = [b.counts for b in (bins_center, bins_plus, bins_minus)]
+    if any(counts.sum() == 0 for counts in tables):
         raise DegenerateDataError("a setting has no counts")
     w = _weight_vector(weights)
     children = np.random.SeedSequence(cfg.seed).spawn(3)
     e_center, e_plus, e_minus = (
-        _resampled_estimators(b.counts, w, cfg.mu, np.random.default_rng(child))
-        for b, child in zip(settings, children))
+        _resampled_estimators(counts, w, cfg.mu, np.random.default_rng(child))
+        for counts, child in zip(tables, children))
     variance = 1.0 - e_center ** 2
     slope = (e_plus - e_minus) / (2 * h)
     slope_sq = slope ** 2
@@ -214,10 +227,8 @@ def cosine_fit(xs, ys) -> FitResult:
     Initial values come from the dominant discrete-Fourier component of
     the detrended data (assuming uniform spacing), which makes the fit
     deterministic. The output is canonical: b >= 0 and a <= 0, with c
-    wrapped to (-pi, pi]. A c within ``PHASE_CUT_TOL`` (1e-9 rad) of the
-    +-pi cut is reported as exactly +pi, so a fit whose true phase lies on
-    the cut gives the same c whichever way rounding falls. The tolerance
-    is far below the fit's precision and far above float rounding.
+    wrapped to (-pi, pi] by ``optics.canonical_phase``, so a c on the +-pi
+    cut is reported as exactly +pi whichever way rounding falls.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -251,8 +262,6 @@ def cosine_fit(xs, ys) -> FitResult:
         b, c = -b, -c
     if a > 0:
         a, c = -a, c + np.pi
-    c = wrap_angle(c)
-    if abs(c) >= np.pi - PHASE_CUT_TOL:
-        c = np.pi
+    c = canonical_phase(c)
     rms = float(np.sqrt(np.mean(residuals((a, b, c, d)) ** 2)))
     return FitResult(a=float(a), b=float(b), c=float(c), d=float(d), residual=rms)

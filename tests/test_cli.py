@@ -290,6 +290,20 @@ class TestUsageErrors:
         args = build_parser().parse_args(["qfi", "--grid", "3", "--out", "x"])
         assert args.seed == 777
 
+    def test_parser_built_once(self, monkeypatch):
+        from wgstate.cli import build_parser
+        monkeypatch.setenv("WGSTATE_SEED", "778")
+        assert build_parser() is build_parser()
+
+    def test_seed_env_var_change_reaches_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for seed in ("11", "22"):
+            monkeypatch.setenv("WGSTATE_SEED", seed)
+            assert main(["qfi", "--grid", "3", "--out", f"q{seed}.csv",
+                         "--no-timestamp"]) == 0
+            manifest = load_json(tmp_path / f"q{seed}.csv.manifest.json")
+            assert manifest["seed"] == manifest["parameters"]["seed"] == int(seed)
+
 
 def usage_error(argv, capsys):
     """Exit code and error line of a run that argparse rejects (after its usage)."""
@@ -347,6 +361,20 @@ class TestBadInputs:
         code, line = usage_error(argv + ["--no-timestamp"], capsys)
         assert code == 2
         assert f"argument {option}: expected a non-negative number" in line
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["sense", "--phi12", "0", "--observable", "IY", "--rate", "1e300",
+         "--out", "s"],
+        ["fringe", "--rate", "1e300", "--out", "f"],
+        ["tomo", "simulate", "--phi12", "0", "--rate", "1e300", "--out", "d.csv"],
+    ])
+    def test_expected_counts_past_two_to_the_53_exit_two(self, tmp_path, monkeypatch,
+                                                         capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, line = usage_error(argv + ["--no-timestamp"], capsys)
+        assert code == 2
+        assert "--rate * --duration must be at most 2**53 expected counts" in line
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("contrast", ["2", "-0.1"])

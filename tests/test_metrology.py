@@ -3,7 +3,7 @@ import pytest
 
 from wgstate.measurement import general_axis_observable, pauli_observable
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
-                               SensingConfig, encoding_unitary,
+                               SensingConfig, _canonical_axis, encoding_unitary,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
 from wgstate.qmath import PAULIS, PureState2Q, tensor
@@ -189,6 +189,15 @@ class TestGeneralAxisSearch:
                 for beta, alpha in ((beta1, alpha1), (beta2, alpha2)):
                     assert 0.0 <= beta <= np.pi
                     assert -np.pi < alpha <= np.pi
+
+    def test_angle_on_the_cut_is_plus_pi(self):
+        # at weight 0 the search ends 5e-11 inside the (-pi, pi] cut in alpha1
+        obs, _ = general_axis_search(0.0)
+        assert obs.axis_angles[1] == np.pi
+        beta, alpha = _canonical_axis(0.3, -np.pi + 1e-11)
+        assert (beta, alpha) == (pytest.approx(0.3), np.pi)
+        beta, alpha = _canonical_axis(-np.pi + 1e-11, 0.5)
+        assert (beta, alpha) == (np.pi, pytest.approx(0.5))
 
     def test_deterministic(self):
         cfg = SensingConfig(phi12=1.3, theta_star=0.4)

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from wgstate.measurement import (CountRecord, outcome_probabilities,
                                  pauli_observable)
 from wgstate.stategen import weighted_graph_state
-from wgstate.stats import (BinnedCounts, BootstrapConfig, DegenerateDataError,
-                           FitResult, bootstrap_expectation,
-                           bootstrap_sensing, cosine_fit, visibility)
+from wgstate.stats import (REDRAW_CAP, BinnedCounts, BootstrapConfig,
+                           DegenerateDataError, FitResult, _resampled_estimators,
+                           bootstrap_expectation, bootstrap_sensing, cosine_fit,
+                           visibility)
 
 ZY = pauli_observable("Z", "Y")
 ZY_WEIGHTS = ZY.weights
@@ -232,6 +233,54 @@ class TestBootstrapDeterminism:
             again = getattr(second, name)
             assert np.array_equal(result.samples, again.samples), name
             assert result.n_clamped == again.n_clamped, name
+
+
+def _reference_estimators(counts, w, mu, rng):
+    """The bin bootstrap as a gather and sum over the drawn bins."""
+    n_bins = counts.shape[0]
+    idx = rng.integers(0, n_bins, size=(mu, n_bins))
+    totals = counts[idx].sum(axis=1)
+    nu = totals.sum(axis=1)
+    redraws = 0
+    while (nu == 0).any():
+        if redraws >= REDRAW_CAP:
+            raise DegenerateDataError("cap")
+        bad = nu == 0
+        redraw = rng.integers(0, n_bins, size=(int(bad.sum()), n_bins))
+        totals[bad] = counts[redraw].sum(axis=1)
+        nu = totals.sum(axis=1)
+        redraws += 1
+    return (totals @ w) / nu
+
+
+@st.composite
+def _count_tables(draw):
+    """2-12 bins, of which any number (none included) hold counts, so that
+    mostly empty tables force redraws of all-empty resamples."""
+    n_bins = draw(st.integers(2, 12))
+    table = np.zeros((n_bins, 4), dtype=np.int64)
+    for i in draw(st.sets(st.integers(0, n_bins - 1), max_size=n_bins)):
+        table[i] = draw(st.lists(st.integers(0, 10 ** 12), min_size=4, max_size=4))
+    return table
+
+
+class TestResampledEstimators:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=_count_tables(), mu=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_gather_sum_reference(self, counts, mu, seed):
+        w = np.array([1.0, -1.0, -1.0, 1.0])
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        try:
+            expected = _reference_estimators(counts, w, mu, ref_rng)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                _resampled_estimators(counts, w, mu, rng)
+        else:
+            result = _resampled_estimators(counts, w, mu, rng)
+            assert result.tobytes() == expected.tobytes()
+        # both drew the same stream, redraws included
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestVisibility:
