@@ -2,7 +2,7 @@
 
 For each graph weight: the quantum Fisher information bound, the best
 local Pauli product from the exhaustive search, and the best general-
-axis product from the differential-evolution search, with the lab
+axis product from the deterministic general-axis search, with the lab
 waveplate angles that would realize the latter's projectors.
 """
 

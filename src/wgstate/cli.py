@@ -116,8 +116,11 @@ def _parse_observable(spec: str) -> Observable:
         parts = spec[5:].split(",")
         if len(parts) != 4:
             raise ValueError("axis spec needs four comma-separated angles (degrees)")
-        b1, a1, b2, a2 = (np.radians(float(p)) for p in parts)
-        return general_axis_observable(b1, a1, b2, a2)
+        try:
+            angles = [np.radians(_finite_float(p)) for p in parts]
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"--observable {spec!r}: {exc}") from None
+        return general_axis_observable(*angles)
     labels = [p.strip().upper() for p in (spec.split(",") if "," in spec else list(spec))]
     if len(labels) != 2:
         raise ValueError(f"cannot parse observable spec {spec!r}")

@@ -191,10 +191,13 @@ def _canonical_axis(beta: float, alpha: float) -> tuple[float, float]:
     return beta, canonical_phase(alpha)
 
 
-def _bloch(beta, alpha) -> np.ndarray:
-    """Unit vector (sin b cos a, sin b sin a, cos b), component index first."""
-    sb = np.sin(beta)
-    return np.array([sb * np.cos(alpha), sb * np.sin(alpha), np.cos(beta)])
+def _bloch(beta, alpha):
+    """Unit vector n = (sin b cos a, sin b sin a, cos b) and its partial
+    derivatives dn/dbeta and dn/dalpha, component index first."""
+    sb, cb, sa, ca = np.sin(beta), np.cos(beta), np.sin(alpha), np.cos(alpha)
+    return (np.array([sb * ca, sb * sa, cb]),
+            np.array([cb * ca, cb * sa, -sb]),
+            np.array([-sb * sa, sb * ca, np.zeros_like(sb)]))
 
 
 def _axis_correlations(phi12: float, theta_star: float):
@@ -227,32 +230,54 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     plus ``PENALTY_WEIGHT / |slope|``) over the four Bloch angles, then
     take the largest slope whose estimator variance stays within
     ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
-    a fixed 72 x 72 grid of axis pairs; one unbounded Powell run starts
+    a fixed 72 x 72 grid of axis pairs; one unbounded L-BFGS-B run starts
     from the best pair, and an unbounded SLSQP step pushes the slope
-    under the variance cap. The angles are reported with beta in
-    [0, pi] and alpha in (-pi, pi].
+    under the variance cap. Both solvers get the exact gradients of
+    <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2. The angles are reported
+    with beta in [0, pi] and alpha in (-pi, pi].
     """
     cfg = cfg or SensingConfig(phi12=phi12)
     corr, slope_matrix = _axis_correlations(phi12, cfg.theta_star)
 
-    def metrics(params):
-        n1, n2 = _bloch(params[0], params[1]), _bloch(params[2], params[3])
-        exp_val = float(n1 @ corr @ n2)
-        return exp_val, float(n1 @ slope_matrix @ n2), 1.0 - exp_val ** 2
+    def jet(params):
+        """(<A>, its gradient, d<A>/dtheta, its gradient) over the four angles."""
+        n1, *dn1 = _bloch(params[0], params[1])
+        n2, *dn2 = _bloch(params[2], params[3])
 
-    def est_var(params):
-        exp_val, deriv, var = metrics(params)
-        return var / max(deriv ** 2, 1e-300)
+        def bilinear(m):
+            m_n2, n1_m = m @ n2, n1 @ m
+            return float(n1 @ m_n2), np.array([dn1[0] @ m_n2, dn1[1] @ m_n2,
+                                               n1_m @ dn2[0], n1_m @ dn2[1]])
+
+        return (*bilinear(corr), *bilinear(slope_matrix))
 
     def objective(params):
-        return float(_penalized(*metrics(params)[:2]))
+        exp_val, exp_grad, deriv, deriv_grad = jet(params)
+        slope = max(abs(deriv), 1e-12)
+        # d|S| = sign(S) dS
+        grad = (-2 * exp_val * exp_grad - (2 * (1.0 - exp_val ** 2) / slope + PENALTY_WEIGHT)
+                * np.sign(deriv) * deriv_grad) / slope ** 2
+        return float(_penalized(exp_val, deriv)), grad
 
-    n = _bloch(_GRID_BETA, _GRID_ALPHA)
+    def est_var(params):
+        exp_val, _, deriv, _ = jet(params)
+        return (1.0 - exp_val ** 2) / max(deriv ** 2, 1e-300)
+
+    def est_var_grad(params):
+        exp_val, exp_grad, deriv, deriv_grad = jet(params)
+        sq = max(deriv ** 2, 1e-300)
+        return -2 * (exp_val * exp_grad + (1.0 - exp_val ** 2) * deriv / sq * deriv_grad) / sq
+
+    def neg_abs_slope(params):
+        _, _, deriv, deriv_grad = jet(params)
+        return -abs(deriv), -np.sign(deriv) * deriv_grad
+
+    n = _bloch(_GRID_BETA, _GRID_ALPHA)[0]
     grid = _penalized(n.T @ corr @ n, n.T @ slope_matrix @ n)
     i, j = np.unravel_index(np.argmin(grid), grid.shape)
     start = np.array([_GRID_BETA[i], _GRID_ALPHA[i], _GRID_BETA[j], _GRID_ALPHA[j]])
-    res = minimize(objective, start, method="Powell",
-                   options={"xtol": 1e-10, "ftol": 1e-12})
+    res = minimize(objective, start, jac=True, method="L-BFGS-B",
+                   options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000})
     if not np.isfinite(res.fun):
         raise SearchError(f"search diverged; best objective {res.fun!r}")
     x = res.x
@@ -260,17 +285,18 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     # push the slope as far as the variance tolerance allows
     cap = est_var(x) + VARIANCE_TOLERANCE
     slope_ref = minimize(
-        lambda p: -abs(metrics(p)[1]), x, method="SLSQP",
-        constraints=[NonlinearConstraint(est_var, -np.inf, cap)],
+        neg_abs_slope, x, jac=True, method="SLSQP",
+        constraints=[NonlinearConstraint(est_var, -np.inf, cap, jac=est_var_grad)],
         options={"maxiter": 200, "ftol": 1e-12})
     if (slope_ref.success and est_var(slope_ref.x) <= cap + 1e-9
-            and -slope_ref.fun > abs(metrics(x)[1])):
+            and -slope_ref.fun > abs(jet(x)[2])):
         x = slope_ref.x
 
     angles = (*_canonical_axis(x[0], x[1]), *_canonical_axis(x[2], x[3]))
-    exp_val, deriv, var = metrics(angles)
+    exp_val, _, deriv, _ = jet(angles)
     if abs(deriv) < DERIVATIVE_FLOOR:
         raise SearchError("search converged to a zero-slope observable")
+    var = 1.0 - exp_val ** 2
     result = SensingResult(expectation=exp_val,
                            derivative_magnitude=abs(deriv),
                            single_shot_variance=var,

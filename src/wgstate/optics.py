@@ -76,15 +76,20 @@ def wrap_interval(value: float, low: float, high: float, *,
     """Wrap ``value`` into a half-open interval of period ``high - low``.
 
     ``closed="high"`` gives (low, high], ``closed="low"`` gives [low, high).
-    The float modulo can round a value just past the open end onto that
-    end (``nextafter(pi, 4)`` lands on exactly -pi); such a result is moved
+    A value already inside the interval is returned unchanged. The float
+    modulo can round a value just past the open end onto that end
+    (``nextafter(pi, 4)`` lands on exactly -pi); such a result is moved
     to the closed end, so the interval holds for every finite input.
     """
     period = high - low
     if closed == "high":
+        if low < value <= high:
+            return float(value)
         wrapped = -((-value + high) % period - high)
         return float(high if wrapped <= low else wrapped)
     if closed == "low":
+        if low <= value < high:
+            return float(value)
         wrapped = (value - low) % period + low
         return float(low if wrapped >= high else wrapped)
     raise ValueError(f"closed must be 'high' or 'low', got {closed!r}")

@@ -386,6 +386,15 @@ class TestBadInputs:
         assert rc == 2
         assert "--contrast must lie in [0, 1]" in err
 
+    @pytest.mark.parametrize("spec", ["axis:nan,0,0,0", "axis:0,0,inf,0"])
+    def test_non_finite_axis_angle_exits_two(self, tmp_path, monkeypatch, capsys, spec):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["sense", "--phi12", "0", "--observable", spec,
+                                 "--out", "s", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert f"--observable {spec!r}: expected a finite number" in err
+        assert not list(tmp_path.iterdir())
+
     def test_fringe_empty_range_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc, err = command_error(["fringe", "--varphi-range", "0", "0", "--out", "f",

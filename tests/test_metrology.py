@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wgstate import metrology
 from wgstate.measurement import general_axis_observable, pauli_observable
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
                                SensingConfig, _canonical_axis, encoding_unitary,
@@ -177,6 +178,30 @@ class TestGeneralAxisSearch:
         _, res = general_axis_search(phi12)
         assert res.estimator_variance <= variance + VARIANCE_TOLERANCE
 
+    # (phi12, theta_star, estimator variance, slope) of the unbounded Powell
+    # refinement from the same 72 x 72 start grid
+    POWELL = [
+        (0.0, 0.0, 1.0, 1.0),
+        (0.3, 0.0, 0.9372112806619086, 1.0329546293576464),
+        (0.7, 0.0, 0.7344731725784298, 1.0249334840902802),
+        (1.2, 0.0, 0.4965670004686656, 1.1706791769629457),
+        (1.5, 0.0, 0.402275102705441, 1.3034590086718343),
+        (1.88, 0.0, 0.3260174947559997, 1.465402280707523),
+        (1.91, 0.0, 0.3215885950630913, 1.4777262348160374),
+        (2.4, 0.0, 0.2725166188537938, 1.7034608895670666),
+        (2.9, 0.0, 0.252636665086604, 1.984204411468617),
+        (np.pi, 0.0, 0.24999999999999994, 1.9999999999999998),
+        (1.3, 0.4, 0.46117777655600123, 1.2143473583969187),
+        (2.2, -1.1, 0.2878942843386425, 1.6013744533229741),
+        (0.9, 2.5, 0.6283145979839245, 1.059015547913054),
+    ]
+
+    @pytest.mark.parametrize("phi12, theta_star, variance, slope", POWELL)
+    def test_no_worse_than_powell(self, phi12, theta_star, variance, slope):
+        _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        assert res.estimator_variance <= variance + 1e-7
+        assert res.derivative_magnitude == pytest.approx(slope, abs=1e-5)
+
     def test_between_qcrb_and_pauli_with_canonical_angles(self):
         for phi in np.linspace(0.0, np.pi, 33):
             bound = 1.0 / qfi_closed_form(phi)
@@ -205,6 +230,59 @@ class TestGeneralAxisSearch:
         obs_b, res_b = general_axis_search(1.3, cfg)
         assert obs_a.axis_angles == obs_b.axis_angles
         assert res_a == res_b
+
+
+class TestSearchGradient:
+    """The solvers of the general-axis search get exact gradients."""
+
+    @staticmethod
+    def solver_calls(monkeypatch, phi12=1.3, theta_star=0.4):
+        calls = []
+        minimize = metrology.minimize
+
+        def spy(fun, x0, **kwargs):
+            calls.append((fun, kwargs))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(metrology, "minimize", spy)
+        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        return calls
+
+    @staticmethod
+    def points():
+        rng = np.random.default_rng(21)
+        points = [np.array([rng.uniform(0.2, np.pi - 0.2), rng.uniform(-np.pi, np.pi),
+                            rng.uniform(0.2, np.pi - 0.2), rng.uniform(-np.pi, np.pi)])
+                  for _ in range(4)]
+        points.append(np.array([1e-3, 0.7, 1.1, -0.4]))   # next to the beta = 0 pole
+        # A(pi - beta, alpha + pi) = -A: the mirrored first axis flips the slope's sign
+        return points + [np.array([np.pi - b1, a1 + np.pi, b2, a2]) for b1, a1, b2, a2 in points]
+
+    def test_points_cover_both_slope_signs(self):
+        _, slope_matrix = metrology._axis_correlations(1.3, 0.4)
+        signs = {np.sign(metrology._bloch(p[0], p[1])[0] @ slope_matrix
+                         @ metrology._bloch(p[2], p[3])[0]) for p in self.points()}
+        assert signs == {-1.0, 1.0}
+
+    def test_matches_central_differences(self, monkeypatch):
+        (objective, _), (neg_abs_slope, push) = self.solver_calls(monkeypatch)
+        (constraint,) = push["constraints"]
+        functions = [lambda p: objective(p)[0], lambda p: neg_abs_slope(p)[0], constraint.fun]
+        gradients = [lambda p: objective(p)[1], lambda p: neg_abs_slope(p)[1], constraint.jac]
+        h = 1e-6
+        for p in self.points():
+            for fun, grad in zip(functions, gradients):
+                central = np.array([(fun(p + h * e) - fun(p - h * e)) / (2 * h)
+                                    for e in np.eye(4)])
+                assert np.linalg.norm(grad(p) - central) <= 1e-6 * np.linalg.norm(central)
+
+    @pytest.mark.parametrize("phi12, theta_star", [(0.0, 0.0), (1.91, 0.0), (2.2, -1.1)])
+    def test_no_derivative_free_or_finite_difference_solver(self, monkeypatch,
+                                                            phi12, theta_star):
+        calls = self.solver_calls(monkeypatch, phi12, theta_star)
+        assert [kwargs["method"] for _, kwargs in calls] == ["L-BFGS-B", "SLSQP"]
+        assert all(kwargs["jac"] is True for _, kwargs in calls)
+        assert all(callable(c.jac) for c in calls[1][1]["constraints"])
 
 
 def test_limits():

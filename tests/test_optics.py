@@ -130,6 +130,38 @@ class TestWrapInterval:
         turns = (value - wrapped) / (high - low)
         assert abs(turns - round(turns)) < 1e-9
 
+    @given(fraction=st.floats(0.0, 1.0),
+           bounds=st.sampled_from([(-np.pi, np.pi), (-90.0, 90.0), (0.0, 2 * np.pi)]),
+           closed=st.sampled_from(["high", "low"]))
+    @example(fraction=0.0, bounds=(-np.pi, np.pi), closed="low")
+    @example(fraction=1.0, bounds=(-np.pi, np.pi), closed="high")
+    def test_value_inside_interval_unchanged(self, fraction, bounds, closed):
+        low, high = bounds
+        value = low + fraction * (high - low)
+        if closed == "high" and value == low:
+            value = np.nextafter(low, high)
+        if closed == "low" and value == high:
+            value = np.nextafter(high, low)
+        assert wrap_interval(value, low, high, closed=closed) == value
+
+    def test_wrap_angle_keeps_in_range_angle(self):
+        # the modulo round trip used to return 0.2999999999999998
+        assert wrap_angle(0.3) == 0.3
+
+    @pytest.mark.parametrize("value, bounds, closed, end", [
+        (np.pi, (-np.pi, np.pi), "high", np.pi),
+        (-np.pi, (-np.pi, np.pi), "high", np.pi),
+        (np.nextafter(np.pi, 4), (-np.pi, np.pi), "high", np.pi),
+        (np.pi, (-np.pi, np.pi), "low", -np.pi),
+        (-np.pi, (-np.pi, np.pi), "low", -np.pi),
+        (90.0, (-90.0, 90.0), "high", 90.0),
+        (-90.0, (-90.0, 90.0), "high", 90.0),
+        (90.0, (-90.0, 90.0), "low", -90.0),
+        (-90.0, (-90.0, 90.0), "low", -90.0),
+    ])
+    def test_ends_land_on_closed_end(self, value, bounds, closed, end):
+        assert wrap_interval(value, *bounds, closed=closed) == end
+
     def test_closed_end_kept(self):
         assert wrap_interval(np.pi, -np.pi, np.pi) == np.pi
         assert wrap_interval(-np.pi, -np.pi, np.pi, closed="low") == -np.pi
