@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from wgstate.cli import main
+from wgstate.measurement import CountRecord
+from wgstate.stategen import weighted_graph_state
+from wgstate.tomography import TomographyDataset, simulate_tomography, write_dataset_csv
 from make_goldens import GOLDEN_DIR, run_all
 
 
@@ -212,6 +215,24 @@ class TestTomoCommand:
         data = load_json(tmp_path / "r.json")
         assert data["mc_samples"] == 20
         assert 0.0 <= data["concurrence"]["mean"] <= 1.0
+
+    def test_empty_resample_exits_three_naming_it(self, tmp_path, monkeypatch, capsys):
+        # one count in the rectilinear settings: a resample draws none there
+        monkeypatch.chdir(tmp_path)
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=2, poisson=True)
+        counts = data.counts.copy()
+        counts[:4] = 0
+        counts[2, 0] = 1
+        write_dataset_csv(tmp_path / "d.csv", TomographyDataset(records=tuple(
+            CountRecord(counts=row) for row in counts)))
+        rc, err = command_error(["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1.0",
+                                 "--mc", "20", "--seed", "3", "--out", "r.json",
+                                 "--no-timestamp"], capsys)
+        assert rc == 3
+        assert "Monte Carlo resample" in err and "of 20" in err
+        assert "rectilinear settings recorded no counts" in err
+        assert "the data's rectilinear settings recorded 1)" in err
+        assert not (tmp_path / "r.json").exists()
 
     def _dataset_lines(self, tmp_path):
         assert main(["tomo", "simulate", "--phi12", "1.0", "--out", "d.csv",
