@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
-negative rates and durations, more than 2**53 expected counts, and files
-that cannot be read or written),
+negative rates and durations, more than 2**53 expected counts, files
+that cannot be read or written, and sizes too large to allocate),
 3 degenerate data (empty counts, vanishing post-selection), 4 numerical
 failures (optimizers, fits).
 Graph weights and phases are given in radians; physical waveplate
@@ -544,6 +544,9 @@ def main(argv=None) -> int:
         return _NUMERICAL_EXIT
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
+    except MemoryError as exc:
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return _USAGE_EXIT
 
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-# unused here; bench/spans.py rebinds measurement.minimize to trace it
-from scipy.optimize import minimize  # noqa: F401
 
+from ._optimize import LazyOptimizer
 from .optics import WaveplateKind, waveplate_jones_lab, wrap_interval
 from .qmath import KET_H, POLARIZATION_KETS, as_density, tensor
+
+minimize = LazyOptimizer("minimize")
 
 OUTCOME_PAIRS = ("++", "+-", "-+", "--")
 

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-# differential_evolution is unused here; bench/spans.py rebinds it to trace it
-from scipy.optimize import NonlinearConstraint, differential_evolution, minimize  # noqa: F401
 
+from ._optimize import LazyOptimizer
 from .measurement import Observable, general_axis_observable, pauli_observable
 from .optics import canonical_phase, rotation_gate
 from .qmath import I2, X, Y, Z, PureState2Q, as_density, tensor
 from .stategen import weighted_graph_state
+
+minimize = LazyOptimizer("minimize")
+differential_evolution = LazyOptimizer("differential_evolution")
 
 GENERATOR = (tensor(X, I2) + tensor(I2, Z)) / 2
 
@@ -236,6 +238,8 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2. The angles are reported
     with beta in [0, pi] and alpha in (-pi, pi].
     """
+    from scipy.optimize import NonlinearConstraint
+
     cfg = cfg or SensingConfig(phi12=phi12)
     corr, slope_matrix = _axis_correlations(phi12, cfg.theta_star)
 

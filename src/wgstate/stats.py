@@ -20,10 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._optimize import LazyOptimizer
 from .measurement import OUTCOME_PAIRS, CountRecord
 from .optics import canonical_phase
+
+least_squares = LazyOptimizer("least_squares")
 
 REDRAW_CAP = 100
 

@@ -17,14 +17,14 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-# not called: bench/test_bench.py checks that the benchmark's tracer can
-# rebind this name
-from scipy.optimize import minimize  # noqa: F401
 
+from ._optimize import LazyOptimizer
 from .measurement import CountRecord, setting_outcome_kets, tomography_settings
 from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurrence,
                     fidelity, tensor)
 from .stats import DegenerateDataError
+
+minimize = LazyOptimizer("minimize")
 
 _RECTILINEAR_ROWS = slice(0, 4)   # V(x)V, V(x)H, H(x)H, H(x)V
 _DIAG = np.diag_indices(4)

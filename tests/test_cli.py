@@ -444,6 +444,25 @@ class TestBadInputs:
         assert rc == 2
         assert "absent.csv" in err
 
+    # A size option past the memory (qfi --grid 10**12, sense --replicates
+    # 10**12, fringe --steps 10**13) makes numpy raise MemoryError; the
+    # callee raises it here so no test allocates that much.
+    @pytest.mark.parametrize("argv, callee", [
+        (["qfi", "--grid", "3", "--out", "q.csv"], "qfi_closed_form"),
+        (["sense", "--phi12", "1", "--observable", "IY", "--out", "s"], "bootstrap_sensing"),
+        (["fringe", "--out", "f"], "cosine_fit"),
+    ])
+    def test_memory_error_exits_two(self, tmp_path, monkeypatch, capsys, argv, callee):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(f"wgstate.cli.{callee}", exhausted)
+        rc, err = command_error(argv + ["--no-timestamp"], capsys)
+        assert rc == 2
+        assert err == "error: input too large: Unable to allocate 7.28 TiB for an array\n"
+        assert not list(tmp_path.iterdir())
+
 
 class TestObservableSpecParsing:
     def test_axis_spec(self, tmp_path, monkeypatch):

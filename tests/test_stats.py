@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wgstate import stats
 from wgstate.measurement import (CountRecord, outcome_probabilities,
                                  pauli_observable)
 from wgstate.stategen import weighted_graph_state
@@ -358,6 +359,20 @@ class TestCosineFit:
         xs = np.arange(10, dtype=float)
         fit = cosine_fit(xs, np.cos(xs))
         assert isinstance(fit, FitResult)
+
+    def test_fit_calls_the_module_least_squares(self, monkeypatch):
+        calls = []
+        least_squares = stats.least_squares
+
+        def spy(fun, x0, **kwargs):
+            calls.append(kwargs)
+            return least_squares(fun, x0, **kwargs)
+
+        monkeypatch.setattr(stats, "least_squares", spy)
+        xs = np.arange(30, dtype=float)
+        fit = cosine_fit(xs, 0.4 * np.cos(0.5 * xs + 0.3) + 0.5)
+        assert calls == [{"method": "lm", "max_nfev": 20000}]
+        assert fit.residual < 1e-8
 
 
 def test_weights_accepted_as_array():
