@@ -1,13 +1,13 @@
-"""Deferred access to ``scipy.optimize``.
+"""Deferred access to ``scipy.optimize``, kept as tracer seams.
 
-Importing ``scipy.optimize`` takes most of the package's start-up time, and
-only the general-axis search and the cosine fit call into it. Each module
-binds a ``LazyOptimizer`` under the scipy name and calls it through that
-module global, so only ``optimize --kind general`` and ``fringe`` load
-scipy.optimize, and rebinding the name (a test spy, a tracer) still
-intercepts every call. ``measurement.minimize``, ``tomography.minimize``
-and ``metrology.differential_evolution`` are not called: they stay bound
-because ``bench/spans.py`` rebinds every name in its ``OPTIMIZERS`` list.
+No ``wgstate`` code calls a scipy solver: the general-axis search runs its
+own damped Newton solver and the cosine fit is a variable projection. The
+five bindings ``measurement.minimize``, ``tomography.minimize``,
+``metrology.minimize``, ``metrology.differential_evolution`` and
+``stats.least_squares`` are uncalled. They stay because ``bench/spans.py``
+rebinds every name in its ``OPTIMIZERS`` list, and they go when the tracer
+stops rebinding module names (ROADMAP item 3). A ``LazyOptimizer`` imports
+``scipy.optimize`` only when called, so no command loads it.
 """
 
 from __future__ import annotations

@@ -252,13 +252,14 @@ def _cmd_optimize(args) -> int:
 # ----------------------------------------------------------------- sense
 
 def _simulate_bins(state_amps, obs, theta, rate, duration, n_bins, rng):
+    """n_bins acquisition bins of one setting, drawn in one Poisson call;
+    it equals n_bins sequential draws of four counts and leaves the
+    generator in the same state."""
     u = encoding_unitary(theta)
     probs = outcome_probabilities(PureState2Q(u @ state_amps), obs)
-    records = []
-    for _ in range(n_bins):
-        counts = rng.poisson(rate * duration * probs)
-        records.append(CountRecord(counts=counts, duration=duration))
-    return BinnedCounts(records=tuple(records))
+    counts = rng.poisson(rate * duration * probs, size=(n_bins, 4))
+    return BinnedCounts(records=tuple(CountRecord(counts=c, duration=duration)
+                                      for c in counts))
 
 
 def _cmd_sense(args) -> int:

@@ -195,11 +195,15 @@ def _canonical_axis(beta: float, alpha: float) -> tuple[float, float]:
 
 def _bloch(beta, alpha):
     """Unit vector n = (sin b cos a, sin b sin a, cos b) and its partial
-    derivatives dn/dbeta and dn/dalpha, component index first."""
+    derivatives, stacked as n, n_b, n_a, n_bb, n_ba, n_aa: shape (6, 3, ...)."""
     sb, cb, sa, ca = np.sin(beta), np.cos(beta), np.sin(alpha), np.cos(alpha)
-    return (np.array([sb * ca, sb * sa, cb]),
-            np.array([cb * ca, cb * sa, -sb]),
-            np.array([-sb * sa, sb * ca, np.zeros_like(sb)]))
+    zero = np.zeros_like(sb)
+    return np.array([[sb * ca, sb * sa, cb],
+                     [cb * ca, cb * sa, -sb],
+                     [-sb * sa, sb * ca, zero],
+                     [-sb * ca, -sb * sa, -cb],
+                     [-cb * sa, cb * ca, zero],
+                     [-sb * ca, -sb * sa, zero]])
 
 
 def _axis_correlations(phi12: float, theta_star: float):
@@ -224,6 +228,174 @@ def _penalized(exp_val, deriv):
     return (1.0 - exp_val ** 2) / slope ** 2 + PENALTY_WEIGHT / slope
 
 
+# the rows of the _bloch stacks of axis 1 and axis 2 whose product
+# n1' . M n2' is each gradient and Hessian entry of n1 . M n2 over
+# (beta1, alpha1, beta2, alpha2)
+_GRAD_ROWS = np.array([1, 2, 0, 0]), np.array([0, 0, 1, 2])
+_HESS_ROWS = (np.array([[3, 4, 1, 1], [4, 5, 2, 2], [1, 2, 0, 0], [1, 2, 0, 0]]),
+              np.array([[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 3, 4], [2, 2, 4, 5]]))
+
+
+def _figure_jets(matrices, params):
+    """<A> = n1 . C n2 and s = |d<A>/dtheta| = |n1 . D n2| for
+    matrices = (C, D), at each row (beta1, alpha1, beta2, alpha2) of
+    params: values (2, m), gradients (2, m, 4) and Hessians (2, m, 4, 4)."""
+    jet = _bloch(params[:, 0::2], params[:, 1::2]).transpose(3, 2, 0, 1)
+    # every product n1' . M n2' of a derivative of n1 with one of n2
+    products = jet[0] @ matrices[:, None] @ jet[1].transpose(0, 2, 1)
+    value = products[..., 0, 0]
+    grad = products[..., _GRAD_ROWS[0], _GRAD_ROWS[1]]
+    hess = products[..., _HESS_ROWS[0], _HESS_ROWS[1]]
+    # d|S| = sign(S) dS
+    sign = np.where(value[1] < 0, -1.0, 1.0)
+    value[1] = np.maximum(sign * value[1], 1e-12)
+    grad[1] *= sign[:, None]
+    hess[1] *= sign[:, None, None]
+    return value, grad, hess
+
+
+def _figures(matrices, params):
+    """The estimator variance v = (1 - <A>^2)/s^2, its gradient, the slope
+    magnitude s and its gradient at each row of four angles."""
+    (e, s), grad, _ = _figure_jets(matrices, params)
+    v = (1.0 - e * e) / s ** 2
+    v_grad = -2 * (e[:, None] * grad[0] + (v * s)[:, None] * grad[1]) / (s ** 2)[:, None]
+    return v, v_grad, s, grad[1]
+
+
+def _scalarized(matrices, weight):
+    """v + weight/s over rows of four angles, returning (values, gradients,
+    Hessians); weight = PENALTY_WEIGHT gives the penalized objective."""
+    def fun(params):
+        (e, s), grads, hessians = _figure_jets(matrices, params)
+        u = 1.0 - e * e
+        # first and second partial derivatives in (<A>, s)
+        first = np.array([-2 * e, -(2 * u / s + weight)]) / s ** 2
+        second = np.array([[-2 * s, 4 * e], [4 * e, 6 * u / s + 2 * weight]]) / s ** 3
+        jac = grads.transpose(1, 0, 2)
+        return (u / s ** 2 + weight / s,
+                first[0][:, None] * grads[0] + first[1][:, None] * grads[1],
+                first[0][:, None, None] * hessians[0] + first[1][:, None, None] * hessians[1]
+                + jac.transpose(0, 2, 1) @ second.transpose(2, 0, 1) @ jac)
+    return fun
+
+
+# Newton steps solve with |H|: the Hessian's eigenvalues by magnitude,
+# raised to at least _EIGEN_FLOOR times the largest
+_EIGEN_FLOOR = 1e-8
+_NEWTON_ITERATIONS = 50
+# a Newton decrement g . |H|^-1 g (about twice the distance to the
+# minimum) below this, relative to the value, is converged
+_DECREMENT_TOL = 1e-20
+_ARMIJO = 1e-4
+_EPS = np.finfo(float).eps
+
+
+def _newton(fun, x):
+    """Damped Newton minimization of ``fun`` from each row of x (m, n);
+    fun maps rows to (values (m,), gradients (m, n), Hessians (m, n, n)).
+
+    Each step is -|H|^-1 g, which descends wherever g is non-zero, and is
+    halved until it meets the Armijo condition (Nocedal & Wright,
+    Numerical Optimization, 2nd ed., ch. 3). Every row stops on its own
+    Newton decrement g . |H|^-1 g, or when the decrease its step could
+    still give is below the round-off of its value. Returns the final
+    rows, their values, the eigenvalues and eigenvectors of |H| at each,
+    and which rows converged.
+    """
+    x = np.array(x, dtype=float)
+    value, grad, hess = fun(x)
+    moving = np.ones(len(x), dtype=bool)
+    for _ in range(_NEWTON_ITERATIONS):
+        lam, vec = np.linalg.eigh(hess)
+        lam = np.abs(lam)
+        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
+        step = -np.einsum("kij,kj->ki", vec, np.einsum("kji,kj->ki", vec, grad) / lam)
+        decrement = -np.einsum("ki,ki->k", grad, step)
+        scale = np.maximum(np.abs(value), 1.0)
+        moving &= decrement > _DECREMENT_TOL * scale
+        if not moving.any():
+            break
+        t = moving.astype(float)
+        searching = moving.copy()
+        while searching.any():
+            trial = x + t[:, None] * step
+            t_value, t_grad, t_hess = fun(trial)
+            # the Armijo condition, less the round-off of the value
+            ok = searching & (t_value <= value - _ARMIJO * t * decrement + 4 * _EPS * scale)
+            x[ok], value[ok], grad[ok], hess[ok] = trial[ok], t_value[ok], t_grad[ok], t_hess[ok]
+            searching &= ~ok
+            t[searching] /= 2
+            stalled = searching & (t * decrement <= _EPS * scale)
+            moving &= ~stalled
+            searching &= ~stalled
+    return x, value, (lam, vec), decrement <= _DECREMENT_TOL * scale
+
+
+_PUSH_STEPS = 60
+# the push ends when the minimizer's variance is this close to the cap, or
+# when the bracket on log w is this narrow
+_PUSH_TOL = 1e-10
+_BRACKET_TOL = 1e-12
+# log w grows by at most _WEIGHT_STRIDE per step while no w above the cap
+# is known
+_WEIGHT_STRIDE = 3.0
+
+
+def _polar_angles(n):
+    """(beta, alpha) of a unit vector."""
+    return np.arctan2(np.hypot(n[0], n[1]), n[2]), np.arctan2(n[1], n[0])
+
+
+def _push_slope(matrices, x, eig, cap):
+    """The largest slope whose estimator variance v stays within ``cap``,
+    searched from the one-row minimizer x, and whether it converged.
+
+    The largest slope of all, the top singular value of D at its
+    singular vectors, is taken if its variance is within the cap.
+    Otherwise v + w/s is minimized with w chosen so that the minimizer's
+    variance reaches the cap. w is found by Newton steps on log w, kept
+    inside a bracket and bisected when a step leaves it. The derivative
+    dv/dw = grad v . H^-1 grad s / s^2 comes from the Hessian factored at
+    the minimizer (implicit differentiation of its stationarity
+    condition). Returns the minimizer at the cap, or else that of the
+    largest w whose variance stays under it.
+    """
+    u, _, vt = np.linalg.svd(matrices[1])
+    top = np.array([[*_polar_angles(u[:, 0]), *_polar_angles(vt[0])]])
+    if _figures(matrices, top)[0][0] <= cap:
+        return top, True
+    log_w, low, high = np.log(PENALTY_WEIGHT), -np.inf, np.inf
+    converged = True
+    best = x, converged
+    for _ in range(_PUSH_STEPS):
+        v, v_g, s, s_g = (q[0] for q in _figures(matrices, x))
+        gap = v - cap
+        if abs(gap) <= _PUSH_TOL:
+            return x, converged
+        if gap < 0:
+            low, best = log_w, (x, converged)
+        else:
+            high = log_w
+        if high - low <= _BRACKET_TOL:
+            return best
+        lam, vec = eig[0][0], eig[1][0]
+        dv = np.exp(log_w) * ((v_g @ vec) / lam) @ (vec.T @ s_g) / s ** 2
+        step = log_w - gap / dv if dv > 0 else np.nan
+        if np.isinf(high):
+            log_w = min(step if step > low else np.inf, low + _WEIGHT_STRIDE)
+        else:
+            log_w = step if low < step < high else (low + high) / 2
+        x, _, eig, (converged,) = _newton(_scalarized(matrices, np.exp(log_w)), x)
+    return best
+
+
+# Newton starts from the best _STARTS grid pairs: the best pair's basin
+# can hold a worse local minimum (at phi12 = 3.03, theta* = 0 the two best
+# pairs end on the beta1 = 0 pole, 2.9e-5 above the third)
+_STARTS = 4
+
+
 def general_axis_search(phi12: float, cfg: SensingConfig | None = None
                         ) -> tuple[Observable, SensingResult]:
     """Deterministic search over local general-axis products.
@@ -232,77 +404,51 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     plus ``PENALTY_WEIGHT / |slope|``) over the four Bloch angles, then
     take the largest slope whose estimator variance stays within
     ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
-    a fixed 72 x 72 grid of axis pairs; one unbounded L-BFGS-B run starts
-    from the best pair, and an unbounded SLSQP step pushes the slope
-    under the variance cap. Both solvers get the exact gradients of
-    <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2. The angles are reported
+    a fixed 72 x 72 grid of axis pairs. One batched damped Newton run
+    starts from the four best pairs, and the lowest minimum wins, the
+    earlier pair on a tie. The slope push takes the top singular value of
+    D if its variance is within the cap; otherwise it minimizes
+    v + w/|slope| from the minimum, with the weight w raised until the
+    minimizer's estimator variance v reaches the cap. The push is
+    accepted if it converged within the cap at a larger slope. Every
+    Newton step uses the exact gradient and Hessian of <A> = n1 . C n2
+    and d<A>/dtheta = n1 . D n2, built from the second derivatives of
+    the Bloch vectors; no scipy solver runs. The angles are reported
     with beta in [0, pi] and alpha in (-pi, pi].
     """
-    from scipy.optimize import NonlinearConstraint
-
     cfg = cfg or SensingConfig(phi12=phi12)
-    corr, slope_matrix = _axis_correlations(phi12, cfg.theta_star)
-
-    def jet(params):
-        """(<A>, its gradient, d<A>/dtheta, its gradient) over the four angles."""
-        n1, *dn1 = _bloch(params[0], params[1])
-        n2, *dn2 = _bloch(params[2], params[3])
-
-        def bilinear(m):
-            m_n2, n1_m = m @ n2, n1 @ m
-            return float(n1 @ m_n2), np.array([dn1[0] @ m_n2, dn1[1] @ m_n2,
-                                               n1_m @ dn2[0], n1_m @ dn2[1]])
-
-        return (*bilinear(corr), *bilinear(slope_matrix))
-
-    def objective(params):
-        exp_val, exp_grad, deriv, deriv_grad = jet(params)
-        slope = max(abs(deriv), 1e-12)
-        # d|S| = sign(S) dS
-        grad = (-2 * exp_val * exp_grad - (2 * (1.0 - exp_val ** 2) / slope + PENALTY_WEIGHT)
-                * np.sign(deriv) * deriv_grad) / slope ** 2
-        return float(_penalized(exp_val, deriv)), grad
-
-    def est_var(params):
-        exp_val, _, deriv, _ = jet(params)
-        return (1.0 - exp_val ** 2) / max(deriv ** 2, 1e-300)
-
-    def est_var_grad(params):
-        exp_val, exp_grad, deriv, deriv_grad = jet(params)
-        sq = max(deriv ** 2, 1e-300)
-        return -2 * (exp_val * exp_grad + (1.0 - exp_val ** 2) * deriv / sq * deriv_grad) / sq
-
-    def neg_abs_slope(params):
-        _, _, deriv, deriv_grad = jet(params)
-        return -abs(deriv), -np.sign(deriv) * deriv_grad
+    matrices = np.array(_axis_correlations(phi12, cfg.theta_star))
 
     n = _bloch(_GRID_BETA, _GRID_ALPHA)[0]
-    grid = _penalized(n.T @ corr @ n, n.T @ slope_matrix @ n)
-    i, j = np.unravel_index(np.argmin(grid), grid.shape)
-    start = np.array([_GRID_BETA[i], _GRID_ALPHA[i], _GRID_BETA[j], _GRID_ALPHA[j]])
-    res = minimize(objective, start, jac=True, method="L-BFGS-B",
-                   options={"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000})
-    if not np.isfinite(res.fun):
-        raise SearchError(f"search diverged; best objective {res.fun!r}")
-    x = res.x
+    grid = _penalized(n.T @ matrices[0] @ n, n.T @ matrices[1] @ n)
+    # the _STARTS best pairs, the earlier pair first on a tie
+    flat = grid.ravel()
+    near = np.flatnonzero(flat <= np.partition(flat, _STARTS - 1)[_STARTS - 1])
+    i, j = np.unravel_index(near[np.argsort(flat[near], kind="stable")][:_STARTS], grid.shape)
+    starts = np.stack([_GRID_BETA[i], _GRID_ALPHA[i], _GRID_BETA[j], _GRID_ALPHA[j]], axis=1)
+    ends, value, (lam, vec), _ = _newton(_scalarized(matrices, PENALTY_WEIGHT), starts)
+    if not np.isfinite(value).any():
+        raise SearchError(f"search diverged; objectives {value!r}")
+    k = np.flatnonzero(value <= np.nanmin(value) * (1 + 1e-12))[0]
+    x = ends[k:k + 1]
 
     # push the slope as far as the variance tolerance allows
-    cap = est_var(x) + VARIANCE_TOLERANCE
-    slope_ref = minimize(
-        neg_abs_slope, x, jac=True, method="SLSQP",
-        constraints=[NonlinearConstraint(est_var, -np.inf, cap, jac=est_var_grad)],
-        options={"maxiter": 200, "ftol": 1e-12})
-    if (slope_ref.success and est_var(slope_ref.x) <= cap + 1e-9
-            and -slope_ref.fun > abs(jet(x)[2])):
-        x = slope_ref.x
+    variance, _, slope, _ = _figures(matrices, x)
+    cap = variance[0] + VARIANCE_TOLERANCE
+    pushed, converged = _push_slope(matrices, x, (lam[k:k + 1], vec[k:k + 1]), cap)
+    pushed_variance, _, pushed_slope, _ = _figures(matrices, pushed)
+    if converged and pushed_variance[0] <= cap + 1e-9 and pushed_slope[0] > slope[0]:
+        x = pushed
 
+    x = x[0]
     angles = (*_canonical_axis(x[0], x[1]), *_canonical_axis(x[2], x[3]))
-    exp_val, _, deriv, _ = jet(angles)
-    if abs(deriv) < DERIVATIVE_FLOOR:
+    (exp_val, slope), _, _ = _figure_jets(matrices, np.array([angles]))
+    exp_val, slope = float(exp_val[0]), float(slope[0])
+    if slope < DERIVATIVE_FLOOR:
         raise SearchError("search converged to a zero-slope observable")
     var = 1.0 - exp_val ** 2
     result = SensingResult(expectation=exp_val,
-                           derivative_magnitude=abs(deriv),
+                           derivative_magnitude=slope,
                            single_shot_variance=var,
-                           estimator_variance=var / deriv ** 2)
+                           estimator_variance=var / slope ** 2)
     return general_axis_observable(*angles), result

@@ -223,14 +223,41 @@ def _cosine(x, a, b, c, d):
     return a * np.cos(b * x + c) + d
 
 
+_FIT_ITERATIONS = 100
+_FIT_FTOL = 1e-8
+_EPS = np.finfo(float).eps
+
+
+def _projection(xs, ys, b):
+    """Least-squares coefficients (A, B, d) of A cos bx + B sin bx + d at a
+    fixed frequency b, the residual y - model, and Kaufman's Jacobian of
+    that residual in b."""
+    basis = np.stack([np.cos(b * xs), np.sin(b * xs), np.ones_like(xs)], axis=1)
+    u, sv, vt = np.linalg.svd(basis, full_matrices=False)
+    # a column that vanishes on the samples (sin bx at b = 0 or pi/dx) is dropped
+    keep = sv > sv[0] * len(xs) * _EPS
+    u, sv, vt = u[:, keep], sv[keep], vt[keep]
+    coef = vt.T @ ((u.T @ ys) / sv)
+    residual = ys - u @ (u.T @ ys)
+    # d basis/db @ coef, projected off the basis
+    slope = xs * (coef[1] * basis[:, 0] - coef[0] * basis[:, 1])
+    return coef, residual, -(slope - u @ (u.T @ slope))
+
+
 def cosine_fit(xs, ys) -> FitResult:
     """Least-squares fit of a cos(b x + c) + d to fringe data.
 
-    Initial values come from the dominant discrete-Fourier component of
-    the detrended data (assuming uniform spacing), which makes the fit
+    At a fixed frequency b the model A cos bx + B sin bx + d is linear, so
+    the fit is a variable projection (Golub & Pereyra, SIAM J. Numer.
+    Anal. 10, 413, 1973): a linear least-squares solve for each b, and
+    Gauss-Newton on b alone with Kaufman's Jacobian (BIT 15, 49, 1975).
+    b starts from the dominant discrete-Fourier component of the
+    detrended data (assuming uniform spacing), which makes the fit
     deterministic. The output is canonical: b >= 0 and a <= 0, with c
-    wrapped to (-pi, pi] by ``optics.canonical_phase``, so a c on the +-pi
-    cut is reported as exactly +pi whichever way rounding falls.
+    wrapped to (-pi, pi] by ``optics.canonical_phase``, so a c on the
+    +-pi cut is reported as exactly +pi whichever way rounding falls. On
+    samples spaced dx apart, b and 2 pi/dx - b give the same values, so
+    there b is reported in [0, pi/dx].
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -239,31 +266,48 @@ def cosine_fit(xs, ys) -> FitResult:
     if len(xs) < 4:
         raise ValueError("need at least four points to fit four parameters")
 
-    dx = xs[1] - xs[0] if len(xs) > 1 else 1.0
+    dx = xs[1] - xs[0]
     detrended = ys - ys.mean()
     spectrum = np.fft.rfft(detrended)
-    if len(spectrum) > 1 and np.abs(spectrum[1:]).max() > 0:
-        k = int(np.argmax(np.abs(spectrum[1:]))) + 1
-        b0 = 2 * np.pi * k / (len(xs) * dx)
-        a0 = 2 * np.abs(spectrum[k]) / len(xs)
-        c0 = float(np.angle(spectrum[k]) - b0 * xs[0])
+    if np.abs(spectrum[1:]).max() > 0:
+        b = 2 * np.pi * (int(np.argmax(np.abs(spectrum[1:]))) + 1) / (len(xs) * dx)
     else:
-        b0, a0, c0 = 1.0, 0.0, 0.0
+        b = 1.0
 
-    def residuals(p):
-        return _cosine(xs, *p) - ys
-
-    fit = least_squares(residuals, x0=[a0, b0, c0, ys.mean()], method="lm",
-                        max_nfev=20000)
-    if not fit.success:
+    # the cost is periodic in b on evenly spaced samples: a step is kept
+    # within one Fourier bin of the span, where the start already lies
+    max_step = 2 * np.pi / np.ptp(xs)
+    _, residual, jac = _projection(xs, ys, b)
+    cost = residual @ residual
+    for _ in range(_FIT_ITERATIONS):
+        step = -(jac @ residual) / (jac @ jac) if jac @ jac > 0 else 0.0
+        step = min(max(step, -max_step), max_step)
+        # halve the Gauss-Newton step until the residual falls
+        while abs(step) > 4 * _EPS * max(abs(b), 1.0):
+            _, trial_residual, trial_jac = _projection(xs, ys, b + step)
+            if trial_residual @ trial_residual < cost:
+                break
+            step /= 2
+        else:
+            break
+        b += step
+        residual, jac = trial_residual, trial_jac
+        cost, previous = residual @ residual, cost
+        # the cost also falls without bound towards b = 0 on data that
+        # hold less than a period; stop where it no longer falls
+        if previous - cost <= _FIT_FTOL * previous:
+            break
+    else:
         raise CosineFitError(
-            f"cosine fit did not converge; best residual "
-            f"{np.sqrt(np.mean(fit.fun ** 2)):.3e}")
-    a, b, c, d = fit.x
-    if b < 0:
-        b, c = -b, -c
-    if a > 0:
-        a, c = -a, c + np.pi
-    c = canonical_phase(c)
-    rms = float(np.sqrt(np.mean(residuals((a, b, c, d)) ** 2)))
+            f"cosine fit did not converge; best residual {np.sqrt(cost / len(xs)):.3e}")
+
+    b = abs(b)
+    if dx > 0 and np.allclose(np.diff(xs), dx, rtol=1e-9, atol=0):
+        alias = 2 * np.pi / dx
+        b %= alias
+        b = min(b, alias - b)
+    (cos_coef, sin_coef, d), _, _ = _projection(xs, ys, b)
+    # A cos bx + B sin bx = a cos(bx + c) with a = -hypot(A, B) <= 0
+    a, c = -np.hypot(cos_coef, sin_coef), canonical_phase(np.arctan2(sin_coef, -cos_coef))
+    rms = float(np.sqrt(np.mean((_cosine(xs, a, b, c, d) - ys) ** 2)))
     return FitResult(a=float(a), b=float(b), c=float(c), d=float(d), residual=rms)

@@ -464,6 +464,31 @@ class TestBadInputs:
         assert not list(tmp_path.iterdir())
 
 
+    def test_oversized_bins_exit_two_at_once(self, tmp_path, monkeypatch, capsys):
+        # each setting's bins are one (bins, 4) Poisson draw, so --bins
+        # 10**12 reaches numpy's MemoryError at once; the stand-in generator
+        # raises it for that size and refuses a draw of one bin at a time
+        class OversizedDraw:
+            def __init__(self, seed):
+                pass
+
+            def poisson(self, lam, size=None):
+                if size is None:
+                    raise AssertionError("bins drawn one at a time")
+                assert size == (10 ** 12, 4)
+                raise MemoryError("Unable to allocate 29.1 TiB for an array "
+                                  "with shape (1000000000000, 4) and data type int64")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("wgstate.cli.np.random.default_rng", OversizedDraw)
+        rc, err = command_error(["sense", "--phi12", "1", "--observable", "IY",
+                                 "--bins", "1000000000000", "--out", "s",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err.startswith("error: input too large: Unable to allocate 29.1 TiB")
+        assert not list(tmp_path.iterdir())
+
+
 class TestObservableSpecParsing:
     def test_axis_spec(self, tmp_path, monkeypatch):
         # X on photon 1 (beta=90, alpha=0), Y on photon 2 (beta=90, alpha=90)

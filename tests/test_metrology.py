@@ -232,21 +232,47 @@ class TestGeneralAxisSearch:
         assert res_a == res_b
 
 
+    # (phi12, penalized objective) of the former L-BFGS-B run at theta* = 0;
+    # from the best grid pair alone, Newton ends on the beta1 = 0 pole,
+    # 2.9e-5 and 9.6e-6 above it
+    LBFGS_NEAR_PI = [(3.029392915961586, 0.260595658268187),
+                     (3.0574428503686377, 0.2603365213166439)]
+
+    @pytest.mark.parametrize("phi12, objective", LBFGS_NEAR_PI)
+    def test_penalized_minimum_no_worse_than_lbfgs(self, monkeypatch, phi12, objective):
+        newton, minima = metrology._newton, []
+
+        def spy(fun, x):
+            result = newton(fun, x)
+            minima.append(result[1].min())
+            return result
+
+        monkeypatch.setattr(metrology, "_newton", spy)
+        general_axis_search(phi12)
+        assert minima[0] <= objective * (1 + 1e-9)
+
+    # (phi12, theta_star, slope, variance cap) of the L-BFGS-B search with
+    # the SLSQP slope push, where the push stopped short of the largest
+    # slope under the cap
+    NEAR_PI_PUSH = [
+        (2.9733, -2.1, 1.9889720337663521, 0.2513700032784283),
+        (3.0013, -2.1, 1.9932953670836946, 0.2509928141555195),
+        (3.0294, -2.1, 1.9963084800252022, 0.25067709204675837),
+        (2.9733, 1.9, 1.9889720389607488, 0.25137000330468917),
+        (3.0013, 1.9, 1.9932953299035558, 0.2509928139683648),
+        (3.0294, 1.9, 1.9963084681121737, 0.25067709198697247),
+    ]
+
+    @pytest.mark.parametrize("phi12, theta_star, slope, cap", NEAR_PI_PUSH)
+    def test_near_pi_push_no_worse_than_slsqp(self, phi12, theta_star, slope, cap):
+        _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        assert res.derivative_magnitude >= slope - 1e-5
+        assert res.estimator_variance <= cap + 1e-9
+
+
 class TestSearchGradient:
-    """The solvers of the general-axis search get exact gradients."""
-
-    @staticmethod
-    def solver_calls(monkeypatch, phi12=1.3, theta_star=0.4):
-        calls = []
-        minimize = metrology.minimize
-
-        def spy(fun, x0, **kwargs):
-            calls.append((fun, kwargs))
-            return minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(metrology, "minimize", spy)
-        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
-        return calls
+    """The general-axis search runs damped Newton on exact gradients and
+    Hessians, and no scipy solver."""
 
     @staticmethod
     def points():
@@ -264,25 +290,41 @@ class TestSearchGradient:
                          @ metrology._bloch(p[2], p[3])[0]) for p in self.points()}
         assert signs == {-1.0, 1.0}
 
-    def test_matches_central_differences(self, monkeypatch):
-        (objective, _), (neg_abs_slope, push) = self.solver_calls(monkeypatch)
-        (constraint,) = push["constraints"]
-        functions = [lambda p: objective(p)[0], lambda p: neg_abs_slope(p)[0], constraint.fun]
-        gradients = [lambda p: objective(p)[1], lambda p: neg_abs_slope(p)[1], constraint.jac]
+    def test_matches_central_differences(self):
+        matrices = np.array(metrology._axis_correlations(1.3, 0.4))
+        points = np.array(self.points())
         h = 1e-6
-        for p in self.points():
-            for fun, grad in zip(functions, gradients):
-                central = np.array([(fun(p + h * e) - fun(p - h * e)) / (2 * h)
-                                    for e in np.eye(4)])
-                assert np.linalg.norm(grad(p) - central) <= 1e-6 * np.linalg.norm(central)
+        # the Newton objective v + w/s, at the penalty weight and a push weight
+        for weight in (metrology.PENALTY_WEIGHT, 0.7):
+            fun = metrology._scalarized(matrices, weight)
+            _, grad, hess = fun(points)
+            up = [fun(points + h * e) for e in np.eye(4)]
+            down = [fun(points - h * e) for e in np.eye(4)]
+            central_grad = np.stack([(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)], axis=1)
+            central_hess = np.stack([(u[1] - d[1]) / (2 * h) for u, d in zip(up, down)], axis=1)
+            for g, cg, hh, ch in zip(grad, central_grad, hess, central_hess):
+                assert np.linalg.norm(g - cg) <= 1e-6 * np.linalg.norm(cg)
+                assert np.linalg.norm(hh - ch) <= 1e-6 * np.linalg.norm(ch)
 
     @pytest.mark.parametrize("phi12, theta_star", [(0.0, 0.0), (1.91, 0.0), (2.2, -1.1)])
     def test_no_derivative_free_or_finite_difference_solver(self, monkeypatch,
                                                             phi12, theta_star):
-        calls = self.solver_calls(monkeypatch, phi12, theta_star)
-        assert [kwargs["method"] for _, kwargs in calls] == ["L-BFGS-B", "SLSQP"]
-        assert all(kwargs["jac"] is True for _, kwargs in calls)
-        assert all(callable(c.jac) for c in calls[1][1]["constraints"])
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search called a scipy solver")
+
+        newton, runs = metrology._newton, []
+
+        def spy(fun, x):
+            runs.append(fun(x))
+            return newton(fun, x)
+
+        monkeypatch.setattr(metrology, "minimize", refuse)
+        monkeypatch.setattr(metrology, "differential_evolution", refuse)
+        monkeypatch.setattr(metrology, "_newton", spy)
+        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        # the first run from the four best grid pairs; every run gets Hessians
+        assert runs and runs[0][0].shape == (4,)
+        assert all(hess.shape == (len(value), 4, 4) for value, _, hess in runs)
 
 
 def test_limits():

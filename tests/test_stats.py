@@ -360,19 +360,20 @@ class TestCosineFit:
         fit = cosine_fit(xs, np.cos(xs))
         assert isinstance(fit, FitResult)
 
-    def test_fit_calls_the_module_least_squares(self, monkeypatch):
-        calls = []
-        least_squares = stats.least_squares
+    @pytest.mark.parametrize("b", [0.5, 1.3, 3.13])
+    def test_alias_is_canonical(self, monkeypatch, b):
+        # on unit-spaced samples b and 2 pi - b give the same values; the
+        # fit reports b in [0, pi] and runs no scipy solver
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit called a scipy solver")
 
-        def spy(fun, x0, **kwargs):
-            calls.append(kwargs)
-            return least_squares(fun, x0, **kwargs)
-
-        monkeypatch.setattr(stats, "least_squares", spy)
+        monkeypatch.setattr(stats, "least_squares", refuse)
         xs = np.arange(30, dtype=float)
-        fit = cosine_fit(xs, 0.4 * np.cos(0.5 * xs + 0.3) + 0.5)
-        assert calls == [{"method": "lm", "max_nfev": 20000}]
-        assert fit.residual < 1e-8
+        for freq in (b, 2 * np.pi - b):
+            fit = cosine_fit(xs, 0.4 * np.cos(freq * xs + 0.3) + 0.5)
+            assert fit.b == pytest.approx(b, abs=1e-9)
+            assert fit.b <= np.pi
+            assert fit.residual < 1e-8
 
 
 def test_weights_accepted_as_array():
