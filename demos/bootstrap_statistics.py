@@ -24,9 +24,8 @@ obs = pauli_observable("Z", "Y")
 def binned(theta, seed0):
     amps = encoding_unitary(theta) @ state.amplitudes
     probs = outcome_probabilities(PureState2Q(amps), obs)
-    return BinnedCounts(records=tuple(
-        simulate_counts(probs, RATE, DURATION, seed=seed0 + i)
-        for i in range(N_BINS)))
+    return BinnedCounts([simulate_counts(probs, RATE, DURATION, seed=seed0 + i)
+                         for i in range(N_BINS)], DURATION)
 
 
 center = binned(0.0, 100)

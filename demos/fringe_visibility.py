@@ -23,8 +23,7 @@ for step in range(STEPS):
                            phi_prime_12=0.0, varphi_prime=varphi)
     state = simulate_generation(cfg).state
     probs = outcome_probabilities(state, analyzer)
-    record = simulate_counts(probs, RATE, DURATION, seed=step)
-    counts.append(record.counts[0])
+    counts.append(simulate_counts(probs, RATE, DURATION, seed=step)[0])
 counts = np.array(counts, dtype=float)
 
 vis = visibility(counts.max(), counts.min())

@@ -21,7 +21,7 @@ from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        GenerationResult, NoiseModel, apply_noise,
                        canonical_config, mzi_phase_condition,
                        simulate_generation, weighted_graph_state)
-from .measurement import (CountRecord, Observable, ProjectorSetting,
+from .measurement import (Observable, ProjectorSetting,
                           TomographySetting, WaveplateSolverError,
                           general_axis_observable, outcome_probabilities,
                           pauli_observable, simulate_counts,

@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .measurement import (Observable, CountRecord, general_axis_observable,
+from .measurement import (Observable, general_axis_observable,
                           outcome_probabilities, pauli_observable,
                           solve_projector_waveplates, WaveplateSolverError)
 from .metrology import (DerivativeVanishesError, SearchError, SensingConfig,
@@ -257,12 +257,12 @@ def _simulate_bins(state_amps, obs, theta, rate, duration, n_bins, rng):
     generator in the same state."""
     u = encoding_unitary(theta)
     probs = outcome_probabilities(PureState2Q(u @ state_amps), obs)
-    counts = rng.poisson(rate * duration * probs, size=(n_bins, 4))
-    return BinnedCounts(records=tuple(CountRecord(counts=c, duration=duration)
-                                      for c in counts))
+    return BinnedCounts(rng.poisson(rate * duration * probs, size=(n_bins, 4)), duration)
 
 
 def _cmd_sense(args) -> int:
+    if args.bins < 2:
+        raise ValueError("--bins must be at least 2")
     obs = _parse_observable(args.observable)
     if args.rate <= 0:
         raise DegenerateDataError("rate must be positive to accumulate counts")
@@ -309,9 +309,8 @@ def _cmd_sense(args) -> int:
     with open(csv_path, "w") as fh:
         fh.write("setting,bin_index,n_pp,n_pm,n_mp,n_mm,duration\n")
         for name in ("center", "plus", "minus"):
-            for i, record in enumerate(bins[name].records):
-                c = record.counts
-                fh.write(f"{name},{i},{c[0]},{c[1]},{c[2]},{c[3]},{record.duration:g}\n")
+            for i, (pp, pm, mp, mm) in enumerate(bins[name].counts):
+                fh.write(f"{name},{i},{pp},{pm},{mp},{mm},{bins[name].duration:g}\n")
     _write_manifest(args, [json_path, csv_path])
     ratio = boot.estimator_variance
     print(f"sense phi12={args.phi12:.4f} {obs.label}: (Dtheta)^2 = "
@@ -325,13 +324,10 @@ def _cmd_tomo_simulate(args) -> int:
     state = weighted_graph_state(args.phi12)
     if args.noise:
         p, sigma = args.noise
-        rho = apply_noise(state, NoiseModel(depolarizing_p=p,
-                                            phase_jitter_sigma=sigma))
-        dataset = simulate_tomography(rho, args.rate, args.duration,
-                                      seed=args.seed, poisson=args.poisson)
-    else:
-        dataset = simulate_tomography(state, args.rate, args.duration,
-                                      seed=args.seed, poisson=args.poisson)
+        state = apply_noise(state, NoiseModel(depolarizing_p=p,
+                                              phase_jitter_sigma=sigma))
+    dataset = simulate_tomography(state, args.rate, args.duration,
+                                  seed=args.seed, poisson=args.poisson)
     write_dataset_csv(args.out, dataset)
     _write_manifest(args, [args.out])
     print(f"tomo simulate phi12={args.phi12:.4f}: total counts {dataset.total}")

@@ -135,41 +135,41 @@ def outcome_probabilities(state, obs: Observable) -> np.ndarray:
     return probs / probs.sum()
 
 
-@dataclass(frozen=True, eq=False)
-class CountRecord:
-    """Coincidence counts of the four outcome pairs for one acquisition."""
-
-    counts: np.ndarray
-    duration: float = 10.0
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).reshape(4)
-        if (c < 0).any():
-            raise ValueError("counts must be non-negative")
-        if not (np.isfinite(self.duration) and self.duration >= 0):
-            raise ValueError(f"duration must be finite and >= 0, got {self.duration!r}")
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+def checked_counts(counts, shape: tuple) -> np.ndarray:
+    """Outcome-pair counts as a read-only int64 copy of ``shape``; raises
+    ValueError for any other shape or a negative count."""
+    c = np.array(counts, dtype=np.int64)
+    if c.shape != shape:
+        raise ValueError(f"counts must have shape {shape}, got {c.shape}")
+    if (c < 0).any():
+        raise ValueError("counts must be non-negative")
+    c.flags.writeable = False
+    return c
 
 
-def simulate_counts(probs, rate: float, duration: float, seed: int) -> CountRecord:
+def checked_durations(durations, shape: tuple = ()) -> np.ndarray:
+    """Acquisition times in seconds as a read-only float array of ``shape``
+    (one value applies to all); raises ValueError unless each is finite
+    and >= 0."""
+    d = np.broadcast_to(np.array(durations, dtype=float), shape)
+    bad = ~(np.isfinite(d) & (d >= 0))
+    if bad.any():
+        raise ValueError(f"duration must be finite and >= 0, got {float(d[bad][0])!r}")
+    return d
+
+
+def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarray:
     """Poisson-sample the four coincidence counts for one acquisition.
 
     Each count is drawn with mean rate * duration * p_k, deterministic
-    for a given seed.
+    for a given seed; the result is a read-only (4,) int64 array.
     """
     probs = np.asarray(probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("outcome probabilities must sum to 1")
     if rate < 0 or duration < 0:
         raise ValueError("rate and duration must be >= 0")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(rate * duration * probs)
-    return CountRecord(counts=counts, duration=duration)
+    return checked_counts(np.random.default_rng(seed).poisson(rate * duration * probs), (4,))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import LazyOptimizer
-from .measurement import OUTCOME_PAIRS, CountRecord
+from .measurement import OUTCOME_PAIRS, checked_counts, checked_durations
 from .optics import canonical_phase
 
 least_squares = LazyOptimizer("least_squares")
@@ -38,24 +38,24 @@ class CosineFitError(RuntimeError):
     """The cosine fit did not converge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinnedCounts:
-    """L acquisition bins of one measurement setting."""
+    """L >= 2 acquisition bins of one measurement setting.
 
-    records: tuple
+    ``counts`` is stored as a read-only (L, 4) int64 array of outcome-pair
+    counts (++, +-, -+, --), one row per bin, and each bin lasts
+    ``duration`` seconds.
+    """
+
+    counts: np.ndarray
+    duration: float = 10.0
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if len(records) < 2:
+        counts = checked_counts(self.counts, (len(self.counts), 4))
+        if len(counts) < 2:
             raise ValueError("need at least two acquisition bins")
-        if not all(isinstance(r, CountRecord) for r in records):
-            raise TypeError("records must be CountRecord instances")
-        object.__setattr__(self, "records", records)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """(L, 4) array of per-bin outcome counts."""
-        return np.array([r.counts for r in self.records], dtype=np.int64)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "duration", float(checked_durations(self.duration)))
 
     @property
     def total(self) -> int:

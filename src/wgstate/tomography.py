@@ -1,14 +1,15 @@
 """Sixteen-setting two-photon tomography with maximum-likelihood
 reconstruction and Monte Carlo error bars.
 
-Each setting records a four-outcome CountRecord (both analyzer ports of
-both photons). Reconstruction fits a Cholesky-parameterized density
-matrix rho(T) = T^dag T / Tr(T^dag T), which is physical by
-construction, to a Gaussian (default) or exact Poisson likelihood. A
-damped Newton solver on the exact Hessian fits a whole stack of datasets
-at once, so a Monte Carlo report fits the observed counts and every
-resample in one solve. The photon-flux normalization is estimated from
-the four rectilinear-basis settings, whose outcomes partition unity.
+A dataset is one (16, 4) array of counts: for each setting, the four
+outcome pairs of both analyzer ports of both photons. Reconstruction
+fits a Cholesky-parameterized density matrix rho(T) = T^dag T /
+Tr(T^dag T), which is physical by construction, to a Gaussian (default)
+or exact Poisson likelihood. A damped Newton solver on the exact Hessian
+fits a whole stack of datasets at once, so a Monte Carlo report fits the
+observed counts and every resample in one solve. The photon-flux
+normalization is estimated from the four rectilinear-basis settings,
+whose outcomes partition unity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import LazyOptimizer
-from .measurement import CountRecord, setting_outcome_kets, tomography_settings
+from .measurement import (checked_counts, checked_durations, setting_outcome_kets,
+                          tomography_settings)
 from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurrence,
                     fidelity, tensor)
 from .stats import DegenerateDataError
@@ -37,22 +39,19 @@ class ReconstructionError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TomographyDataset:
-    """CountRecords for the 16 settings, aligned to tomography_settings()."""
+    """Counts of the 16 settings, in the order of tomography_settings().
 
-    records: tuple
+    ``counts`` is stored as a read-only (16, 4) int64 array, one row of
+    outcome-pair counts (++, +-, -+, --) per setting, and ``durations`` as
+    the 16 acquisition times in seconds; one value applies to all.
+    """
+
+    counts: np.ndarray
+    durations: np.ndarray = 10.0
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if len(records) != 16:
-            raise ValueError(f"expected 16 records, got {len(records)}")
-        if not all(isinstance(r, CountRecord) for r in records):
-            raise TypeError("records must be CountRecord instances")
-        object.__setattr__(self, "records", records)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """(16, 4) array of outcome counts."""
-        return np.array([r.counts for r in self.records], dtype=np.int64)
+        object.__setattr__(self, "counts", checked_counts(self.counts, (16, 4)))
+        object.__setattr__(self, "durations", checked_durations(self.durations, (16,)))
 
     @property
     def total(self) -> int:
@@ -99,14 +98,11 @@ def simulate_tomography(state, rate: float, duration: float, seed: int = 0,
     if rate < 0 or duration < 0:
         raise ValueError("rate and duration must be >= 0")
     rho = as_density(state)
-    rng = np.random.default_rng(seed)
-    records = []
-    for kets in _KETS:
-        probs = np.clip(np.real(np.einsum("ki,ij,kj->k", kets.conj(), rho, kets)), 0, None)
-        means = rate * duration * probs
-        counts = rng.poisson(means) if poisson else np.rint(means).astype(np.int64)
-        records.append(CountRecord(counts=counts, duration=duration))
-    return TomographyDataset(records=tuple(records))
+    probs = np.clip(np.real(np.einsum("ski,ij,skj->sk", _KETS.conj(), rho, _KETS)), 0, None)
+    means = rate * duration * probs
+    counts = (np.random.default_rng(seed).poisson(means) if poisson
+              else np.rint(means).astype(np.int64))
+    return TomographyDataset(counts, duration)
 
 
 def _t_matrix(t: np.ndarray) -> np.ndarray:
@@ -375,8 +371,11 @@ def monte_carlo_report(data: TomographyDataset, target: PureState2Q,
     counts = data.counts
     if counts.sum() <= 0:
         raise DegenerateDataError("dataset contains no counts")
-    stack = np.stack([counts] + [np.random.default_rng(seq).poisson(counts)
-                                 for seq in np.random.SeedSequence(seed).spawn(n)])
+    # allocated before the n seeds are spawned, so an oversized n fails at once
+    stack = np.empty((n + 1, 16, 4), dtype=np.int64)
+    stack[0] = counts
+    for row, seq in zip(stack[1:], np.random.SeedSequence(seed).spawn(n)):
+        row[:] = np.random.default_rng(seq).poisson(counts)
     flux = _rectilinear_flux(stack, outcomes)
     empty = np.flatnonzero(flux[1:] <= 0)
     if flux[0] > 0 and empty.size:
@@ -408,14 +407,9 @@ def write_dataset_csv(path, data: TomographyDataset) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for idx, (setting, record) in enumerate(zip(settings, data.records)):
-            writer.writerow([
-                idx, setting.label,
-                f"{setting.h1:g}", f"{setting.q1:g}",
-                f"{setting.h2:g}", f"{setting.q2:g}",
-                ";".join(str(int(c)) for c in record.counts),
-                f"{record.duration:g}",
-            ])
+        for idx, (s, counts, duration) in enumerate(zip(settings, data.counts, data.durations)):
+            writer.writerow([idx, s.label, f"{s.h1:g}", f"{s.q1:g}", f"{s.h2:g}", f"{s.q2:g}",
+                             ";".join(map(str, counts)), f"{duration:g}"])
 
 
 def read_dataset_csv(path) -> TomographyDataset:
@@ -442,7 +436,8 @@ def read_dataset_csv(path) -> TomographyDataset:
                 raise ValueError(
                     f"row {idx} label {row['projector_label']!r} does not match "
                     f"the standard plan ({settings[idx].label!r})")
-            rows[idx] = CountRecord(counts=np.array(counts), duration=duration)
+            rows[idx] = counts, duration
     if len(rows) != 16:
         raise ValueError(f"malformed dataset CSV: found {len(rows)} of 16 settings")
-    return TomographyDataset(records=tuple(rows[i] for i in range(16)))
+    counts, durations = zip(*(rows[i] for i in range(16)))
+    return TomographyDataset(counts, durations)

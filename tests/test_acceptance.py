@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from wgstate.cli import main
-from wgstate.measurement import CountRecord, outcome_probabilities, pauli_observable
+from wgstate.measurement import outcome_probabilities, pauli_observable
 from wgstate.metrology import (SensingConfig, general_axis_search, limits,
                                pauli_search, qfi_closed_form, qfi_numeric)
 from wgstate.optics import (EulerAngles, RotationAxis, euler_to_waveplates,
@@ -203,7 +203,7 @@ def test_criterion_8_bootstrap_validity(tmp_path, monkeypatch):
     covered = 0
     for i in range(200):
         counts = rng.poisson(1500 * probs, size=(24, 4))
-        bins = BinnedCounts(records=tuple(CountRecord(counts=c) for c in counts))
+        bins = BinnedCounts(counts)
         res = bootstrap_expectation(bins, obs.weights,
                                     BootstrapConfig(mu=2000, seed=1000 + i))
         covered += (res.ci_low <= -0.5 <= res.ci_high)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from wgstate.cli import main
-from wgstate.measurement import CountRecord
 from wgstate.stategen import weighted_graph_state
 from wgstate.tomography import TomographyDataset, simulate_tomography, write_dataset_csv
 from make_goldens import GOLDEN_DIR, run_all
@@ -223,8 +222,7 @@ class TestTomoCommand:
         counts = data.counts.copy()
         counts[:4] = 0
         counts[2, 0] = 1
-        write_dataset_csv(tmp_path / "d.csv", TomographyDataset(records=tuple(
-            CountRecord(counts=row) for row in counts)))
+        write_dataset_csv(tmp_path / "d.csv", TomographyDataset(counts))
         rc, err = command_error(["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1.0",
                                  "--mc", "20", "--seed", "3", "--out", "r.json",
                                  "--no-timestamp"], capsys)
@@ -416,6 +414,15 @@ class TestBadInputs:
         assert f"--observable {spec!r}: expected a finite number" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("bins", ["-3", "0", "1"])
+    def test_sense_too_few_bins_exits_two(self, tmp_path, monkeypatch, capsys, bins):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["sense", "--phi12", "1", "--observable", "IY",
+                                 "--bins", bins, "--out", "s", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err == "error: --bins must be at least 2\n"
+        assert not list(tmp_path.iterdir())
+
     def test_fringe_empty_range_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc, err = command_error(["fringe", "--varphi-range", "0", "0", "--out", "f",
@@ -487,6 +494,38 @@ class TestBadInputs:
         assert rc == 2
         assert err.startswith("error: input too large: Unable to allocate 29.1 TiB")
         assert not list(tmp_path.iterdir())
+
+    def test_oversized_mc_exits_two_at_once(self, tmp_path, monkeypatch, capsys):
+        # the (n + 1, 16, 4) resample stack is allocated before the n seeds
+        # are spawned, so --mc 10**12 reaches numpy's MemoryError at once;
+        # the stand-ins raise it for that shape and refuse any spawn
+        real_empty = np.empty
+
+        def oversized_empty(shape, dtype=float):
+            if shape == (10 ** 12 + 1, 16, 4):
+                raise MemoryError("Unable to allocate 466. TiB for an array with shape "
+                                  "(1000000000001, 16, 4) and data type int64")
+            return real_empty(shape, dtype)
+
+        class NoSpawn:
+            def __init__(self, seed):
+                pass
+
+            def spawn(self, n):
+                raise AssertionError("seeds spawned before the resample stack")
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["tomo", "simulate", "--phi12", "1", "--out", "d.csv",
+                     "--no-timestamp"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("wgstate.tomography.np.empty", oversized_empty)
+        monkeypatch.setattr("wgstate.tomography.np.random.SeedSequence", NoSpawn)
+        rc, err = command_error(["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1",
+                                 "--mc", "1000000000000", "--out", "r.json",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err.startswith("error: input too large: Unable to allocate 466. TiB")
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestObservableSpecParsing:

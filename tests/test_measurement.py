@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wgstate.measurement import (CountRecord, _overlap_grid, analyzer_overlap, axis_state,
+from wgstate.measurement import (_overlap_grid, analyzer_overlap, axis_state,
+                                 checked_counts, checked_durations,
                                  general_axis_observable, outcome_probabilities,
                                  pauli_observable, simulate_counts,
                                  solve_projector_waveplates, tomography_settings)
 from wgstate.optics import WaveplateKind, waveplate_jones_lab
 from wgstate.qmath import PAULIS, PureState2Q, expectation, tensor
 from wgstate.stategen import GenerationConfig, simulate_generation, weighted_graph_state
+from wgstate.stats import BinnedCounts
+from wgstate.tomography import TomographyDataset
 
 
 class TestPauliObservable:
@@ -118,13 +121,13 @@ class TestOutcomeProbabilities:
 
 class TestSimulateCounts:
     def test_zero_rate(self):
-        record = simulate_counts([0.25, 0.25, 0.25, 0.25], rate=0.0, duration=10.0, seed=1)
-        assert record.total == 0
+        counts = simulate_counts([0.25, 0.25, 0.25, 0.25], rate=0.0, duration=10.0, seed=1)
+        assert counts.sum() == 0
 
     def test_degenerate_distribution(self):
-        record = simulate_counts([1, 0, 0, 0], rate=100.0, duration=1.0, seed=2)
-        assert record.counts[1:].sum() == 0
-        assert record.counts[0] > 0
+        counts = simulate_counts([1, 0, 0, 0], rate=100.0, duration=1.0, seed=2)
+        assert counts[1:].sum() == 0
+        assert counts[0] > 0
 
     def test_poisson_moments(self):
         # means (750, 750, 0, 0); the sample mean over many seeds stays
@@ -133,7 +136,7 @@ class TestSimulateCounts:
         n = 1000
         for seed in range(n):
             totals += simulate_counts([0.5, 0.5, 0, 0], rate=150.0, duration=10.0,
-                                      seed=seed).counts
+                                      seed=seed)
         means = totals / n
         stderr = np.sqrt(750.0 / n)
         assert abs(means[0] - 750.0) < 3 * stderr
@@ -143,20 +146,76 @@ class TestSimulateCounts:
     def test_deterministic_per_seed(self):
         a = simulate_counts([0.1, 0.2, 0.3, 0.4], 100.0, 10.0, seed=7)
         b = simulate_counts([0.1, 0.2, 0.3, 0.4], 100.0, 10.0, seed=7)
-        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a, b)
+
+    def test_read_only_int64(self):
+        counts = simulate_counts([0.1, 0.2, 0.3, 0.4], 100.0, 10.0, seed=7)
+        assert counts.dtype == np.int64 and counts.shape == (4,)
+        assert not counts.flags.writeable
 
     def test_invalid_probs_rejected(self):
         with pytest.raises(ValueError):
             simulate_counts([0.5, 0.5, 0.5, 0.5], 100.0, 1.0, seed=0)
 
-    def test_count_record_validation(self):
-        with pytest.raises(ValueError):
-            CountRecord(counts=np.array([-1, 0, 0, 0]))
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def validated(counts, duration):
+    return checked_counts(counts, (4,)), checked_durations(duration)
+
+
+# the validators and both containers that call them, each with the
+# shape of counts it takes
+HOLDERS = [pytest.param(validated, (4,), id="validators"),
+           pytest.param(BinnedCounts, (2, 4), id="BinnedCounts"),
+           pytest.param(TomographyDataset, (16, 4), id="TomographyDataset")]
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_negative_count_rejected(self, make, shape):
+        counts = np.ones(shape, dtype=int)
+        counts.flat[-1] = -1
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            make(counts, 10.0)
 
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
-    def test_count_record_duration_finite_and_non_negative(self, duration):
-        with pytest.raises(ValueError, match="duration"):
-            CountRecord(counts=np.ones(4, dtype=int), duration=duration)
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_duration_finite_and_non_negative(self, make, shape, duration):
+        with pytest.raises(ValueError, match="duration must be finite and >= 0"):
+            make(np.ones(shape, dtype=int), duration)
+
+    @pytest.mark.parametrize("make, shape, wrong", [
+        pytest.param(validated, (4,), wrong, id=f"validators-{shape_id(wrong)}")
+        for wrong in [(3,), (5,), (1, 4), (2, 2)]] + [
+        pytest.param(BinnedCounts, (2, 4), wrong, id=f"BinnedCounts-{shape_id(wrong)}")
+        for wrong in [(8,), (2, 3), (2, 6), (2, 4, 1)]] + [
+        pytest.param(TomographyDataset, (16, 4), wrong, id=f"TomographyDataset-{shape_id(wrong)}")
+        for wrong in [(15, 4), (16, 5), (64,), (4, 16)]])
+    def test_wrong_shape_rejected(self, make, shape, wrong):
+        make(np.ones(shape, dtype=int), 10.0)
+        with pytest.raises(ValueError, match="counts must have shape"):
+            make(np.ones(wrong, dtype=int), 10.0)
+
+    def test_one_bad_duration_of_sixteen_rejected(self):
+        durations = np.full(16, 10.0)
+        durations[5] = float("nan")
+        with pytest.raises(ValueError, match="got nan"):
+            TomographyDataset(np.ones((16, 4), dtype=int), durations)
+        with pytest.raises(ValueError):
+            TomographyDataset(np.ones((16, 4), dtype=int), np.full(15, 10.0))
+
+    @pytest.mark.parametrize("make, shape", HOLDERS[1:])
+    def test_containers_store_read_only_int64_copies(self, make, shape):
+        counts = np.ones(shape)
+        held = make(counts, 10.0)
+        assert held.counts.dtype == np.int64 and held.counts.shape == shape
+        assert not held.counts.flags.writeable
+        counts[0, 0] = 5
+        assert held.counts[0, 0] == 1
+        assert held.total == np.prod(shape)
 
 
 class TestTomographySettings:

@@ -4,8 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wgstate import stats
-from wgstate.measurement import (CountRecord, outcome_probabilities,
-                                 pauli_observable)
+from wgstate.measurement import outcome_probabilities, pauli_observable
 from wgstate.stategen import weighted_graph_state
 from wgstate.stats import (REDRAW_CAP, BinnedCounts, BootstrapConfig,
                            DegenerateDataError, FitResult, _resampled_estimators,
@@ -16,11 +15,6 @@ ZY = pauli_observable("Z", "Y")
 ZY_WEIGHTS = ZY.weights
 
 
-def make_bins(rows, duration=10.0):
-    return BinnedCounts(records=tuple(
-        CountRecord(counts=np.asarray(r), duration=duration) for r in rows))
-
-
 def poisson_bins(state, obs, scale, n_bins, rng, theta=None):
     from wgstate.metrology import encoding_unitary
     from wgstate.qmath import PureState2Q
@@ -28,13 +22,13 @@ def poisson_bins(state, obs, scale, n_bins, rng, theta=None):
     if theta is not None:
         amps = encoding_unitary(theta) @ amps
     probs = outcome_probabilities(PureState2Q(amps), obs)
-    return make_bins(rng.poisson(scale * probs, size=(n_bins, 4)))
+    return BinnedCounts(rng.poisson(scale * probs, size=(n_bins, 4)))
 
 
 class TestValidation:
     def test_binned_counts_needs_two_bins(self):
         with pytest.raises(ValueError):
-            make_bins([[1, 2, 3, 4]])
+            BinnedCounts([[1, 2, 3, 4]])
 
     def test_config_bounds(self):
         with pytest.raises(ValueError):
@@ -45,13 +39,13 @@ class TestValidation:
             BootstrapConfig(ci_level=1.0)
 
     def test_empty_counts_rejected(self):
-        bins = make_bins([[0, 0, 0, 0]] * 3)
+        bins = BinnedCounts([[0, 0, 0, 0]] * 3)
         with pytest.raises(DegenerateDataError):
             bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(seed=0))
 
     def test_sensing_rejects_empty_setting_and_bad_shift(self):
-        empty = make_bins([[0, 0, 0, 0]] * 3)
-        full = make_bins([[1, 2, 3, 4]] * 3)
+        empty = BinnedCounts([[0, 0, 0, 0]] * 3)
+        full = BinnedCounts([[1, 2, 3, 4]] * 3)
         for triple in ((empty, full, full), (full, empty, full), (full, full, empty)):
             with pytest.raises(DegenerateDataError):
                 bootstrap_sensing(*triple, np.radians(5), ZY_WEIGHTS,
@@ -62,13 +56,13 @@ class TestValidation:
 
 class TestBootstrapExpectation:
     def test_identical_bins_zero_width(self):
-        bins = make_bins([[40, 10, 30, 20]] * 6)
+        bins = BinnedCounts([[40, 10, 30, 20]] * 6)
         res = bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(mu=500, seed=1))
         assert np.all(res.samples == res.samples[0])
         assert res.ci_low == res.ci_high == pytest.approx(res.mean)
 
     def test_single_outcome_gives_unity(self):
-        bins = make_bins([[17, 0, 0, 0], [23, 0, 0, 0], [11, 0, 0, 0]])
+        bins = BinnedCounts([[17, 0, 0, 0], [23, 0, 0, 0], [11, 0, 0, 0]])
         res = bootstrap_expectation(bins, {"++": 1, "+-": -1, "-+": -1, "--": 1},
                                     BootstrapConfig(mu=500, seed=2))
         assert np.all(res.samples == 1.0)
@@ -95,7 +89,7 @@ class TestBootstrapVariance:
 
     def test_all_ones_when_expectation_vanishes(self):
         # equal counts in every outcome keep E identically zero
-        bins = make_bins([[25, 25, 25, 25]] * 6)
+        bins = BinnedCounts([[25, 25, 25, 25]] * 6)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
                                 BootstrapConfig(mu=500, seed=4)).single_shot_variance
         assert np.all(res.samples == 1.0)
@@ -130,7 +124,7 @@ class TestBootstrapDerivative:
     def test_symmetric_difference_vanishes(self):
         rng = np.random.default_rng(24)
         counts = rng.poisson(500, size=(6, 4))
-        bins = make_bins(counts)
+        bins = BinnedCounts(counts)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
                                 BootstrapConfig(seed=6)).derivative
         assert res.ci_low <= 0.0 <= res.ci_high
@@ -176,7 +170,7 @@ class TestBootstrapRatio:
         assert res.n_clamped == 0
 
     def test_zero_derivative_clamps(self):
-        bins = make_bins([[30, 10, 20, 40]] * 6)
+        bins = BinnedCounts([[30, 10, 20, 40]] * 6)
         cfg = BootstrapConfig(mu=500, seed=11)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
                                 cfg).estimator_variance
@@ -193,7 +187,7 @@ class TestBootstrapSensing:
         rng = np.random.default_rng(28)
         h = np.radians(5)
         state = weighted_graph_state(np.pi)
-        center = make_bins([[40, 10, 30, 20]] * 6)
+        center = BinnedCounts([[40, 10, 30, 20]] * 6)
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
         cfg = BootstrapConfig(mu=2000, seed=13)
@@ -215,7 +209,7 @@ class TestBootstrapSensing:
 
 def _bins_strategy():
     rows = st.lists(st.integers(0, 50), min_size=4, max_size=4)
-    return st.lists(rows, min_size=2, max_size=6).map(make_bins)
+    return st.lists(rows, min_size=2, max_size=6).map(BinnedCounts)
 
 
 class TestBootstrapDeterminism:
@@ -377,7 +371,7 @@ class TestCosineFit:
 
 
 def test_weights_accepted_as_array():
-    bins = make_bins([[40, 10, 30, 20]] * 4)
+    bins = BinnedCounts([[40, 10, 30, 20]] * 4)
     cfg = BootstrapConfig(mu=500, seed=12)
     as_dict = bootstrap_expectation(bins, ZY_WEIGHTS, cfg)
     as_array = bootstrap_expectation(bins, [1, -1, -1, 1], cfg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgstate.tomography as tomography
-from wgstate.measurement import CountRecord, setting_outcome_kets, tomography_settings
+from wgstate.measurement import setting_outcome_kets, tomography_settings
 from wgstate.qmath import (DensityMatrix, PureState2Q, as_density, concurrence, fidelity,
                            trace_distance)
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
@@ -24,8 +24,7 @@ with open(Path(__file__).parent / "data" / "lbfgs_estimates.json") as fh:
 
 
 def scaled_dataset(data, factor):
-    return TomographyDataset(records=tuple(
-        CountRecord(counts=r.counts * factor, duration=r.duration) for r in data.records))
+    return TomographyDataset(data.counts * factor, data.durations)
 
 
 def brute_force_probs(state, setting):
@@ -46,15 +45,15 @@ class TestSimulateTomography:
         state = PureState2Q(np.array([1, 0, 0, 0], dtype=complex))
         data = simulate_tomography(state, rate=150.0, duration=10.0)
         labels = [s.label for s in tomography_settings()]
-        assert data.records[labels.index("HxH")].counts[0] == 1500
-        assert data.records[labels.index("VxV")].counts[0] == 0
+        assert data.counts[labels.index("HxH"), 0] == 1500
+        assert data.counts[labels.index("VxV"), 0] == 0
 
     def test_counts_match_brute_force_probabilities(self):
         state = weighted_graph_state(np.pi)
         data = simulate_tomography(state, rate=1000.0, duration=1.0)
-        for setting, record in zip(tomography_settings(), data.records):
+        for setting, counts in zip(tomography_settings(), data.counts):
             expected = np.rint(1000.0 * brute_force_probs(state, setting))
-            assert np.array_equal(record.counts, expected.astype(int)), setting.label
+            assert np.array_equal(counts, expected.astype(int)), setting.label
 
     def test_poisson_mode_deterministic(self):
         state = weighted_graph_state(0.5)
@@ -62,10 +61,22 @@ class TestSimulateTomography:
         b = simulate_tomography(state, 150.0, 10.0, seed=3, poisson=True)
         assert np.array_equal(a.counts, b.counts)
 
+    @pytest.mark.parametrize("phi, depolarizing, rate, seed", [
+        (np.pi, 0.0, 150.0, 0), (1.1, 0.2, 3.0, 5), (2.4, 0.05, 1500.0, 12345)])
+    def test_poisson_mode_matches_per_setting_draws(self, phi, depolarizing, rate, seed):
+        # reference: one generator drawing four counts per setting, in plan order
+        state = apply_noise(weighted_graph_state(phi),
+                            NoiseModel(depolarizing_p=depolarizing, phase_jitter_sigma=0.1))
+        rng = np.random.default_rng(seed)
+        expected = [rng.poisson(rate * 10.0 * np.clip(brute_force_probs(state, setting), 0, None))
+                    for setting in tomography_settings()]
+        data = simulate_tomography(state, rate, 10.0, seed=seed, poisson=True)
+        assert np.array_equal(data.counts, expected)
+        assert np.array_equal(data.durations, np.full(16, 10.0))
+
     def test_dataset_needs_sixteen_records(self):
         with pytest.raises(ValueError):
-            TomographyDataset(records=tuple(
-                CountRecord(counts=np.ones(4, dtype=int)) for _ in range(15)))
+            TomographyDataset(np.ones((15, 4), dtype=int))
 
 
 class TestMLE:
@@ -76,8 +87,7 @@ class TestMLE:
         assert fidelity(rho, target) >= 0.999
 
     def test_uniform_counts_give_maximally_mixed(self):
-        records = tuple(CountRecord(counts=np.full(4, 375)) for _ in range(16))
-        rho = mle_reconstruct(TomographyDataset(records=records))
+        rho = mle_reconstruct(TomographyDataset(np.full((16, 4), 375)))
         assert trace_distance(rho, DensityMatrix(np.eye(4) / 4)) < 1e-3
 
     def test_intermediate_entangled_state(self):
@@ -137,15 +147,12 @@ class TestMLE:
 
     def test_output_physical_for_noisy_counts(self):
         rng = np.random.default_rng(17)
-        records = tuple(CountRecord(counts=rng.integers(0, 400, size=4))
-                        for _ in range(16))
-        rho = mle_reconstruct(TomographyDataset(records=records))
+        rho = mle_reconstruct(TomographyDataset(rng.integers(0, 400, size=(16, 4))))
         assert isinstance(rho, DensityMatrix)
 
     def test_all_zero_rejected(self):
-        records = tuple(CountRecord(counts=np.zeros(4, dtype=int)) for _ in range(16))
         with pytest.raises(DegenerateDataError):
-            mle_reconstruct(TomographyDataset(records=records))
+            mle_reconstruct(TomographyDataset(np.zeros((16, 4), dtype=int)))
 
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
     def test_no_rectilinear_transmitted_counts(self, likelihood):
@@ -154,8 +161,7 @@ class TestMLE:
         data = simulate_tomography(weighted_graph_state(np.pi), 150.0, 10.0, seed=2, poisson=True)
         counts = data.counts.copy()
         counts[:4, 0] = 0
-        rho = mle_reconstruct(TomographyDataset(records=tuple(
-            CountRecord(counts=row) for row in counts)), likelihood=likelihood)
+        rho = mle_reconstruct(TomographyDataset(counts), likelihood=likelihood)
         assert isinstance(rho, DensityMatrix)
 
 
@@ -277,8 +283,7 @@ class TestMonteCarloReport:
         fids, concs = [], []
         for seq in np.random.SeedSequence(21).spawn(6):
             counts = np.random.default_rng(seq).poisson(data.counts)
-            rho = mle_reconstruct(TomographyDataset(records=tuple(
-                CountRecord(counts=row) for row in counts)), likelihood=likelihood)
+            rho = mle_reconstruct(TomographyDataset(counts), likelihood=likelihood)
             fids.append(fidelity(rho, target))
             concs.append(concurrence(rho))
         assert trace_distance(report.rho, mle_reconstruct(data, likelihood=likelihood)) <= 1e-10
@@ -292,7 +297,7 @@ class TestMonteCarloReport:
         counts = simulate_tomography(target, 150.0, 10.0, seed=2, poisson=True).counts.copy()
         counts[:4] = 0
         counts[2, 0] = 1
-        data = TomographyDataset(records=tuple(CountRecord(counts=row) for row in counts))
+        data = TomographyDataset(counts)
         with pytest.raises(DegenerateDataError,
                            match=r"^Monte Carlo resample \d+ of 20: .*recorded 1\)$"):
             monte_carlo_report(data, target, n=20, seed=3)
@@ -312,7 +317,7 @@ class TestCsvRoundTrip:
         write_dataset_csv(path, data)
         loaded = read_dataset_csv(path)
         assert np.array_equal(loaded.counts, data.counts)
-        assert loaded.records[0].duration == data.records[0].duration
+        assert np.array_equal(loaded.durations, data.durations)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
