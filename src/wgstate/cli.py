@@ -4,7 +4,7 @@ Exit codes: 0 success, 2 usage errors (including non-finite numbers,
 negative rates and durations, more than 2**53 expected counts, files
 that cannot be read or written, and sizes too large to allocate),
 3 degenerate data (empty counts, vanishing post-selection), 4 numerical
-failures (optimizers, fits).
+failures (optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -263,6 +263,8 @@ def _simulate_bins(state_amps, obs, theta, rate, duration, n_bins, rng):
 def _cmd_sense(args) -> int:
     if args.bins < 2:
         raise ValueError("--bins must be at least 2")
+    if args.replicates < 100:
+        raise ValueError("--replicates must be at least 100")
     obs = _parse_observable(args.observable)
     if args.rate <= 0:
         raise DegenerateDataError("rate must be positive to accumulate counts")
@@ -335,6 +337,8 @@ def _cmd_tomo_simulate(args) -> int:
 
 
 def _cmd_tomo_reconstruct(args) -> int:
+    if args.mc < 2:
+        raise ValueError("--mc must be at least 2")
     dataset = read_dataset_csv(args.infile)
     target = weighted_graph_state(args.phi12)
     report = monte_carlo_report(dataset, target, n=args.mc, seed=args.seed,
@@ -382,6 +386,12 @@ def _cmd_fringe(args) -> int:
         raise DegenerateDataError("sweep recorded no counts")
     normalized = counts / counts.max()
     fit = cosine_fit(np.arange(args.steps, dtype=float), normalized)
+    # counts are non-negative, so a fringe's minimum d - |a| is at most noise below 0
+    if fit.d - abs(fit.a) < -1:
+        raise CosineFitError(
+            f"the fit dips to d - |a| = {fit.d - abs(fit.a):.3g} times the peak count, which "
+            f"no fringe of counts does: the frequency is not identifiable from the span "
+            f"--varphi-range {start:g} {stop:g}")
     vis = visibility(float(counts.max()), float(counts.min()))
 
     csv_path = args.out + ".csv"

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from ._optimize import LazyOptimizer
+from ._optimize import LazyOptimizer, sphere_newton, tangent_projector
 from .measurement import Observable, general_axis_observable, pauli_observable
 from .optics import canonical_phase, rotation_gate
 from .qmath import I2, X, Y, Z, PureState2Q, as_density, tensor
@@ -176,39 +176,32 @@ def pauli_search(phi12: float, cfg: SensingConfig | None = None,
 PENALTY_WEIGHT = 0.02
 VARIANCE_TOLERANCE = 1e-4
 
-# start grid: polar angles at the midpoints (i + 1/2) pi/12 of the upper
-# hemisphere, which skips the pole and the mirrored -n copies of each axis
-# (A(pi - beta, alpha + pi) = -A(beta, alpha)), times 12 azimuths
-_GRID_BETA, _GRID_ALPHA = (g.ravel() for g in np.meshgrid(
-    (np.arange(6) + 0.5) * np.pi / 12, np.arange(12) * np.pi / 6 - np.pi,
-    indexing="ij"))
+
+def _unit_vector(beta, alpha):
+    """Bloch vectors (sin b cos a, sin b sin a, cos b) on a last axis."""
+    sb = np.sin(beta)
+    return np.stack([sb * np.cos(alpha), sb * np.sin(alpha), np.cos(beta)], axis=-1)
 
 
-def _canonical_axis(beta: float, alpha: float) -> tuple[float, float]:
-    """The same axis with beta in [0, pi] and alpha in (-pi, pi]; an angle
-    on the +-pi cut is reported as +pi (``optics.canonical_phase``)."""
-    beta = canonical_phase(beta)
-    if beta < 0:
-        beta, alpha = -beta, alpha + np.pi
-    return beta, canonical_phase(alpha)
+def _axis_angles(n) -> tuple[float, float]:
+    """(beta, alpha) of a Bloch vector, with beta in [0, pi] and alpha in
+    (-pi, pi]; an angle on the +-pi cut is reported as +pi
+    (``optics.canonical_phase``)."""
+    return float(np.arctan2(np.hypot(n[0], n[1]), n[2])), canonical_phase(np.arctan2(n[1], n[0]))
 
 
-def _bloch(beta, alpha):
-    """Unit vector n = (sin b cos a, sin b sin a, cos b) and its partial
-    derivatives, stacked as n, n_b, n_a, n_bb, n_ba, n_aa: shape (6, 3, ...)."""
-    sb, cb, sa, ca = np.sin(beta), np.cos(beta), np.sin(alpha), np.cos(alpha)
-    zero = np.zeros_like(sb)
-    return np.array([[sb * ca, sb * sa, cb],
-                     [cb * ca, cb * sa, -sb],
-                     [-sb * sa, sb * ca, zero],
-                     [-sb * ca, -sb * sa, -cb],
-                     [-cb * sa, cb * ca, zero],
-                     [-sb * ca, -sb * sa, zero]])
+# start grid: Bloch vectors at the polar angles (i + 1/2) pi/12 of the
+# upper hemisphere, which skips the pole and the mirrored -n copies of each
+# axis (A(-n1, n2) = -A(n1, n2)), times 12 azimuths
+_GRID = _unit_vector(*np.meshgrid((np.arange(6) + 0.5) * np.pi / 12,
+                                  np.arange(12) * np.pi / 6 - np.pi, indexing="ij")).reshape(72, 3)
 
 
-def _axis_correlations(phi12: float, theta_star: float):
-    """3 x 3 matrices C and D with <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2
-    for the product observable A = (n1 . sigma) (x) (n2 . sigma)."""
+def _axis_correlations(phi12: float, theta_star: float) -> np.ndarray:
+    """6 x 6 matrices B = [[0, M], [M^T, 0]] of the 3 x 3 matrices M = C, D
+    with <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2 for the product
+    observable A = (n1 . sigma) (x) (n2 . sigma): both are x . B x / 2 at
+    x = (n1, n2), with gradient B x."""
     psi = encoding_unitary(theta_star) @ weighted_graph_state(phi12).amplitudes
     # at theta_star the slope is the commutator expectation in the
     # encoded state: d<A>/dtheta = -2 Im <H psi | A psi>
@@ -217,9 +210,11 @@ def _axis_correlations(phi12: float, theta_star: float):
     sigma = np.array([X, Y, Z])
     # (sigma_i (x) sigma_j) psi for every pair (i, j)
     apsi = np.einsum("iab,bd,jcd->ijac", sigma, psi, sigma)
-    corr = np.real(np.einsum("ac,ijac->ij", psi.conj(), apsi))
-    slope = -2 * np.imag(np.einsum("ac,ijac->ij", hpsi.conj(), apsi))
-    return corr, slope
+    blocks = np.zeros((2, 6, 6))
+    blocks[0, :3, 3:] = np.real(np.einsum("ac,ijac->ij", psi.conj(), apsi))
+    blocks[1, :3, 3:] = -2 * np.imag(np.einsum("ac,ijac->ij", hpsi.conj(), apsi))
+    blocks[:, 3:, :3] = blocks[:, :3, 3:].transpose(0, 2, 1)
+    return blocks
 
 
 def _penalized(exp_val, deriv):
@@ -228,108 +223,59 @@ def _penalized(exp_val, deriv):
     return (1.0 - exp_val ** 2) / slope ** 2 + PENALTY_WEIGHT / slope
 
 
-# the rows of the _bloch stacks of axis 1 and axis 2 whose product
-# n1' . M n2' is each gradient and Hessian entry of n1 . M n2 over
-# (beta1, alpha1, beta2, alpha2)
-_GRAD_ROWS = np.array([1, 2, 0, 0]), np.array([0, 0, 1, 2])
-_HESS_ROWS = (np.array([[3, 4, 1, 1], [4, 5, 2, 2], [1, 2, 0, 0], [1, 2, 0, 0]]),
-              np.array([[0, 0, 1, 2], [0, 0, 1, 2], [1, 1, 3, 4], [2, 2, 4, 5]]))
-
-
-def _figure_jets(matrices, params):
-    """<A> = n1 . C n2 and s = |d<A>/dtheta| = |n1 . D n2| for
-    matrices = (C, D), at each row (beta1, alpha1, beta2, alpha2) of
-    params: values (2, m), gradients (2, m, 4) and Hessians (2, m, 4, 4)."""
-    jet = _bloch(params[:, 0::2], params[:, 1::2]).transpose(3, 2, 0, 1)
-    # every product n1' . M n2' of a derivative of n1 with one of n2
-    products = jet[0] @ matrices[:, None] @ jet[1].transpose(0, 2, 1)
-    value = products[..., 0, 0]
-    grad = products[..., _GRAD_ROWS[0], _GRAD_ROWS[1]]
-    hess = products[..., _HESS_ROWS[0], _HESS_ROWS[1]]
+def _figure_jets(blocks, x):
+    """<A> = n1 . C n2 and s = |n1 . D n2| at rows x = (n1, n2) (m, 2, 3),
+    each vector read at unit norm, for the blocks of _axis_correlations.
+    Returns the unit rows (m, 6), the values (2, m), their gradients B x
+    (2, m, 6) and the sign of n1 . D n2; the Hessians are the constant
+    blocks, that of s times the sign."""
+    x = x.reshape(-1, 2, 3)
+    x = (x / np.sqrt(np.einsum("mki,mki->mk", x, x))[..., None]).reshape(-1, 6)
+    grad = x @ blocks
+    value = np.einsum("mi,ami->am", x[:, :3], grad[..., :3])
     # d|S| = sign(S) dS
     sign = np.where(value[1] < 0, -1.0, 1.0)
     value[1] = np.maximum(sign * value[1], 1e-12)
     grad[1] *= sign[:, None]
-    hess[1] *= sign[:, None, None]
-    return value, grad, hess
+    return x, value, grad, sign
 
 
-def _figures(matrices, params):
-    """The estimator variance v = (1 - <A>^2)/s^2, its gradient, the slope
-    magnitude s and its gradient at each row of four angles."""
-    (e, s), grad, _ = _figure_jets(matrices, params)
+def _figures(blocks, x):
+    """The estimator variance v = (1 - <A>^2)/s^2, its tangent gradient,
+    the slope magnitude s and its tangent gradient at each row of x.
+
+    The gradient B x of n1 . M n2 has the part (n1 . M n2) n_i along each
+    vector n_i, so that of a function f(<A>, s) is r x, with
+    r = f_<A> <A> + f_s s; the tangent gradient is its gradient less r x.
+    """
+    x, (e, s), grad, _ = _figure_jets(blocks, x)
     v = (1.0 - e * e) / s ** 2
-    v_grad = -2 * (e[:, None] * grad[0] + (v * s)[:, None] * grad[1]) / (s ** 2)[:, None]
-    return v, v_grad, s, grad[1]
+    v_e, v_s = -2 * e / s ** 2, -2 * v / s
+    v_grad = v_e[:, None] * grad[0] + v_s[:, None] * grad[1] - (v_e * e + v_s * s)[:, None] * x
+    return v, v_grad, s, grad[1] - s[:, None] * x
 
 
-def _scalarized(matrices, weight):
-    """v + weight/s over rows of four angles, returning (values, gradients,
-    Hessians); weight = PENALTY_WEIGHT gives the penalized objective."""
-    def fun(params):
-        (e, s), grads, hessians = _figure_jets(matrices, params)
+def _scalarized(blocks, weight):
+    """v + weight/s as a ``sphere_newton`` objective over rows (n1, n2);
+    weight = PENALTY_WEIGHT gives the penalized objective."""
+    def fun(x, rows=None, derivatives=True):
+        x, (e, s), grads, sign = _figure_jets(blocks, x)
         u = 1.0 - e * e
+        value = u / s ** 2 + weight / s
+        if not derivatives:
+            return value
         # first and second partial derivatives in (<A>, s)
         first = np.array([-2 * e, -(2 * u / s + weight)]) / s ** 2
         second = np.array([[-2 * s, 4 * e], [4 * e, 6 * u / s + 2 * weight]]) / s ** 3
+        r = first[0] * e + first[1] * s
         jac = grads.transpose(1, 0, 2)
-        return (u / s ** 2 + weight / s,
-                first[0][:, None] * grads[0] + first[1][:, None] * grads[1],
-                first[0][:, None, None] * hessians[0] + first[1][:, None, None] * hessians[1]
-                + jac.transpose(0, 2, 1) @ second.transpose(2, 0, 1) @ jac)
+        # with the spheres' curvature term -r I
+        hess = (first[0][:, None, None] * blocks[0] + (first[1] * sign)[:, None, None] * blocks[1]
+                + jac.transpose(0, 2, 1) @ second.transpose(2, 0, 1) @ jac
+                - r[:, None, None] * np.eye(6))
+        return (value, first[0][:, None] * grads[0] + first[1][:, None] * grads[1] - r[:, None] * x,
+                hess)
     return fun
-
-
-# Newton steps solve with |H|: the Hessian's eigenvalues by magnitude,
-# raised to at least _EIGEN_FLOOR times the largest
-_EIGEN_FLOOR = 1e-8
-_NEWTON_ITERATIONS = 50
-# a Newton decrement g . |H|^-1 g (about twice the distance to the
-# minimum) below this, relative to the value, is converged
-_DECREMENT_TOL = 1e-20
-_ARMIJO = 1e-4
-_EPS = np.finfo(float).eps
-
-
-def _newton(fun, x):
-    """Damped Newton minimization of ``fun`` from each row of x (m, n);
-    fun maps rows to (values (m,), gradients (m, n), Hessians (m, n, n)).
-
-    Each step is -|H|^-1 g, which descends wherever g is non-zero, and is
-    halved until it meets the Armijo condition (Nocedal & Wright,
-    Numerical Optimization, 2nd ed., ch. 3). Every row stops on its own
-    Newton decrement g . |H|^-1 g, or when the decrease its step could
-    still give is below the round-off of its value. Returns the final
-    rows, their values, the eigenvalues and eigenvectors of |H| at each,
-    and which rows converged.
-    """
-    x = np.array(x, dtype=float)
-    value, grad, hess = fun(x)
-    moving = np.ones(len(x), dtype=bool)
-    for _ in range(_NEWTON_ITERATIONS):
-        lam, vec = np.linalg.eigh(hess)
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
-        step = -np.einsum("kij,kj->ki", vec, np.einsum("kji,kj->ki", vec, grad) / lam)
-        decrement = -np.einsum("ki,ki->k", grad, step)
-        scale = np.maximum(np.abs(value), 1.0)
-        moving &= decrement > _DECREMENT_TOL * scale
-        if not moving.any():
-            break
-        t = moving.astype(float)
-        searching = moving.copy()
-        while searching.any():
-            trial = x + t[:, None] * step
-            t_value, t_grad, t_hess = fun(trial)
-            # the Armijo condition, less the round-off of the value
-            ok = searching & (t_value <= value - _ARMIJO * t * decrement + 4 * _EPS * scale)
-            x[ok], value[ok], grad[ok], hess[ok] = trial[ok], t_value[ok], t_grad[ok], t_hess[ok]
-            searching &= ~ok
-            t[searching] /= 2
-            stalled = searching & (t * decrement <= _EPS * scale)
-            moving &= ~stalled
-            searching &= ~stalled
-    return x, value, (lam, vec), decrement <= _DECREMENT_TOL * scale
 
 
 _PUSH_STEPS = 60
@@ -342,34 +288,30 @@ _BRACKET_TOL = 1e-12
 _WEIGHT_STRIDE = 3.0
 
 
-def _polar_angles(n):
-    """(beta, alpha) of a unit vector."""
-    return np.arctan2(np.hypot(n[0], n[1]), n[2]), np.arctan2(n[1], n[0])
-
-
-def _push_slope(matrices, x, eig, cap):
+def _push_slope(blocks, x, cap):
     """The largest slope whose estimator variance v stays within ``cap``,
-    searched from the one-row minimizer x, and whether it converged.
+    searched from the minimizer x (1, 2, 3), and whether it converged.
 
     The largest slope of all, the top singular value of D at its
     singular vectors, is taken if its variance is within the cap.
     Otherwise v + w/s is minimized with w chosen so that the minimizer's
     variance reaches the cap. w is found by Newton steps on log w, kept
     inside a bracket and bisected when a step leaves it. The derivative
-    dv/dw = grad v . H^-1 grad s / s^2 comes from the Hessian factored at
-    the minimizer (implicit differentiation of its stationarity
-    condition). Returns the minimizer at the cap, or else that of the
-    largest w whose variance stays under it.
+    dv/dw = grad v . H^-1 grad s / s^2 comes from the projected Hessian
+    P H P and the tangent gradients at the minimizer (implicit
+    differentiation of its stationarity condition on the spheres).
+    Returns the minimizer at the cap, or else that of the largest w whose
+    variance stays under it.
     """
-    u, _, vt = np.linalg.svd(matrices[1])
-    top = np.array([[*_polar_angles(u[:, 0]), *_polar_angles(vt[0])]])
-    if _figures(matrices, top)[0][0] <= cap:
+    u, _, vt = np.linalg.svd(blocks[1, :3, 3:])
+    top = np.stack([u[:, 0], vt[0]])[None]
+    if _figures(blocks, top)[0][0] <= cap:
         return top, True
     log_w, low, high = np.log(PENALTY_WEIGHT), -np.inf, np.inf
     converged = True
     best = x, converged
     for _ in range(_PUSH_STEPS):
-        v, v_g, s, s_g = (q[0] for q in _figures(matrices, x))
+        v, v_g, s, s_g = (q[0] for q in _figures(blocks, x))
         gap = v - cap
         if abs(gap) <= _PUSH_TOL:
             return x, converged
@@ -379,20 +321,23 @@ def _push_slope(matrices, x, eig, cap):
             high = log_w
         if high - low <= _BRACKET_TOL:
             return best
-        lam, vec = eig[0][0], eig[1][0]
-        dv = np.exp(log_w) * ((v_g @ vec) / lam) @ (vec.T @ s_g) / s ** 2
+        weight = np.exp(log_w)
+        proj = tangent_projector(x)[0]
+        # P H P, with the identity on the normal directions to solve it
+        hess = proj @ _scalarized(blocks, weight)(x)[2][0] @ proj + np.eye(6) - proj
+        dv = weight * v_g @ np.linalg.solve(hess, s_g) / s ** 2
         step = log_w - gap / dv if dv > 0 else np.nan
         if np.isinf(high):
             log_w = min(step if step > low else np.inf, low + _WEIGHT_STRIDE)
         else:
             log_w = step if low < step < high else (low + high) / 2
-        x, _, eig, (converged,) = _newton(_scalarized(matrices, np.exp(log_w)), x)
+        x, (converged,), _ = sphere_newton(_scalarized(blocks, np.exp(log_w)), x)
     return best
 
 
-# Newton starts from the best _STARTS grid pairs: the best pair's basin
-# can hold a worse local minimum (at phi12 = 3.03, theta* = 0 the two best
-# pairs end on the beta1 = 0 pole, 2.9e-5 above the third)
+# Newton starts from the best _STARTS grid pairs. In polar angles the best
+# pair's basin held a worse minimum on the beta1 = 0 pole (phi12 = 3.03,
+# theta* = 0); on the spheres all starts meet in the 452 pinned cases
 _STARTS = 4
 
 
@@ -401,48 +346,49 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     """Deterministic search over local general-axis products.
 
     The contract: minimize the penalized objective (estimator variance
-    plus ``PENALTY_WEIGHT / |slope|``) over the four Bloch angles, then
-    take the largest slope whose estimator variance stays within
+    plus ``PENALTY_WEIGHT / |slope|``) over the two Bloch vectors n1 and
+    n2, then take the largest slope whose estimator variance stays within
     ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
-    a fixed 72 x 72 grid of axis pairs. One batched damped Newton run
-    starts from the four best pairs, and the lowest minimum wins, the
-    earlier pair on a tie. The slope push takes the top singular value of
-    D if its variance is within the cap; otherwise it minimizes
-    v + w/|slope| from the minimum, with the weight w raised until the
-    minimizer's estimator variance v reaches the cap. The push is
-    accepted if it converged within the cap at a larger slope. Every
-    Newton step uses the exact gradient and Hessian of <A> = n1 . C n2
-    and d<A>/dtheta = n1 . D n2, built from the second derivatives of
-    the Bloch vectors; no scipy solver runs. The angles are reported
+    a fixed 72 x 72 grid of axis pairs. One batched damped Newton run on
+    the product of the two unit spheres (``sphere_newton``) starts from
+    the four best pairs, and the lowest minimum wins, the earlier pair on
+    a tie. The slope push takes the top singular value of D if its
+    variance is within the cap; otherwise it minimizes v + w/|slope| from
+    the minimum, with the weight w raised until the minimizer's estimator
+    variance v reaches the cap. The push is accepted if it converged
+    within the cap at a larger slope. Every Newton step uses the exact
+    tangent gradient and Hessian of <A> = n1 . C n2 and
+    d<A>/dtheta = n1 . D n2, which are bilinear, so their Hessians are
+    constant; no scipy solver runs. The axes are reported as polar angles
     with beta in [0, pi] and alpha in (-pi, pi].
     """
     cfg = cfg or SensingConfig(phi12=phi12)
-    matrices = np.array(_axis_correlations(phi12, cfg.theta_star))
-
-    n = _bloch(_GRID_BETA, _GRID_ALPHA)[0]
-    grid = _penalized(n.T @ matrices[0] @ n, n.T @ matrices[1] @ n)
+    blocks = _axis_correlations(phi12, cfg.theta_star)
+    correlation, slope = blocks[:, :3, 3:]
+    grid = _penalized(_GRID @ correlation @ _GRID.T, _GRID @ slope @ _GRID.T)
     # the _STARTS best pairs, the earlier pair first on a tie
     flat = grid.ravel()
     near = np.flatnonzero(flat <= np.partition(flat, _STARTS - 1)[_STARTS - 1])
     i, j = np.unravel_index(near[np.argsort(flat[near], kind="stable")][:_STARTS], grid.shape)
-    starts = np.stack([_GRID_BETA[i], _GRID_ALPHA[i], _GRID_BETA[j], _GRID_ALPHA[j]], axis=1)
-    ends, value, (lam, vec), _ = _newton(_scalarized(matrices, PENALTY_WEIGHT), starts)
+    objective = _scalarized(blocks, PENALTY_WEIGHT)
+    ends, _, _ = sphere_newton(objective, np.stack([_GRID[i], _GRID[j]], axis=1))
+    value = objective(ends, derivatives=False)
     if not np.isfinite(value).any():
         raise SearchError(f"search diverged; objectives {value!r}")
     k = np.flatnonzero(value <= np.nanmin(value) * (1 + 1e-12))[0]
     x = ends[k:k + 1]
 
     # push the slope as far as the variance tolerance allows
-    variance, _, slope, _ = _figures(matrices, x)
+    variance, _, slope, _ = _figures(blocks, x)
     cap = variance[0] + VARIANCE_TOLERANCE
-    pushed, converged = _push_slope(matrices, x, (lam[k:k + 1], vec[k:k + 1]), cap)
-    pushed_variance, _, pushed_slope, _ = _figures(matrices, pushed)
+    pushed, converged = _push_slope(blocks, x, cap)
+    pushed_variance, _, pushed_slope, _ = _figures(blocks, pushed)
     if converged and pushed_variance[0] <= cap + 1e-9 and pushed_slope[0] > slope[0]:
         x = pushed
 
-    x = x[0]
-    angles = (*_canonical_axis(x[0], x[1]), *_canonical_axis(x[2], x[3]))
-    (exp_val, slope), _, _ = _figure_jets(matrices, np.array([angles]))
+    angles = (*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
+    _, (exp_val, slope), _, _ = _figure_jets(
+        blocks, _unit_vector(np.array(angles[0::2]), np.array(angles[1::2])))
     exp_val, slope = float(exp_val[0]), float(slope[0])
     if slope < DERIVATIVE_FLOOR:
         raise SearchError("search converged to a zero-slope observable")

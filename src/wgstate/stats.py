@@ -35,7 +35,7 @@ class DegenerateDataError(ValueError):
 
 
 class CosineFitError(RuntimeError):
-    """The cosine fit did not converge."""
+    """The cosine fit did not converge, or what it fitted is no fringe."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import LazyOptimizer
+from ._optimize import LazyOptimizer, sphere_newton
 from .measurement import (checked_counts, checked_durations, setting_outcome_kets,
                           tomography_settings)
 from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurrence,
@@ -255,69 +255,21 @@ class _Likelihood:
         return f, grad, hess
 
 
-_NEWTON_MAX_ITER = 200
-_ARMIJO = 1e-4
-_MAX_HALVINGS = 40
-# Newton decrement g^T H^-1 g, relative to 1 + f, below which a fit takes
-# its last step in full and stops: there the decrease the line search
-# would test is near the round-off of f (f >= 0 is a deviance, so the
-# relative scale is well defined), and Newton's quadratic convergence
-# leaves an error of order the decrement squared
-_DECREMENT_TOL = 1e-12
-# relative floor on the eigenvalues of the projected Hessian
-_EIGEN_FLOOR = 1e-12
-
-
 def _fit(counts: np.ndarray, likelihood: str, outcomes: str) -> np.ndarray:
     """Unit T-parameter rows (m, 16) of the MLE of each dataset in a
     (m, 16, 4) count stack.
 
-    Damped Newton on the unit sphere: the objective does not depend on
-    the scale of t, whose direction is an exact null direction of the
-    Hessian (H t = -grad f). Each step solves in the tangent space with
-    the eigenvalues of P H P (P = I - t t^T) taken by magnitude and
-    floored, backtracks to the Armijo condition and retracts onto the
-    sphere. Every dataset stops on its own Newton decrement. One whose
-    line search stalls, or that reaches the iteration cap, is accepted
-    only if its final gradient is negligible on the scale of its flux.
+    The objective does not depend on the scale of t, so its gradient is
+    tangent to the unit sphere and the direction of t is an exact null
+    direction of its Hessian (H t = -grad f): ``sphere_newton`` runs on
+    it unchanged, with no curvature term to add. A dataset whose line
+    search stalls, or that reaches the iteration cap, is accepted only if
+    its final gradient is negligible on the scale of its flux.
     """
     nll = _Likelihood(counts, likelihood, outcomes)
-    t = _start(counts)
-    active = np.arange(len(t))
-    eye = np.eye(16)
-    for _ in range(_NEWTON_MAX_ITER):
-        ta = t[active]
-        f, grad, hess = nll(ta, active)
-        proj = eye - ta[:, :, None] * ta[:, None, :]
-        lam, vecs = np.linalg.eigh(proj @ hess @ proj)
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
-        step = -np.einsum("mij,mj->mi", vecs, np.einsum("mji,mj->mi", vecs, grad) / lam)
-        step -= np.einsum("mi,mi->m", step, ta)[:, None] * ta
-        slope = np.einsum("mi,mi->m", grad, step)
-        alpha = np.ones(len(active))
-        last = -slope <= _DECREMENT_TOL * (1 + f)
-        moved = last.copy()
-        search = np.flatnonzero(~last)
-        for _ in range(_MAX_HALVINGS):
-            if not search.size:
-                break
-            trial = ta[search] + alpha[search, None] * step[search]
-            trial_f = nll(trial, active[search], derivatives=False)
-            ok = trial_f <= f[search] + _ARMIJO * alpha[search] * slope[search]
-            moved[search[ok]] = True
-            search = search[~ok]
-            alpha[search] /= 2
-        new = ta + alpha[:, None] * step
-        t[active[moved]] = new[moved] / np.linalg.norm(new[moved], axis=1, keepdims=True)
-        stalled = ~moved
-        if stalled.any():
-            _accept_unconverged(grad[stalled], nll.flux[active[stalled]])
-        active = active[~(last | stalled)]
-        if not active.size:
-            return t
-    _accept_unconverged(nll(t[active], active)[1], nll.flux[active])
-    return t
+    t, converged, grad = sphere_newton(nll, _start(counts)[:, None])
+    _accept_unconverged(grad, nll.flux[~converged])
+    return t[:, 0]
 
 
 def _accept_unconverged(grad: np.ndarray, flux: np.ndarray) -> None:

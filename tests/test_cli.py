@@ -423,6 +423,36 @@ class TestBadInputs:
         assert err == "error: --bins must be at least 2\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sense", "--phi12", "1", "--observable", "IY", "--replicates", "5", "--out", "s"],
+         "--replicates must be at least 100"),
+        (["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1", "--mc", "1",
+          "--out", "r.json"], "--mc must be at least 2"),
+    ], ids=["replicates", "mc"])
+    def test_too_small_count_option_exits_two(self, tmp_path, monkeypatch, capsys,
+                                              argv, message):
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(argv + ["--no-timestamp"], capsys)
+        assert rc == 2
+        # checked first: d.csv does not exist
+        assert err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_fringe_span_without_a_fringe_exits_four(self, tmp_path, monkeypatch, capsys):
+        # 30 Poisson steps over 1 rad: the fit's b falls towards 0 while
+        # a and d grow to -7.5e5, so the fitted curve dips far below 0
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["fringe", "--varphi-range", "0", "1", "--out", "f",
+                                 "--no-timestamp"], capsys)
+        assert rc == 4
+        assert "not identifiable from the span --varphi-range 0 1" in err
+        assert not list(tmp_path.iterdir())
+        # an exact partial sweep is a fringe, fitted exactly
+        assert main(["fringe", "--varphi-range", "0", "0.3", "--exact", "--out", "f",
+                     "--no-timestamp"]) == 0
+        fit = load_json(tmp_path / "f.json")["fit"]
+        assert fit["d"] - abs(fit["a"]) >= -1e-9 and fit["residual"] <= 1e-12
+
     def test_fringe_empty_range_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         rc, err = command_error(["fringe", "--varphi-range", "0", "0", "--out", "f",

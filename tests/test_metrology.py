@@ -1,14 +1,23 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from wgstate import metrology
+from wgstate._optimize import sphere_newton
 from wgstate.measurement import general_axis_observable, pauli_observable
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
-                               SensingConfig, _canonical_axis, encoding_unitary,
+                               SensingConfig, _axis_angles, encoding_unitary,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
 from wgstate.qmath import PAULIS, PureState2Q, tensor
 from wgstate.stategen import weighted_graph_state
+
+# (phi12, theta_star, estimator variance, slope) of the general-axis search
+# in (beta, alpha) polar angles, before it moved onto Bloch vectors
+with open(Path(__file__).parent / "data" / "general_search_estimates.json") as fh:
+    GENERAL_SEARCH_ESTIMATES = json.load(fh)["cases"]
 
 # optimal local Pauli products and their figures of merit per graph weight
 PAULI_TABLE = [
@@ -216,13 +225,16 @@ class TestGeneralAxisSearch:
                     assert -np.pi < alpha <= np.pi
 
     def test_angle_on_the_cut_is_plus_pi(self):
-        # at weight 0 the search ends 5e-11 inside the (-pi, pi] cut in alpha1
+        # at weight 0 the search ends on the (-pi, pi] cut in alpha1
         obs, _ = general_axis_search(0.0)
         assert obs.axis_angles[1] == np.pi
-        beta, alpha = _canonical_axis(0.3, -np.pi + 1e-11)
-        assert (beta, alpha) == (pytest.approx(0.3), np.pi)
-        beta, alpha = _canonical_axis(-np.pi + 1e-11, 0.5)
-        assert (beta, alpha) == (np.pi, pytest.approx(0.5))
+        off_cut = -np.pi + 1e-11
+        n = np.array([np.sin(0.3) * np.cos(off_cut), np.sin(0.3) * np.sin(off_cut), np.cos(0.3)])
+        assert _axis_angles(n) == (pytest.approx(0.3), np.pi)
+        # at the poles alpha is arctan2 of two zeros, -pi for two -0.0
+        assert _axis_angles(np.array([-0.0, -0.0, -1.0])) == (np.pi, np.pi)
+        beta, alpha = _axis_angles(np.array([0.0, 0.0, 1.0]))
+        assert beta == 0.0 and -np.pi < alpha <= np.pi
 
     def test_deterministic(self):
         cfg = SensingConfig(phi12=1.3, theta_star=0.4)
@@ -233,23 +245,54 @@ class TestGeneralAxisSearch:
 
 
     # (phi12, penalized objective) of the former L-BFGS-B run at theta* = 0;
-    # from the best grid pair alone, Newton ends on the beta1 = 0 pole,
-    # 2.9e-5 and 9.6e-6 above it
+    # from the best grid pair alone, Newton in (beta, alpha) polar angles
+    # ended on the beta1 = 0 pole, 2.9e-5 and 9.6e-6 above it
     LBFGS_NEAR_PI = [(3.029392915961586, 0.260595658268187),
                      (3.0574428503686377, 0.2603365213166439)]
 
     @pytest.mark.parametrize("phi12, objective", LBFGS_NEAR_PI)
     def test_penalized_minimum_no_worse_than_lbfgs(self, monkeypatch, phi12, objective):
-        newton, minima = metrology._newton, []
+        minima = []
 
         def spy(fun, x):
-            result = newton(fun, x)
-            minima.append(result[1].min())
+            result = sphere_newton(fun, x)
+            ends = result[0]
+            minima.append(fun(ends.reshape(len(ends), -1), None, derivatives=False).min())
             return result
 
-        monkeypatch.setattr(metrology, "_newton", spy)
+        monkeypatch.setattr(metrology, "sphere_newton", spy)
         general_axis_search(phi12)
         assert minima[0] <= objective * (1 + 1e-9)
+
+    # (phi12, theta_star) where one of the four starts did not converge in
+    # 50 iterations of Newton in (beta, alpha) polar angles: it crawled
+    # towards the beta1 = 0 pole, where that chart degenerates
+    POLE_CRAWLS = [(3.0013, 0.7), (3.0294, 0.7), (3.0574, 0.7), (3.0855, 0.7),
+                   (3.1135, -2.1)]
+
+    @pytest.mark.parametrize("phi12, theta_star", POLE_CRAWLS)
+    def test_every_start_converges(self, monkeypatch, phi12, theta_star):
+        runs = []
+
+        def spy(fun, x):
+            result = sphere_newton(fun, x)
+            runs.append(result[1])
+            return result
+
+        monkeypatch.setattr(metrology, "sphere_newton", spy)
+        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        assert runs[0].shape == (4,) and runs[0].all()
+
+    def test_no_worse_than_polar_angle_search(self):
+        # every 4th case of the 452 pinned ones
+        failures = []
+        for phi12, theta_star, variance, slope in GENERAL_SEARCH_ESTIMATES[::4]:
+            _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+            if (res.estimator_variance > variance + 1e-9
+                    or res.derivative_magnitude < slope - 1e-6):
+                failures.append((phi12, theta_star, res.estimator_variance,
+                                 res.derivative_magnitude))
+        assert not failures
 
     # (phi12, theta_star, slope, variance cap) of the L-BFGS-B search with
     # the SLSQP slope push, where the push stopped short of the largest
@@ -271,40 +314,71 @@ class TestGeneralAxisSearch:
 
 
 class TestSearchGradient:
-    """The general-axis search runs damped Newton on exact gradients and
-    Hessians, and no scipy solver."""
+    """The general-axis search runs damped Newton on the exact tangent
+    gradients and Hessians of the two unit spheres, and no scipy solver."""
 
     @staticmethod
     def points():
+        """Rows (n1, n2) of unit vectors, and the same with n1 mirrored."""
         rng = np.random.default_rng(21)
-        points = [np.array([rng.uniform(0.2, np.pi - 0.2), rng.uniform(-np.pi, np.pi),
-                            rng.uniform(0.2, np.pi - 0.2), rng.uniform(-np.pi, np.pi)])
-                  for _ in range(4)]
-        points.append(np.array([1e-3, 0.7, 1.1, -0.4]))   # next to the beta = 0 pole
-        # A(pi - beta, alpha + pi) = -A: the mirrored first axis flips the slope's sign
-        return points + [np.array([np.pi - b1, a1 + np.pi, b2, a2]) for b1, a1, b2, a2 in points]
+        points = [rng.normal(size=(2, 3)) for _ in range(4)]
+        points.append(np.array([[1e-3, 0.0, 1.0], [0.5, -0.4, 0.2]]))   # n1 next to the z axis
+        points = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in points]
+        # A(-n1, n2) = -A: the mirrored first axis flips the slope's sign
+        return np.array([p.ravel() for p in points]
+                        + [np.concatenate([-p[0], p[1]]) for p in points])
 
     def test_points_cover_both_slope_signs(self):
-        _, slope_matrix = metrology._axis_correlations(1.3, 0.4)
-        signs = {np.sign(metrology._bloch(p[0], p[1])[0] @ slope_matrix
-                         @ metrology._bloch(p[2], p[3])[0]) for p in self.points()}
+        slope_block = metrology._axis_correlations(1.3, 0.4)[1]
+        points = self.points()
+        assert np.allclose(np.linalg.norm(points.reshape(-1, 2, 3), axis=2), 1.0)
+        signs = {np.sign(p @ slope_block @ p) for p in points}
         assert signs == {-1.0, 1.0}
 
+    @staticmethod
+    def tangent_basis(x):
+        """(6, 4) orthonormal basis of the tangent space at x = (n1, n2)."""
+        basis = np.zeros((6, 4))
+        for i in range(2):
+            basis[3 * i:3 * i + 3, 2 * i:2 * i + 2] = np.linalg.svd(x[None, 3 * i:3 * i + 3])[2][1:].T
+        return basis
+
     def test_matches_central_differences(self):
-        matrices = np.array(metrology._axis_correlations(1.3, 0.4))
-        points = np.array(self.points())
+        blocks = metrology._axis_correlations(1.3, 0.4)
         h = 1e-6
         # the Newton objective v + w/s, at the penalty weight and a push weight
         for weight in (metrology.PENALTY_WEIGHT, 0.7):
-            fun = metrology._scalarized(matrices, weight)
-            _, grad, hess = fun(points)
-            up = [fun(points + h * e) for e in np.eye(4)]
-            down = [fun(points - h * e) for e in np.eye(4)]
-            central_grad = np.stack([(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)], axis=1)
-            central_hess = np.stack([(u[1] - d[1]) / (2 * h) for u, d in zip(up, down)], axis=1)
-            for g, cg, hh, ch in zip(grad, central_grad, hess, central_hess):
-                assert np.linalg.norm(g - cg) <= 1e-6 * np.linalg.norm(cg)
-                assert np.linalg.norm(hh - ch) <= 1e-6 * np.linalg.norm(ch)
+            fun = metrology._scalarized(blocks, weight)
+            for x in self.points():
+                _, grad, hess = fun(x[None])
+                grad, hess = grad[0], hess[0]
+                # the gradient is tangent: no part along either vector
+                normal = grad.reshape(2, 3) @ x.reshape(2, 3).T
+                assert np.abs(np.diag(normal)).max() <= 1e-12 * np.linalg.norm(grad)
+                basis = self.tangent_basis(x)
+
+                # f along the retraction t -> x + basis t, each vector
+                # normalised (the objective reads its rows at unit norm),
+                # and its gradient in t: grad f at the retracted point,
+                # scaled on each vector by the derivative 1/|z_i| of the
+                # normalisation
+                def pulled_back(t):
+                    z = x + basis @ t
+                    value, g, _ = fun(z[None])
+                    norms = np.repeat(np.linalg.norm(z.reshape(2, 3), axis=1), 3)
+                    return value[0], basis.T @ (g[0] / norms)
+
+                up = [pulled_back(h * e) for e in np.eye(4)]
+                down = [pulled_back(-h * e) for e in np.eye(4)]
+                central_grad = np.array([(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)])
+                central_hess = np.array([(u[1] - d[1]) / (2 * h) for u, d in zip(up, down)])
+                # the retraction is of second order, so the Hessian of f
+                # along it is the Riemannian Hessian P H P
+                tangent_grad, tangent_hess = basis.T @ grad, basis.T @ hess @ basis
+                assert np.linalg.norm(tangent_grad - central_grad) <= 1e-6 * np.linalg.norm(
+                    central_grad)
+                assert np.linalg.norm(tangent_hess - central_hess) <= 1e-6 * np.linalg.norm(
+                    central_hess)
 
     @pytest.mark.parametrize("phi12, theta_star", [(0.0, 0.0), (1.91, 0.0), (2.2, -1.1)])
     def test_no_derivative_free_or_finite_difference_solver(self, monkeypatch,
@@ -312,19 +386,19 @@ class TestSearchGradient:
         def refuse(*args, **kwargs):
             raise AssertionError("the search called a scipy solver")
 
-        newton, runs = metrology._newton, []
+        runs = []
 
         def spy(fun, x):
-            runs.append(fun(x))
-            return newton(fun, x)
+            runs.append(fun(x.reshape(len(x), -1), np.arange(len(x))))
+            return sphere_newton(fun, x)
 
         monkeypatch.setattr(metrology, "minimize", refuse)
         monkeypatch.setattr(metrology, "differential_evolution", refuse)
-        monkeypatch.setattr(metrology, "_newton", spy)
+        monkeypatch.setattr(metrology, "sphere_newton", spy)
         general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
         # the first run from the four best grid pairs; every run gets Hessians
         assert runs and runs[0][0].shape == (4,)
-        assert all(hess.shape == (len(value), 4, 4) for value, _, hess in runs)
+        assert all(hess.shape == (len(value), 6, 6) for value, _, hess in runs)
 
 
 def test_limits():
