@@ -33,7 +33,7 @@ plus = binned(+H_SHIFT, 200)
 minus = binned(-H_SHIFT, 300)
 cfg = BootstrapConfig(mu=10000, seed=1)
 
-ideal = sense(state, obs, SensingConfig(phi12=PHI12, h=H_SHIFT))
+ideal = sense(state, obs, SensingConfig(h=H_SHIFT))
 boot = bootstrap_sensing(center, plus, minus, H_SHIFT, obs.weights, cfg)
 
 print(f"weight pi, Z(x)Y, {N_BINS} bins x {RATE:.0f} cps x {DURATION:.0f} s, "

@@ -223,8 +223,7 @@ def _cmd_qfi(args) -> int:
 # -------------------------------------------------------------- optimize
 
 def _cmd_optimize(args) -> int:
-    cfg = SensingConfig(phi12=args.phi12, theta_star=args.theta_star,
-                        h=np.radians(args.shift_deg))
+    cfg = SensingConfig(theta_star=args.theta_star)
     if args.kind == "pauli":
         obs, result = pauli_search(args.phi12, cfg)
     else:
@@ -288,8 +287,7 @@ def _cmd_sense(args) -> int:
             out["n_clamped"] = result.n_clamped
         return out
 
-    ideal = sense(state, obs, SensingConfig(phi12=args.phi12,
-                                            theta_star=args.theta_star, h=h))
+    ideal = sense(state, obs, SensingConfig(theta_star=args.theta_star, h=h))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "phi12": args.phi12,
@@ -471,7 +469,6 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--kind", choices=("pauli", "general"), required=True)
     p.add_argument("--theta-star", type=_finite_float, default=0.0)
-    p.add_argument("--shift-deg", type=_finite_float, default=5.0)
     p.add_argument("--out", required=True)
     add_common(p)
     p.set_defaults(func=_cmd_optimize)

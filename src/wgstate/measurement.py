@@ -1,9 +1,12 @@
 """Local product observables and their physical waveplate realizations.
 
-An observable here is a product of two single-photon +/-1 observables,
-measured by projecting each photon onto one of two orthogonal states
-("+" transmitted, "-" reflected at the analyzing PBS). Identity factors
-are measured in the H/V basis with both outcomes weighted +1.
+An observable here is a product A = (a . sigma) (x) (b . sigma) of two
+single-photon +/-1 observables, held as its two Pauli coefficient rows a
+and b over (I, X, Y, Z). Each factor is measured by projecting its photon
+onto one of two orthogonal states ("+" transmitted, "-" reflected at the
+analyzing PBS). Identity factors are measured in the H/V basis with both
+outcomes weighted +1. Outcome probabilities are read off the state's Pauli
+correlation matrix (``qmath.pauli_correlations``).
 """
 
 from __future__ import annotations
@@ -15,20 +18,15 @@ import numpy as np
 
 from ._optimize import LazyOptimizer
 from .optics import WaveplateKind, waveplate_jones_lab, wrap_interval
-from .qmath import KET_H, POLARIZATION_KETS, as_density, tensor
+from .qmath import (KET_H, PAULI_PRODUCTS, POLARIZATION_KETS, as_density,
+                    pauli_correlations, tensor)
 
 minimize = LazyOptimizer("minimize")
 
 OUTCOME_PAIRS = ("++", "+-", "-+", "--")
 
-# eigenvectors (+ then -) of each single-qubit Pauli label in the H/V basis;
-# the identity label measures H/V with both signs +1
-_PAULI_BASES = {
-    "I": (POLARIZATION_KETS["H"], POLARIZATION_KETS["V"]),
-    "X": (POLARIZATION_KETS["D"], POLARIZATION_KETS["A"]),
-    "Y": (POLARIZATION_KETS["L"], POLARIZATION_KETS["R"]),
-    "Z": (POLARIZATION_KETS["H"], POLARIZATION_KETS["V"]),
-}
+# Pauli coefficient row of each single-qubit label over (I, X, Y, Z)
+_PAULI_ROWS = dict(zip("IXYZ", np.eye(4)))
 
 
 class WaveplateSolverError(RuntimeError):
@@ -52,69 +50,53 @@ def axis_state(beta: float, alpha: float, outcome: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Two-photon product observable with per-outcome +/-1 weights.
+    """Two-photon product observable A = sum_ij a_i b_j sigma_i (x) sigma_j.
 
-    ``plus_kets``/``minus_kets`` hold the transmitted/reflected
-    projector states per photon; ``signs`` the per-photon outcome signs
-    (identity factors contribute +1 on both outcomes). ``label``
-    records how the observable was built.
+    ``coefficients`` holds the read-only Pauli coefficient rows (a, b) over
+    (I, X, Y, Z), shape (2, 4). Each row is the identity (1, 0, 0, 0) or a
+    unit Bloch axis (0, m), so every factor squares to I and A^2 = I.
+    ``label`` records how the observable was built.
     """
 
-    plus_kets: tuple[np.ndarray, np.ndarray]
-    minus_kets: tuple[np.ndarray, np.ndarray]
-    signs: tuple[dict, dict]
+    coefficients: np.ndarray
     label: str = ""
     axis_angles: Optional[tuple[float, float, float, float]] = None
     pauli_labels: Optional[tuple[str, str]] = None
 
+    def __post_init__(self):
+        rows = np.array(self.coefficients, dtype=float).reshape(2, 4)
+        rows.flags.writeable = False
+        object.__setattr__(self, "coefficients", rows)
+
     @property
     def weights(self) -> dict:
         """Outcome-pair -> +/-1 map, e.g. {'++': 1, '+-': -1, ...}."""
-        return {o1 + o2: self.signs[0][o1] * self.signs[1][o2]
-                for o1 in "+-" for o2 in "+-"}
+        signs = [{"+": 1, "-": 1 if row[0] else -1} for row in self.coefficients]
+        return {o1 + o2: signs[0][o1] * signs[1][o2] for o1 in "+-" for o2 in "+-"}
 
     def matrix(self) -> np.ndarray:
         """The observable as a 4x4 Hermitian operator."""
-        ops = []
-        for plus, minus, sign in zip(self.plus_kets, self.minus_kets, self.signs):
-            ops.append(sign["+"] * np.outer(plus, plus.conj())
-                       + sign["-"] * np.outer(minus, minus.conj()))
-        return tensor(ops[0], ops[1])
-
-    def projectors(self) -> dict:
-        """Outcome-pair -> rank-one 4x4 projector."""
-        kets = {"+": self.plus_kets, "-": self.minus_kets}
-        out = {}
-        for o1 in "+-":
-            for o2 in "+-":
-                v = tensor(kets[o1][0], kets[o2][1])
-                out[o1 + o2] = np.outer(v, v.conj())
-        return out
+        return np.tensordot(np.outer(*self.coefficients), PAULI_PRODUCTS, 2)
 
 
 def pauli_observable(a1: str, a2: str) -> Observable:
     """Product of single-qubit Pauli (or identity) labels, e.g. ('Z', 'Y')."""
     for a in (a1, a2):
-        if a not in _PAULI_BASES:
+        if a not in _PAULI_ROWS:
             raise ValueError(f"unknown Pauli label {a!r}")
-    signs = tuple({"+": 1, "-": 1} if a == "I" else {"+": 1, "-": -1}
-                  for a in (a1, a2))
-    return Observable(
-        plus_kets=(_PAULI_BASES[a1][0], _PAULI_BASES[a2][0]),
-        minus_kets=(_PAULI_BASES[a1][1], _PAULI_BASES[a2][1]),
-        signs=signs,
-        label=f"{a1}(x){a2}",
-        pauli_labels=(a1, a2),
-    )
+    return Observable(coefficients=np.array([_PAULI_ROWS[a1], _PAULI_ROWS[a2]]),
+                      label=f"{a1}(x){a2}", pauli_labels=(a1, a2))
 
 
 def general_axis_observable(beta1: float, alpha1: float,
                             beta2: float, alpha2: float) -> Observable:
-    """Product of two general-axis +/-1 observables on the Bloch sphere."""
+    """Product of two general-axis +/-1 observables on the Bloch sphere:
+    rows (0, sin b cos a, sin b sin a, cos b)."""
+    beta, alpha = np.array([beta1, beta2]), np.array([alpha1, alpha2])
+    rows = np.stack([np.zeros(2), np.sin(beta) * np.cos(alpha),
+                     np.sin(beta) * np.sin(alpha), np.cos(beta)], axis=1)
     return Observable(
-        plus_kets=(axis_state(beta1, alpha1, "+"), axis_state(beta2, alpha2, "+")),
-        minus_kets=(axis_state(beta1, alpha1, "-"), axis_state(beta2, alpha2, "-")),
-        signs=({"+": 1, "-": -1}, {"+": 1, "-": -1}),
+        coefficients=rows,
         label=(f"axis(b1={np.degrees(beta1):.2f},a1={np.degrees(alpha1):.2f},"
                f"b2={np.degrees(beta2):.2f},a2={np.degrees(alpha2):.2f}) deg"),
         axis_angles=(beta1, alpha1, beta2, alpha2),
@@ -122,16 +104,17 @@ def general_axis_observable(beta1: float, alpha1: float,
 
 
 def outcome_probabilities(state, obs: Observable) -> np.ndarray:
-    """Probabilities of the four outcome pairs (++, +-, -+, --)."""
-    rho = as_density(state)
-    kets1 = {"+": obs.plus_kets[0], "-": obs.minus_kets[0]}
-    kets2 = {"+": obs.plus_kets[1], "-": obs.minus_kets[1]}
-    probs = []
-    for o1 in "+-":
-        for o2 in "+-":
-            v = tensor(kets1[o1], kets2[o2])
-            probs.append(np.real(v.conj() @ rho @ v))
-    probs = np.clip(np.array(probs), 0.0, None)
+    """Probabilities of the four outcome pairs (++, +-, -+, --).
+
+    The outcome s = +/-1 of a factor projects onto (I + s m . sigma)/2,
+    with m its axis (z for an identity factor), so the pair (s1, s2) has
+    probability (1, s1 m1) T (1, s2 m2) / 4 for the state's Pauli
+    correlation matrix T.
+    """
+    sides = [np.hstack([np.ones((2, 1)), np.outer([1, -1], (0, 0, 1) if row[0] else row[1:])])
+             for row in obs.coefficients]
+    corr = pauli_correlations(as_density(state))
+    probs = np.clip(np.einsum("ai,ij,bj->ab", sides[0], corr, sides[1]).ravel() / 4, 0.0, None)
     return probs / probs.sum()
 
 

@@ -6,19 +6,23 @@ generated by H = (X (x) 1 + 1 (x) Z)/2. Estimator quality for an
 observable A is summarized by the single-shot variance (DA)^2 and the
 slope of <A> with respect to theta; their ratio (DA)^2 / |d<A>/dtheta|^2
 is the phase variance of the method-of-moments estimator.
+
+A product observable A = sum_ij a_i b_j sigma_i (x) sigma_j has <A> = a . T b
+and d<A>/dtheta = a . D b for the Pauli correlation matrices T of the encoded
+state rho and D of its derivative -i[H, rho] (``qmath.pauli_correlations``);
+as A^2 = I, (DA)^2 = 1 - <A>^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from ._optimize import LazyOptimizer, sphere_newton, tangent_projector
 from .measurement import Observable, general_axis_observable, pauli_observable
 from .optics import canonical_phase, rotation_gate
-from .qmath import I2, X, Y, Z, PureState2Q, as_density, tensor
+from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
 from .stategen import weighted_graph_state
 
 minimize = LazyOptimizer("minimize")
@@ -42,16 +46,18 @@ class SensingConfig:
     """Operating point for a sensing run.
 
     ``theta_star`` is the phase around which the derivative is taken and
-    ``h`` the two-point finite-difference shift (radians).
+    ``h`` the two-point finite-difference shift (radians); both must be
+    finite, and h > 0.
     """
 
-    phi12: float
     theta_star: float = 0.0
     h: float = np.radians(5.0)
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("finite-difference shift h must be > 0")
+        if not np.isfinite(self.theta_star):
+            raise ValueError(f"theta_star must be finite, got {self.theta_star!r}")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"finite-difference shift h must be finite and > 0, got {self.h!r}")
 
 
 @dataclass(frozen=True)
@@ -91,28 +97,13 @@ def limits() -> tuple[float, float]:
     return 0.5, 0.25
 
 
-def _encoded_density(state, theta: float) -> np.ndarray:
+def _correlations(state, theta: float) -> np.ndarray:
+    """Pauli correlation matrices (T, D) (2, 4, 4) of the encoded state
+    rho = U(theta) rho U(theta)^dag and of its derivative -i[H, rho]; the
+    state is pure or mixed."""
     u = encoding_unitary(theta)
-    return u @ as_density(state) @ u.conj().T
-
-
-def _signed_metrics(state, obs: Observable, cfg: SensingConfig,
-                    mode: str = "analytic"):
-    """(expectation, signed slope, single-shot variance) at theta_star."""
-    a = obs.matrix()
-    rho = _encoded_density(state, cfg.theta_star)
-    exp_val = float(np.real(np.trace(a @ rho)))
-    var = float(np.real(np.trace(a @ a @ rho)) - exp_val ** 2)
-    if mode == "analytic":
-        comm = 1j * (GENERATOR @ a - a @ GENERATOR)
-        deriv = float(np.real(np.trace(comm @ rho)))
-    elif mode == "finite_difference":
-        e_plus = np.real(np.trace(a @ _encoded_density(state, cfg.theta_star + cfg.h)))
-        e_minus = np.real(np.trace(a @ _encoded_density(state, cfg.theta_star - cfg.h)))
-        deriv = float((e_plus - e_minus) / (2 * cfg.h))
-    else:
-        raise ValueError(f"unknown derivative mode {mode!r}")
-    return exp_val, deriv, var
+    rho = u @ as_density(state) @ u.conj().T
+    return pauli_correlations(np.stack([rho, -1j * (GENERATOR @ rho - rho @ GENERATOR)]))
 
 
 def sense(state, obs: Observable, cfg: SensingConfig,
@@ -120,13 +111,23 @@ def sense(state, obs: Observable, cfg: SensingConfig,
           derivative_floor: float = DERIVATIVE_FLOOR) -> SensingResult:
     """Evaluate an observable's phase-estimation figures at the operating point.
 
-    ``mode`` selects the exact slope (commutator with the generator) or
-    the symmetric two-point finite difference with shift ``cfg.h``. A
+    <A> = a . T b and the exact slope a . D b come from the correlation
+    matrices of the encoded state (pure or mixed), and (DA)^2 = 1 - <A>^2.
+    ``mode`` selects that exact slope or the symmetric two-point finite
+    difference of a . T b with shift ``cfg.h``. A
     slope below ``derivative_floor`` raises
     :class:`DerivativeVanishesError` rather than returning an unusable
     number.
     """
-    exp_val, deriv, var = _signed_metrics(state, obs, cfg, mode)
+    a, b = obs.coefficients
+    exp_val, deriv = (float(a @ m @ b) for m in _correlations(state, cfg.theta_star))
+    if mode == "finite_difference":
+        e_plus, e_minus = (a @ _correlations(state, cfg.theta_star + shift)[0] @ b
+                           for shift in (cfg.h, -cfg.h))
+        deriv = float((e_plus - e_minus) / (2 * cfg.h))
+    elif mode != "analytic":
+        raise ValueError(f"unknown derivative mode {mode!r}")
+    var = 1.0 - exp_val ** 2
     if abs(deriv) < derivative_floor:
         raise DerivativeVanishesError(
             f"|d<A>/dtheta| = {abs(deriv):.3e} below floor {derivative_floor:g}")
@@ -138,37 +139,36 @@ def sense(state, obs: Observable, cfg: SensingConfig,
     )
 
 
-_PAULI_ORDER = ("I", "X", "Y", "Z")
+# Pauli products within this estimator variance of the best are re-ranked
+TIE_TOLERANCE = 1e-6
 
 
-def pauli_search(phi12: float, cfg: SensingConfig | None = None,
-                 tie_tolerance: float = 1e-6) -> tuple[Observable, SensingResult]:
+def pauli_search(phi12: float, cfg: SensingConfig | None = None
+                 ) -> tuple[Observable, SensingResult]:
     """Exhaustive search over the 16 Pauli products for the lowest phase variance.
 
-    Candidates within ``tie_tolerance`` of the minimum variance are
-    re-ranked deterministically: largest |slope| first, then positive
-    slope, then smaller expectation, then enumeration order
-    (I, X, Y, Z per factor).
+    The expectation and slope of sigma_i (x) sigma_j are the entries T_ij
+    and D_ij of the encoded state's correlation matrices. Candidates
+    within ``TIE_TOLERANCE`` of the minimum variance are re-ranked
+    deterministically: largest |slope| first, then positive slope, then
+    smaller expectation, then enumeration order (I, X, Y, Z per factor).
     """
-    cfg = cfg or SensingConfig(phi12=phi12)
-    state = weighted_graph_state(phi12)
-    entries = []
-    for a1, a2 in product(_PAULI_ORDER, repeat=2):
-        obs = pauli_observable(a1, a2)
-        exp_val, deriv, var = _signed_metrics(state, obs, cfg)
-        est = var / deriv ** 2 if abs(deriv) >= DERIVATIVE_FLOOR else np.inf
-        entries.append((obs, exp_val, deriv, var, est))
-    best_var = min(e[4] for e in entries)
-    if not np.isfinite(best_var):
+    cfg = cfg or SensingConfig()
+    exp_vals, derivs = _correlations(weighted_graph_state(phi12), cfg.theta_star).reshape(2, 16)
+    variances = 1.0 - exp_vals ** 2
+    usable = np.abs(derivs) >= DERIVATIVE_FLOOR
+    estimates = np.where(usable, variances, np.inf) / np.where(usable, derivs, 1.0) ** 2
+    if not np.isfinite(estimates.min()):
         raise SearchError("every Pauli product has vanishing slope")
-    ties = [e for e in entries if e[4] <= best_var + tie_tolerance]
-    # keys rounded well below tie_tolerance so float noise cannot reorder
-    obs, exp_val, deriv, var, est = min(
-        ties, key=lambda e: (-round(abs(e[2]), 9), -round(e[2], 9), round(e[1], 9)))
-    return obs, SensingResult(expectation=exp_val,
-                              derivative_magnitude=abs(deriv),
-                              single_shot_variance=var,
-                              estimator_variance=est)
+    ties = np.flatnonzero(estimates <= estimates.min() + TIE_TOLERANCE)
+    # keys rounded well below TIE_TOLERANCE so float noise cannot reorder
+    k = min(ties, key=lambda k: (-round(abs(derivs[k]), 9), -round(derivs[k], 9),
+                                 round(exp_vals[k], 9)))
+    obs = pauli_observable("IXYZ"[k // 4], "IXYZ"[k % 4])
+    return obs, SensingResult(expectation=float(exp_vals[k]),
+                              derivative_magnitude=float(abs(derivs[k])),
+                              single_shot_variance=float(variances[k]),
+                              estimator_variance=float(estimates[k]))
 
 
 # the search minimizes var/s^2 + PENALTY_WEIGHT/|s|, then spends up to
@@ -198,21 +198,13 @@ _GRID = _unit_vector(*np.meshgrid((np.arange(6) + 0.5) * np.pi / 12,
 
 
 def _axis_correlations(phi12: float, theta_star: float) -> np.ndarray:
-    """6 x 6 matrices B = [[0, M], [M^T, 0]] of the 3 x 3 matrices M = C, D
-    with <A> = n1 . C n2 and d<A>/dtheta = n1 . D n2 for the product
+    """6 x 6 matrices B = [[0, M], [M^T, 0]] of the 3 x 3 axis blocks
+    M = T[1:, 1:], D[1:, 1:] of the correlation matrices, so that
+    <A> = n1 . T n2 and d<A>/dtheta = n1 . D n2 for the product
     observable A = (n1 . sigma) (x) (n2 . sigma): both are x . B x / 2 at
     x = (n1, n2), with gradient B x."""
-    psi = encoding_unitary(theta_star) @ weighted_graph_state(phi12).amplitudes
-    # at theta_star the slope is the commutator expectation in the
-    # encoded state: d<A>/dtheta = -2 Im <H psi | A psi>
-    hpsi = (GENERATOR @ psi).reshape(2, 2)
-    psi = psi.reshape(2, 2)
-    sigma = np.array([X, Y, Z])
-    # (sigma_i (x) sigma_j) psi for every pair (i, j)
-    apsi = np.einsum("iab,bd,jcd->ijac", sigma, psi, sigma)
     blocks = np.zeros((2, 6, 6))
-    blocks[0, :3, 3:] = np.real(np.einsum("ac,ijac->ij", psi.conj(), apsi))
-    blocks[1, :3, 3:] = -2 * np.imag(np.einsum("ac,ijac->ij", hpsi.conj(), apsi))
+    blocks[:, :3, 3:] = _correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
     blocks[:, 3:, :3] = blocks[:, :3, 3:].transpose(0, 2, 1)
     return blocks
 
@@ -224,7 +216,7 @@ def _penalized(exp_val, deriv):
 
 
 def _figure_jets(blocks, x):
-    """<A> = n1 . C n2 and s = |n1 . D n2| at rows x = (n1, n2) (m, 2, 3),
+    """<A> = n1 . T n2 and s = |n1 . D n2| at rows x = (n1, n2) (m, 2, 3),
     each vector read at unit norm, for the blocks of _axis_correlations.
     Returns the unit rows (m, 6), the values (2, m), their gradients B x
     (2, m, 6) and the sign of n1 . D n2; the Hessians are the constant
@@ -335,12 +327,6 @@ def _push_slope(blocks, x, cap):
     return best
 
 
-# Newton starts from the best _STARTS grid pairs. In polar angles the best
-# pair's basin held a worse minimum on the beta1 = 0 pole (phi12 = 3.03,
-# theta* = 0); on the spheres all starts meet in the 452 pinned cases
-_STARTS = 4
-
-
 def general_axis_search(phi12: float, cfg: SensingConfig | None = None
                         ) -> tuple[Observable, SensingResult]:
     """Deterministic search over local general-axis products.
@@ -349,34 +335,32 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     plus ``PENALTY_WEIGHT / |slope|``) over the two Bloch vectors n1 and
     n2, then take the largest slope whose estimator variance stays within
     ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
-    a fixed 72 x 72 grid of axis pairs. One batched damped Newton run on
-    the product of the two unit spheres (``sphere_newton``) starts from
-    the four best pairs, and the lowest minimum wins, the earlier pair on
-    a tie. The slope push takes the top singular value of D if its
-    variance is within the cap; otherwise it minimizes v + w/|slope| from
-    the minimum, with the weight w raised until the minimizer's estimator
-    variance v reaches the cap. The push is accepted if it converged
-    within the cap at a larger slope. Every Newton step uses the exact
-    tangent gradient and Hessian of <A> = n1 . C n2 and
-    d<A>/dtheta = n1 . D n2, which are bilinear, so their Hessians are
+    a fixed 72 x 72 grid of axis pairs, and a damped Newton run on the
+    product of the two unit spheres (``sphere_newton``) starts from the
+    best pair, the earlier pair on a tie. The slope push takes the top
+    singular value of D if its variance is within the cap; otherwise it
+    minimizes v + w/|slope| from the minimum, with the weight w raised
+    until the minimizer's estimator variance v reaches the cap. The push
+    is accepted if it converged within the cap at a larger slope. Every
+    Newton step uses the exact tangent gradient and Hessian of
+    <A> = n1 . T n2 and d<A>/dtheta = n1 . D n2 on the axis blocks of the
+    correlation matrices, which are bilinear, so their Hessians are
     constant; no scipy solver runs. The axes are reported as polar angles
-    with beta in [0, pi] and alpha in (-pi, pi].
+    with beta in [0, pi] and alpha in (-pi, pi], and their figures come
+    from :func:`sense`, which raises :class:`DerivativeVanishesError` on a
+    zero slope.
     """
-    cfg = cfg or SensingConfig(phi12=phi12)
+    cfg = cfg or SensingConfig()
     blocks = _axis_correlations(phi12, cfg.theta_star)
     correlation, slope = blocks[:, :3, 3:]
     grid = _penalized(_GRID @ correlation @ _GRID.T, _GRID @ slope @ _GRID.T)
-    # the _STARTS best pairs, the earlier pair first on a tie
-    flat = grid.ravel()
-    near = np.flatnonzero(flat <= np.partition(flat, _STARTS - 1)[_STARTS - 1])
-    i, j = np.unravel_index(near[np.argsort(flat[near], kind="stable")][:_STARTS], grid.shape)
+    # np.argmin keeps the earlier pair on a tie
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
     objective = _scalarized(blocks, PENALTY_WEIGHT)
-    ends, _, _ = sphere_newton(objective, np.stack([_GRID[i], _GRID[j]], axis=1))
-    value = objective(ends, derivatives=False)
-    if not np.isfinite(value).any():
-        raise SearchError(f"search diverged; objectives {value!r}")
-    k = np.flatnonzero(value <= np.nanmin(value) * (1 + 1e-12))[0]
-    x = ends[k:k + 1]
+    x, _, _ = sphere_newton(objective, np.stack([_GRID[i], _GRID[j]])[None])
+    value = objective(x, derivatives=False)
+    if not np.isfinite(value[0]):
+        raise SearchError(f"search diverged; objective {value[0]!r}")
 
     # push the slope as far as the variance tolerance allows
     variance, _, slope, _ = _figures(blocks, x)
@@ -386,15 +370,5 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     if converged and pushed_variance[0] <= cap + 1e-9 and pushed_slope[0] > slope[0]:
         x = pushed
 
-    angles = (*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
-    _, (exp_val, slope), _, _ = _figure_jets(
-        blocks, _unit_vector(np.array(angles[0::2]), np.array(angles[1::2])))
-    exp_val, slope = float(exp_val[0]), float(slope[0])
-    if slope < DERIVATIVE_FLOOR:
-        raise SearchError("search converged to a zero-slope observable")
-    var = 1.0 - exp_val ** 2
-    result = SensingResult(expectation=exp_val,
-                           derivative_magnitude=slope,
-                           single_shot_variance=var,
-                           estimator_variance=var / slope ** 2)
-    return general_axis_observable(*angles), result
+    obs = general_axis_observable(*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
+    return obs, sense(weighted_graph_state(phi12), obs, cfg)

@@ -5,7 +5,10 @@ Conventions used throughout the package:
 * computational basis |0> = |H>, |1> = |V>;
 * photon 1 is always the left tensor factor, so a two-qubit amplitude
   vector is ordered |00>, |01>, |10>, |11>;
-* "operators" are plain complex ndarrays of shape (2, 2) or (4, 4).
+* "operators" are plain complex ndarrays of shape (2, 2) or (4, 4);
+* the Pauli correlation matrix T_ij = Tr(sigma_i (x) sigma_j rho), over
+  (I, X, Y, Z) per photon, gives rho = sum_ij T_ij sigma_i (x) sigma_j / 4
+  (Fano, Rev. Mod. Phys. 55, 855, 1983).
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
+# sigma_i (x) sigma_j over (I, X, Y, Z) per photon: (4, 4, 4, 4), indexed
+# [i, j] then the 4 x 4 operator
+PAULI_PRODUCTS = np.kron(np.array([I2, X, Y, Z])[:, None], np.array([I2, X, Y, Z])[None])
 
 # single-photon polarization kets
 KET_H = np.array([1, 0], dtype=complex)
@@ -160,6 +166,12 @@ def expectation(obs, state) -> float:
     m = as_density(state)
     val = np.trace(op @ m)
     return float(val.real)
+
+
+def pauli_correlations(rho) -> np.ndarray:
+    """Re Tr(sigma_i (x) sigma_j rho) of 4 x 4 matrices over leading axes:
+    (..., 4, 4) -> (..., 4, 4), indexed [i, j] over (I, X, Y, Z)."""
+    return np.einsum("ijab,...ba->...ij", PAULI_PRODUCTS, rho).real
 
 
 def trace_distance(rho_a, rho_b) -> float:

@@ -257,7 +257,10 @@ def cosine_fit(xs, ys) -> FitResult:
     wrapped to (-pi, pi] by ``optics.canonical_phase``, so a c on the
     +-pi cut is reported as exactly +pi whichever way rounding falls. On
     samples spaced dx apart, b and 2 pi/dx - b give the same values, so
-    there b is reported in [0, pi/dx].
+    there b is reported in [0, pi/dx]. Within half a Fourier bin, pi/(N dx),
+    of the Nyquist frequency pi/dx the sine term nearly vanishes on the
+    samples; there :class:`CosineFitError` is raised when the standard error
+    of its coefficient exceeds the range of the data.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -302,11 +305,22 @@ def cosine_fit(xs, ys) -> FitResult:
             f"cosine fit did not converge; best residual {np.sqrt(cost / len(xs)):.3e}")
 
     b = abs(b)
+    nyquist = np.inf
     if dx > 0 and np.allclose(np.diff(xs), dx, rtol=1e-9, atol=0):
-        alias = 2 * np.pi / dx
-        b %= alias
-        b = min(b, alias - b)
-    (cos_coef, sin_coef, d), _, _ = _projection(xs, ys, b)
+        nyquist = np.pi / dx
+        b %= 2 * nyquist
+        b = min(b, 2 * nyquist - b)
+    (cos_coef, sin_coef, d), residual, _ = _projection(xs, ys, b)
+    # near b = pi/dx the sine column is nearly flat on the samples: the data
+    # fix its coefficient only if their noise is small against its norm
+    if nyquist - b < nyquist / len(xs):
+        sine = np.sin(b * xs)
+        q = np.linalg.qr(np.stack([np.cos(b * xs), np.ones_like(xs)], axis=1))[0]
+        if (np.sqrt(residual @ residual / max(len(xs) - 4, 1))
+                > np.ptp(ys) * np.linalg.norm(sine - q @ (q.T @ sine))):
+            raise CosineFitError(
+                f"fitted frequency {b:.6g} lies within half a Fourier bin of the Nyquist "
+                f"frequency {nyquist:.6g}, where the noise leaves its amplitude unidentified")
     # A cos bx + B sin bx = a cos(bx + c) with a = -hypot(A, B) <= 0
     a, c = -np.hypot(cos_coef, sin_coef), canonical_phase(np.arctan2(sin_coef, -cos_coef))
     rms = float(np.sqrt(np.mean((_cosine(xs, a, b, c, d) - ys) ** 2)))

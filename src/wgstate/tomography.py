@@ -22,8 +22,8 @@ import numpy as np
 from ._optimize import LazyOptimizer, sphere_newton
 from .measurement import (checked_counts, checked_durations, setting_outcome_kets,
                           tomography_settings)
-from .qmath import (I2, X, Y, Z, DensityMatrix, PureState2Q, as_density, concurrence,
-                    fidelity, tensor)
+from .qmath import (PAULI_PRODUCTS, DensityMatrix, PureState2Q, as_density, concurrence,
+                    fidelity)
 from .stats import DegenerateDataError
 
 minimize = LazyOptimizer("minimize")
@@ -83,7 +83,7 @@ _PROJ_ALL = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
 _PROJ_TRANSMITTED = _PROJ_ALL.reshape(16, 4, 16)[:, 0, :]
 # two-qubit Pauli basis of linear inversion and the map from its
 # coefficients to the transmitted-port probabilities
-_PAULI_BASIS = np.array([tensor(p, q) / 2 for p in (I2, X, Y, Z) for q in (I2, X, Y, Z)])
+_PAULI_BASIS = PAULI_PRODUCTS.reshape(16, 4, 4) / 2
 _INVERSION_MATRIX = _PROJ_TRANSMITTED @ _PAULI_BASIS.reshape(16, 16).T
 
 

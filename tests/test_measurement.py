@@ -10,8 +10,10 @@ from wgstate.measurement import (_overlap_grid, analyzer_overlap, axis_state,
                                  pauli_observable, simulate_counts,
                                  solve_projector_waveplates, tomography_settings)
 from wgstate.optics import WaveplateKind, waveplate_jones_lab
-from wgstate.qmath import PAULIS, PureState2Q, expectation, tensor
-from wgstate.stategen import GenerationConfig, simulate_generation, weighted_graph_state
+from wgstate.qmath import (PAULIS, POLARIZATION_KETS, PureState2Q, as_density, expectation,
+                           tensor)
+from wgstate.stategen import (GenerationConfig, NoiseModel, apply_noise, simulate_generation,
+                              weighted_graph_state)
 from wgstate.stats import BinnedCounts
 from wgstate.tomography import TomographyDataset
 
@@ -343,16 +345,53 @@ class TestInternalConsistency:
             assert float(_overlap_grid(h, q, ket)) == pytest.approx(
                 analyzer_overlap(h, q, ket), abs=1e-12)
 
-    def test_projectors_reproduce_outcome_probabilities(self):
+    @staticmethod
+    def ket_projectors(obs):
+        """Outcome-pair -> projector, and the weighted operator, from the
+        factors' eigenkets: axis_state for an axis, H/V for an identity."""
+        kets, signs = [], []
+        for k in range(2):
+            if obs.pauli_labels:
+                label = obs.pauli_labels[k]
+                pair = {"I": "HV", "X": "DA", "Y": "LR", "Z": "HV"}[label]
+                kets.append([POLARIZATION_KETS[pair[0]], POLARIZATION_KETS[pair[1]]])
+                signs.append([1, 1] if label == "I" else [1, -1])
+            else:
+                beta, alpha = obs.axis_angles[2 * k:2 * k + 2]
+                kets.append([axis_state(beta, alpha, "+"), axis_state(beta, alpha, "-")])
+                signs.append([1, -1])
+        projs, operator = [], np.zeros((4, 4), dtype=complex)
+        for i in range(2):
+            for j in range(2):
+                v = tensor(kets[0][i], kets[1][j])
+                projs.append(np.outer(v, v.conj()))
+                operator += signs[0][i] * signs[1][j] * projs[-1]
+        return projs, operator
+
+    def test_ket_projectors_reproduce_probabilities_and_matrix(self):
         rng = np.random.default_rng(15)
-        for _ in range(10):
-            state = PureState2Q(rng.normal(size=4) + 1j * rng.normal(size=4))
-            obs = general_axis_observable(rng.uniform(0, np.pi),
-                                          rng.uniform(-np.pi, np.pi),
-                                          rng.uniform(0, np.pi),
-                                          rng.uniform(-np.pi, np.pi))
-            rho = state.density().matrix
-            projs = obs.projectors()
-            direct = [np.real(np.trace(projs[o] @ rho))
-                      for o in ("++", "+-", "-+", "--")]
-            assert np.allclose(direct, outcome_probabilities(state, obs), atol=1e-10)
+        observables = [pauli_observable(a1, a2) for a1 in "IXYZ" for a2 in "IXYZ"]
+        observables += [general_axis_observable(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
+                                                rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
+                        for _ in range(10)]
+        states = [PureState2Q(rng.normal(size=4) + 1j * rng.normal(size=4)) for _ in range(3)]
+        states += [apply_noise(weighted_graph_state(phi), NoiseModel(p, sigma))
+                   for phi, p, sigma in ((np.pi, 0.2, 0.3), (1.1, 0.05, 0.8), (2.4, 0.6, 0.0))]
+        for obs in observables:
+            projs, operator = self.ket_projectors(obs)
+            assert np.allclose(obs.matrix(), operator, atol=1e-12)
+            weights = [obs.weights[o] for o in ("++", "+-", "-+", "--")]
+            assert np.allclose(operator, sum(w * p for w, p in zip(weights, projs)), atol=1e-12)
+            for state in states:
+                rho = as_density(state)
+                direct = [np.real(np.trace(p @ rho)) for p in projs]
+                assert np.allclose(direct, outcome_probabilities(state, obs), atol=1e-12)
+
+    def test_coefficients_are_read_only_rows(self):
+        obs = general_axis_observable(0.4, -1.2, 2.0, 0.7)
+        assert obs.coefficients.shape == (2, 4)
+        assert np.allclose(np.linalg.norm(obs.coefficients, axis=1), 1.0)
+        with pytest.raises(ValueError):
+            obs.coefficients[0, 0] = 1.0
+        assert np.array_equal(pauli_observable("I", "Y").coefficients,
+                              [[1, 0, 0, 0], [0, 0, 1, 0]])

@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
 from wgstate.qmath import PAULIS, PureState2Q, tensor
-from wgstate.stategen import weighted_graph_state
+from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 
 # (phi12, theta_star, estimator variance, slope) of the general-axis search
 # in (beta, alpha) polar angles, before it moved onto Bloch vectors
@@ -77,14 +78,14 @@ class TestQFI:
 class TestSense:
     def test_max_weight_zy(self):
         res = sense(weighted_graph_state(np.pi), pauli_observable("Z", "Y"),
-                    SensingConfig(phi12=np.pi))
+                    SensingConfig())
         assert res.expectation == pytest.approx(0.0, abs=1e-10)
         assert res.derivative_magnitude == pytest.approx(2.0, abs=1e-10)
         assert res.estimator_variance == pytest.approx(0.25, abs=1e-10)
 
     def test_half_weight_zy(self):
         res = sense(weighted_graph_state(np.pi / 2), pauli_observable("Z", "Y"),
-                    SensingConfig(phi12=np.pi / 2))
+                    SensingConfig())
         assert res.expectation == pytest.approx(-0.5, abs=1e-10)
         assert res.derivative_magnitude == pytest.approx(1.0, abs=1e-10)
         assert res.estimator_variance == pytest.approx(0.75, abs=1e-10)
@@ -92,10 +93,10 @@ class TestSense:
     def test_finite_difference_truncation_order(self):
         state = weighted_graph_state(np.pi)
         obs = pauli_observable("Z", "Y")
-        exact = sense(state, obs, SensingConfig(phi12=np.pi)).derivative_magnitude
+        exact = sense(state, obs, SensingConfig()).derivative_magnitude
 
         def fd_error(h):
-            res = sense(state, obs, SensingConfig(phi12=np.pi, h=h),
+            res = sense(state, obs, SensingConfig(h=h),
                         mode="finite_difference")
             return abs(res.derivative_magnitude - exact)
 
@@ -106,7 +107,7 @@ class TestSense:
     def test_vanishing_derivative_raises(self):
         with pytest.raises(DerivativeVanishesError):
             sense(weighted_graph_state(np.pi), pauli_observable("I", "I"),
-                  SensingConfig(phi12=np.pi))
+                  SensingConfig())
 
     def test_estimator_variance_identity(self):
         rng = np.random.default_rng(8)
@@ -117,7 +118,7 @@ class TestSense:
                                           rng.uniform(0, np.pi),
                                           rng.uniform(-np.pi, np.pi))
             try:
-                res = sense(weighted_graph_state(phi), obs, SensingConfig(phi12=phi))
+                res = sense(weighted_graph_state(phi), obs, SensingConfig())
             except DerivativeVanishesError:
                 continue
             assert res.estimator_variance == pytest.approx(
@@ -136,16 +137,51 @@ class TestSense:
                                           rng.uniform(-np.pi, np.pi))
             state = weighted_graph_state(phi)
             try:
-                exact = sense(state, obs, SensingConfig(phi12=phi)).derivative_magnitude
+                exact = sense(state, obs, SensingConfig()).derivative_magnitude
             except DerivativeVanishesError:
                 continue
-            fd_h = sense(state, obs, SensingConfig(phi12=phi, h=h),
+            fd_h = sense(state, obs, SensingConfig(h=h),
                          mode="finite_difference", derivative_floor=0.0)
-            fd_h2 = sense(state, obs, SensingConfig(phi12=phi, h=h / 2),
+            fd_h2 = sense(state, obs, SensingConfig(h=h / 2),
                           mode="finite_difference", derivative_floor=0.0)
             # signs agree near theta* = 0, so magnitudes extrapolate too
             richardson = (4 * fd_h2.derivative_magnitude - fd_h.derivative_magnitude) / 3
             assert richardson == pytest.approx(exact, abs=1e-6)
+
+
+    def test_mixed_states_match_direct_traces(self):
+        # Tr(A rho), Tr(i[H, A] rho) and Tr(A^2 rho) - <A>^2 on noisy states
+        rng = np.random.default_rng(30)
+        for _ in range(12):
+            phi, theta = rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)
+            rho = apply_noise(weighted_graph_state(phi),
+                              NoiseModel(rng.uniform(0, 0.5), rng.uniform(0, 1.0)))
+            obs = general_axis_observable(rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi),
+                                          rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi))
+            u = encoding_unitary(theta)
+            encoded = u @ rho.matrix @ u.conj().T
+            a = obs.matrix()
+            exp_val = np.trace(a @ encoded).real
+            slope = np.trace(1j * (metrology.GENERATOR @ a - a @ metrology.GENERATOR)
+                             @ encoded).real
+            res = sense(rho, obs, SensingConfig(theta_star=theta), derivative_floor=0.0)
+            assert res.expectation == pytest.approx(exp_val, abs=1e-12)
+            assert res.derivative_magnitude == pytest.approx(abs(slope), abs=1e-12)
+            assert res.single_shot_variance == pytest.approx(
+                np.trace(a @ a @ encoded).real - exp_val ** 2, abs=1e-12)
+
+
+class TestSensingConfig:
+    @pytest.mark.parametrize("kwargs", [{"h": np.nan}, {"h": np.inf}, {"h": 0.0},
+                                        {"h": -0.1}, {"theta_star": np.inf},
+                                        {"theta_star": -np.inf}, {"theta_star": np.nan}])
+    def test_non_finite_or_non_positive_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            SensingConfig(**kwargs)
+
+    def test_two_fields(self):
+        assert SensingConfig() == SensingConfig(theta_star=0.0, h=np.radians(5.0))
+        assert [f.name for f in fields(SensingConfig)] == ["theta_star", "h"]
 
 
 class TestPauliSearch:
@@ -165,7 +201,7 @@ class TestPauliSearch:
                 for a2 in "IXYZ":
                     try:
                         res = sense(state, pauli_observable(a1, a2),
-                                    SensingConfig(phi12=phi12))
+                                    SensingConfig())
                     except DerivativeVanishesError:
                         continue
                     assert res.estimator_variance >= bound - 1e-9
@@ -207,7 +243,7 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star, variance, slope", POWELL)
     def test_no_worse_than_powell(self, phi12, theta_star, variance, slope):
-        _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
         assert res.estimator_variance <= variance + 1e-7
         assert res.derivative_magnitude == pytest.approx(slope, abs=1e-5)
 
@@ -215,7 +251,7 @@ class TestGeneralAxisSearch:
         for phi in np.linspace(0.0, np.pi, 33):
             bound = 1.0 / qfi_closed_form(phi)
             for theta in (0.0, 0.7, -2.1):
-                cfg = SensingConfig(phi12=phi, theta_star=theta)
+                cfg = SensingConfig(theta_star=theta)
                 obs, res = general_axis_search(phi, cfg)
                 pauli = pauli_search(phi, cfg)[1].estimator_variance
                 assert bound - 1e-9 <= res.estimator_variance <= pauli + 1e-6
@@ -237,7 +273,7 @@ class TestGeneralAxisSearch:
         assert beta == 0.0 and -np.pi < alpha <= np.pi
 
     def test_deterministic(self):
-        cfg = SensingConfig(phi12=1.3, theta_star=0.4)
+        cfg = SensingConfig(theta_star=0.4)
         obs_a, res_a = general_axis_search(1.3, cfg)
         obs_b, res_b = general_axis_search(1.3, cfg)
         assert obs_a.axis_angles == obs_b.axis_angles
@@ -272,6 +308,7 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star", POLE_CRAWLS)
     def test_every_start_converges(self, monkeypatch, phi12, theta_star):
+        # the search makes one start, from the best grid pair
         runs = []
 
         def spy(fun, x):
@@ -280,14 +317,14 @@ class TestGeneralAxisSearch:
             return result
 
         monkeypatch.setattr(metrology, "sphere_newton", spy)
-        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
-        assert runs[0].shape == (4,) and runs[0].all()
+        general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        assert runs[0].shape == (1,) and runs[0].all()
 
     def test_no_worse_than_polar_angle_search(self):
         # every 4th case of the 452 pinned ones
         failures = []
         for phi12, theta_star, variance, slope in GENERAL_SEARCH_ESTIMATES[::4]:
-            _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+            _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
             if (res.estimator_variance > variance + 1e-9
                     or res.derivative_magnitude < slope - 1e-6):
                 failures.append((phi12, theta_star, res.estimator_variance,
@@ -308,7 +345,7 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star, slope, cap", NEAR_PI_PUSH)
     def test_near_pi_push_no_worse_than_slsqp(self, phi12, theta_star, slope, cap):
-        _, res = general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
+        _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
         assert res.derivative_magnitude >= slope - 1e-5
         assert res.estimator_variance <= cap + 1e-9
 
@@ -395,9 +432,9 @@ class TestSearchGradient:
         monkeypatch.setattr(metrology, "minimize", refuse)
         monkeypatch.setattr(metrology, "differential_evolution", refuse)
         monkeypatch.setattr(metrology, "sphere_newton", spy)
-        general_axis_search(phi12, SensingConfig(phi12=phi12, theta_star=theta_star))
-        # the first run from the four best grid pairs; every run gets Hessians
-        assert runs and runs[0][0].shape == (4,)
+        general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        # the first run from the best grid pair; every run gets Hessians
+        assert runs and runs[0][0].shape == (1,)
         assert all(hess.shape == (len(value), 6, 6) for value, _, hess in runs)
 
 

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wgstate.qmath import (DensityMatrix, NonPhysicalStateError, PureState2Q,
-                           I2, X, Y, Z, concurrence, expectation, fidelity,
-                           tensor, trace_distance)
+from wgstate.qmath import (PAULI_PRODUCTS, DensityMatrix, NonPhysicalStateError,
+                           PureState2Q, I2, X, Y, Z, concurrence, expectation, fidelity,
+                           pauli_correlations, tensor, trace_distance)
 from wgstate.stategen import weighted_graph_state
 
 
@@ -162,3 +162,25 @@ class TestConcurrenceMixedStates:
             rho = apply_noise(weighted_graph_state(np.pi), NoiseModel(p_dep, 0.0))
             expected = max(0.0, (3 * (1 - p_dep) - 1) / 2)
             assert concurrence(rho) == pytest.approx(expected, abs=1e-10)
+
+
+class TestPauliCorrelations:
+    def test_products_are_kronecker_products(self):
+        for i, p in enumerate((I2, X, Y, Z)):
+            for j, q in enumerate((I2, X, Y, Z)):
+                assert np.array_equal(PAULI_PRODUCTS[i, j], tensor(p, q))
+
+    def test_round_trip(self):
+        # rho = sum_ij T_ij sigma_i (x) sigma_j / 4, for pure and mixed states
+        rng = np.random.default_rng(31)
+        states = []
+        for rank in (1, 2, 4):
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        states.append(weighted_graph_state(2.2).density().matrix)
+        corr = pauli_correlations(np.array(states))
+        assert corr.shape == (4, 4, 4)
+        for rho, t in zip(states, corr):
+            assert t[0, 0] == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(np.einsum("ij,ijab->ab", t, PAULI_PRODUCTS) / 4, rho, atol=1e-12)
+            assert np.allclose(pauli_correlations(rho), t, atol=0)

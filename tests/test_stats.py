@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from wgstate import stats
 from wgstate.measurement import outcome_probabilities, pauli_observable
 from wgstate.stategen import weighted_graph_state
-from wgstate.stats import (REDRAW_CAP, BinnedCounts, BootstrapConfig,
+from wgstate.stats import (REDRAW_CAP, BinnedCounts, BootstrapConfig, CosineFitError,
                            DegenerateDataError, FitResult, _resampled_estimators,
                            bootstrap_expectation, bootstrap_sensing, cosine_fit,
                            visibility)
@@ -353,6 +353,15 @@ class TestCosineFit:
         xs = np.arange(10, dtype=float)
         fit = cosine_fit(xs, np.cos(xs))
         assert isinstance(fit, FitResult)
+
+    def test_nyquist_fit_without_a_fringe_raises(self):
+        # 8 Poisson steps over one period at contrast 0.31: the fit used to
+        # end at b = 3.14148, where the sine term all but vanishes on the
+        # samples, with a = -687
+        counts = np.random.default_rng(28).poisson(
+            25 * (1 + 0.31 * np.cos(2 * np.pi * np.arange(8) / 8)))
+        with pytest.raises(CosineFitError, match="Nyquist"):
+            cosine_fit(np.arange(8.0), counts / counts.max())
 
     @pytest.mark.parametrize("b", [0.5, 1.3, 3.13])
     def test_alias_is_canonical(self, monkeypatch, b):
