@@ -3,7 +3,11 @@
 
 :func:`sphere_newton` minimizes over products of unit spheres: the
 Cholesky parameters of tomography on one sphere in R^16, and the two
-Bloch vectors of the general-axis search on two spheres in R^3.
+Bloch vectors of the general-axis search on two spheres in R^3. Its
+Newton step factors the bordered tangent system P H P + (I - P)
+(:func:`bordered_hessian`) by Cholesky and solves it. Where a row of the
+batch is not positive definite there, the whole batch takes the step
+from the eigenvalues of P H P by magnitude instead.
 
 No ``wgstate`` code calls a scipy solver. The five bindings
 ``measurement.minimize``, ``tomography.minimize``, ``metrology.minimize``,
@@ -16,6 +20,7 @@ only when called, so no command loads it.
 
 from __future__ import annotations
 
+import functools
 import importlib
 
 import numpy as np
@@ -33,13 +38,50 @@ _DECREMENT_TOL = 1e-12
 _EIGEN_FLOOR = 1e-12
 
 
+@functools.cache
+def _normal_blocks(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """I and the block-diagonal mask of k spheres in R^d, built once."""
+    sphere = np.arange(k * d) // d
+    identity, blocks = np.eye(k * d), sphere[:, None] == sphere
+    identity.flags.writeable = blocks.flags.writeable = False
+    return identity, blocks
+
+
 def tangent_projector(x):
     """I - blockdiag(x_i x_i^T) at rows x (m, k, d) on k unit spheres: the
     projectors (m, k d, k d) onto their tangent spaces."""
     m, k, d = x.shape
     flat = x.reshape(m, k * d)
-    sphere = np.arange(k * d) // d
-    return np.eye(k * d) - flat[:, :, None] * flat[:, None, :] * (sphere[:, None] == sphere)
+    identity, blocks = _normal_blocks(k, d)
+    return identity - flat[:, :, None] * flat[:, None, :] * blocks
+
+
+def bordered_hessian(hess, proj):
+    """P H P + (I - P) over leading axes: the Hessian on the tangent spaces,
+    with the identity on the normal directions. It maps tangent vectors to
+    tangent vectors, and it is positive definite where P H P is on the
+    tangent spaces, so a solve with it is the tangent Newton step."""
+    return proj @ hess @ proj + np.eye(proj.shape[-1]) - proj
+
+
+def _cholesky_step(grad, hess, proj):
+    """-(P H P)^-1 g on the tangent spaces, from a solve with the bordered
+    system. Raises LinAlgError unless every row is positive definite: the
+    Cholesky factorization is that test, and the step comes from one
+    general solve, since numpy has no triangular solve to reuse the factor."""
+    bordered = bordered_hessian(hess, proj)
+    np.linalg.cholesky(bordered)
+    return -np.linalg.solve(bordered, grad[..., None])[..., 0]
+
+
+def _eigen_step(grad, hess, proj):
+    """-V |L|^-1 V^T g for P H P = V L V^T, with the eigenvalues L taken by
+    magnitude and floored at _EIGEN_FLOOR of the largest: a descent step
+    where P H P is indefinite or singular."""
+    lam, vecs = np.linalg.eigh(proj @ hess @ proj)
+    lam = np.abs(lam)
+    lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
+    return -np.einsum("mij,mj->mi", vecs, np.einsum("mji,mj->mi", vecs, grad) / lam)
 
 
 def sphere_newton(fun, x):
@@ -53,15 +95,17 @@ def sphere_newton(fun, x):
     search calls it without derivatives at points off the spheres, so it
     must read each block of a row at unit norm.
 
-    Each step solves in the tangent space with the eigenvalues of P H P
-    (P projects out the normal x_i of every sphere) taken by magnitude and
-    floored, backtracks to the Armijo condition and retracts onto the
-    spheres by normalizing each block (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, ch. 6). Every row
-    stops on its own Newton decrement. Returns the final rows (m, k, d),
-    which rows converged, and the final gradients of the rows that did
-    not: those whose line search stalled, or that reached the iteration
-    cap.
+    Each step solves P H P s = -g in the tangent space (P projects out the
+    normal x_i of every sphere): by a Cholesky factorization of the
+    bordered system P H P + (I - P) where every active row is positive
+    definite there, and otherwise, for the whole batch, with the
+    eigenvalues of P H P taken by magnitude and floored. It backtracks to
+    the Armijo condition and retracts onto the spheres by normalizing each
+    block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+    Manifolds, 2008, ch. 6). Every row stops on its own Newton decrement.
+    Returns the final rows (m, k, d), which rows converged, and the final
+    gradients of the rows that did not: those whose line search stalled,
+    or that reached the iteration cap.
     """
     x = np.array(x, dtype=float)
     m, k, d = x.shape
@@ -73,10 +117,10 @@ def sphere_newton(fun, x):
         flat = xa.reshape(len(active), k * d)
         f, grad, hess = fun(flat, active)
         proj = tangent_projector(xa)
-        lam, vecs = np.linalg.eigh(proj @ hess @ proj)
-        lam = np.abs(lam)
-        lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
-        step = -np.einsum("mij,mj->mi", vecs, np.einsum("mji,mj->mi", vecs, grad) / lam)
+        try:
+            step = _cholesky_step(grad, hess, proj)
+        except np.linalg.LinAlgError:
+            step = _eigen_step(grad, hess, proj)
         step -= (np.einsum("mkd,mkd->mk", step.reshape(xa.shape), xa)[..., None]
                  * xa).reshape(flat.shape)
         slope = np.einsum("mi,mi->m", grad, step)

@@ -351,8 +351,8 @@ def _cmd_tomo_reconstruct(args) -> int:
                                "stdev": report.fidelity_stdev},
         "concurrence": {"mean": report.concurrence,
                         "stdev": report.concurrence_stdev},
-        "point_fidelity": fidelity(report.rho, target),
-        "point_concurrence": concurrence(report.rho),
+        "point_fidelity": report.point_fidelity,
+        "point_concurrence": report.point_concurrence,
     }
     _write_json(args.out, payload)
     _write_manifest(args, [args.out])

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._optimize import LazyOptimizer
 from .optics import WaveplateKind, waveplate_jones_lab, wrap_interval
-from .qmath import (KET_H, PAULI_PRODUCTS, POLARIZATION_KETS, as_density,
+from .qmath import (PAULI_PRODUCTS, POLARIZATION_KETS, as_density,
                     pauli_correlations, tensor)
 
 minimize = LazyOptimizer("minimize")
@@ -176,9 +176,6 @@ class TomographySetting:
     h2: float
     q2: float
 
-    def projector_state(self) -> np.ndarray:
-        return tensor(self.kets[0], self.kets[1])
-
 
 # the standard 16-setting two-photon projection plan with lab waveplate
 # angles (degrees); the analyzer chain is PBS( HWP( QWP( . ) ) )
@@ -226,20 +223,13 @@ def setting_outcome_kets(setting: TomographySetting) -> dict:
     return kets
 
 
-def analyzer_overlap(hwp_deg: float, qwp_deg: float, ket) -> float:
-    """Transmission probability of ``ket`` through QWP, HWP then PBS(H).
-
-    Angles are lab-frame degrees; the photon traverses the QWP first.
-    """
-    op = (waveplate_jones_lab(WaveplateKind.HWP, np.radians(hwp_deg))
-          @ waveplate_jones_lab(WaveplateKind.QWP, np.radians(qwp_deg)))
-    return float(abs(np.vdot(KET_H, op @ np.asarray(ket, dtype=complex))) ** 2)
-
-
-def _overlap_grid(h_deg, q_deg, ket) -> np.ndarray:
-    """Vectorized |<H| HWP(h) QWP(q) |ket>|^2 over broadcastable lab angles."""
-    h = np.radians(np.asarray(h_deg, float))
-    q = np.radians(np.asarray(q_deg, float))
+def analyzer_overlap(hwp_deg, qwp_deg, ket) -> np.ndarray:
+    """Transmission probability |<H| HWP(h) QWP(q) |ket>|^2 of ``ket``
+    through QWP, HWP then PBS(H), over broadcastable lab angles in degrees;
+    the photon traverses the QWP first."""
+    ket = np.asarray(ket, dtype=complex)
+    h = np.radians(np.asarray(hwp_deg, float))
+    q = np.radians(np.asarray(qwp_deg, float))
     sq, cq = np.sin(q), np.cos(q)
     # QWP(q) |ket> expressed through the internal-frame matrix at pi/2 - q
     a = (sq**2 + 1j * cq**2) * ket[0] + sq * cq * (1 - 1j) * ket[1]
@@ -283,7 +273,7 @@ def solve_projector_waveplates(beta: float, alpha: float, outcome: str,
         chi, _ = _ellipse_azimuth_deg(
             waveplate_jones_lab(WaveplateKind.QWP, np.radians(q)) @ ket)
         for h in map(_wrap_plate_deg, (90.0 - chi / 2, 180.0 - chi / 2)):
-            residual = 1.0 - float(_overlap_grid(h, q, ket))
+            residual = 1.0 - float(analyzer_overlap(h, q, ket))
             if residual <= residual_tol:
                 solutions.append((h, q, max(0.0, residual)))
     if not solutions:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import LazyOptimizer, sphere_newton, tangent_projector
+from ._optimize import LazyOptimizer, bordered_hessian, sphere_newton, tangent_projector
 from .measurement import Observable, general_axis_observable, pauli_observable
 from .optics import canonical_phase, rotation_gate
 from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
@@ -314,9 +314,7 @@ def _push_slope(blocks, x, cap):
         if high - low <= _BRACKET_TOL:
             return best
         weight = np.exp(log_w)
-        proj = tangent_projector(x)[0]
-        # P H P, with the identity on the normal directions to solve it
-        hess = proj @ _scalarized(blocks, weight)(x)[2][0] @ proj + np.eye(6) - proj
+        hess = bordered_hessian(_scalarized(blocks, weight)(x)[2][0], tangent_projector(x)[0])
         dv = weight * v_g @ np.linalg.solve(hess, s_g) / s ** 2
         step = log_w - gap / dv if dv > 0 else np.nan
         if np.isinf(high):

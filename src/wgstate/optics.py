@@ -65,11 +65,6 @@ class WaveplateTriple:
                 @ waveplate_jones(WaveplateKind.HWP, self.tau)
                 @ waveplate_jones(WaveplateKind.QWP, self.eta2))
 
-    def to_lab(self) -> tuple[float, float, float]:
-        """The three angles converted to the lab convention."""
-        return (to_lab_angle(self.eta1), to_lab_angle(self.tau),
-                to_lab_angle(self.eta2))
-
 
 def wrap_interval(value: float, low: float, high: float, *,
                   closed: str = "high") -> float:

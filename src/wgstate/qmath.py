@@ -20,7 +20,6 @@ import numpy as np
 HERMITICITY_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-NORM_ATOL = 1e-12
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,32 +129,49 @@ def is_unitary(op, atol: float = HERMITICITY_ATOL) -> bool:
     return bool(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= atol)
 
 
-def fidelity(rho, target: PureState2Q) -> float:
-    """Overlap <target|rho|target> (Uhlmann fidelity for a pure target)."""
-    m = as_density(rho)
+def _states(rho) -> np.ndarray:
+    """The matrix of one state (``as_density``), or a stack (..., 4, 4) of
+    density matrices with more than two axes, taken as given."""
+    if isinstance(rho, np.ndarray) and rho.ndim > 2 and rho.shape[-2:] == (4, 4):
+        return rho
+    return as_density(rho)
+
+
+def _scalar_or_stack(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def fidelity(rho, target: PureState2Q):
+    """Overlap <target|rho|target> (Uhlmann fidelity for a pure target),
+    clipped to [0, 1]: a float for one state, an array for a stack
+    (..., 4, 4) of density matrices."""
+    m = _states(rho)
     psi = target.amplitudes if isinstance(target, PureState2Q) else np.asarray(target, dtype=complex)
-    val = np.real(psi.conj() @ m @ psi)
-    return float(np.clip(val, 0.0, 1.0))
+    return _scalar_or_stack(np.clip(np.real(psi.conj() @ m @ psi), 0.0, 1.0))
 
 
-def concurrence(rho) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+_YY = np.kron(Y, Y)
+
+
+def concurrence(rho):
+    """Wootters concurrence of a two-qubit density matrix: a float for one
+    state, an array for a stack (..., 4, 4) of density matrices.
 
     The spin-flip spectrum values l1 >= l2 >= l3 >= l4 entering
     C = max(0, l1 - l2 - l3 - l4) are computed as the singular values
     of B^T (Y (x) Y) B with rho = B B^dag, which avoids squaring the
-    matrix and stays accurate at the rank boundary. Eigenvalues of rho
-    below numerical noise are treated as exact zeros, and a value that
-    rounding carries above 1 is reported as 1.
+    matrix and stays accurate at the rank boundary. Eigenvalues of each
+    matrix below 1e-14 of max(1, its largest) are treated as exact
+    zeros, and a value that rounding carries above 1 is reported as 1.
     """
-    m = as_density(rho)
+    m = _states(rho)
     vals, vecs = np.linalg.eigh(m)
     vals = np.clip(vals, 0.0, None)
-    vals[vals < 1e-14 * max(1.0, vals[-1])] = 0.0
-    b = vecs * np.sqrt(vals)
-    yy = tensor(Y, Y)
-    lams = np.linalg.svd(b.T @ yy @ b, compute_uv=False)
-    return float(min(1.0, max(0.0, lams[0] - lams[1] - lams[2] - lams[3])))
+    vals[vals < 1e-14 * np.maximum(1.0, vals[..., -1:])] = 0.0
+    b = vecs * np.sqrt(vals)[..., None, :]
+    lams = np.linalg.svd(np.swapaxes(b, -1, -2) @ _YY @ b, compute_uv=False)
+    spread = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    return _scalar_or_stack(np.clip(spread, 0.0, 1.0))
 
 
 def expectation(obs, state) -> float:

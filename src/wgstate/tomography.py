@@ -7,7 +7,8 @@ fits a Cholesky-parameterized density matrix rho(T) = T^dag T /
 Tr(T^dag T), which is physical by construction, to a Gaussian (default)
 or exact Poisson likelihood. A damped Newton solver on the exact Hessian
 fits a whole stack of datasets at once, so a Monte Carlo report fits the
-observed counts and every resample in one solve. The photon-flux
+observed counts and every resample in one solve, and reads their
+fidelities and concurrences from one stacked call each. The photon-flux
 normalization is estimated from the four rectilinear-basis settings,
 whose outcomes partition unity.
 """
@@ -60,12 +61,17 @@ class TomographyDataset:
 
 @dataclass(frozen=True, eq=False)
 class ReconstructionReport:
+    """The point estimate ``rho`` and its figures, and the mean and the
+    standard deviation of each figure over the Monte Carlo samples."""
+
     rho: DensityMatrix
     fidelity_to_target: float
     fidelity_stdev: float
     concurrence: float
     concurrence_stdev: float
     mc_samples: int
+    point_fidelity: float
+    point_concurrence: float
 
 
 def _outcome_ket_stack() -> np.ndarray:
@@ -223,9 +229,12 @@ class _Likelihood:
         if (self.flux <= 0).any():
             raise DegenerateDataError("rectilinear settings recorded no counts")
         if outcomes == "all":
-            observed, self.q = counts.reshape(len(counts), 64), _Q_ALL
+            observed, q = counts.reshape(len(counts), 64), _Q_ALL
         else:
-            observed, self.q = counts[:, :, 0], _Q_TRANSMITTED
+            observed, q = counts[:, :, 0], _Q_TRANSMITTED
+        # Q_k stacked for t -> (Q_k t)_k, and flattened for sum_k w_k Q_k
+        self.q_columns = q.reshape(-1, 16).T
+        self.q_rows = q.reshape(len(q), 256)
         self.ratios = observed / self.flux[:, None]
         self.observed = self.ratios > 0
 
@@ -233,8 +242,9 @@ class _Likelihood:
         """f at parameter rows t of the datasets ``rows``; with
         ``derivatives``, (f, gradient, Hessian)."""
         flux, ratios, observed = self.flux[rows], self.ratios[rows], self.observed[rows]
+        m = len(t)
         s = np.einsum("mi,mi->m", t, t)
-        qt = (t @ self.q.reshape(-1, 16).T).reshape(len(t), -1, 16)   # Q_k t
+        qt = (t @ self.q_columns).reshape(m, -1, 16)   # Q_k t
         p = np.einsum("mki,mi->mk", qt, t) / s[:, None]
         # an outcome without counts takes any positive stand-in, and its
         # term is linear in p with the slope phi'(., 0)
@@ -243,15 +253,19 @@ class _Likelihood:
         f = flux * np.where(observed, value, d1 * p).sum(axis=1)
         if not derivatives:
             return f
-        w1 = np.where(clamped, 0.0, flux[:, None] * d1)
-        w2 = np.where(clamped, 0.0, flux[:, None] * d2)
-        dp = 2 * (qt - p[..., None] * t[:, None, :]) / s[:, None, None]
-        grad = np.einsum("mk,mki->mi", w1, dp)
-        b = (w1 @ self.q.reshape(len(self.q), -1)).reshape(-1, 16, 16)   # sum_k w1_k Q_k
-        b -= np.einsum("mk,mk->m", w1, p)[:, None, None] * np.eye(16)
+        # with u_k = Q_k t - p_k t, grad p_k = 2 u_k / s: the weights take
+        # the factors 2/s and 4/s^2 of the gradient and of the Gauss-Newton
+        # term, and a clamped outcome weighs nothing
+        keep = np.where(clamped, 0.0, (2 * flux / s)[:, None])
+        w1, w2 = keep * d1, keep * (2 / s)[:, None] * d2
+        u = qt - p[..., None] * t[:, None, :]
+        grad = np.einsum("mk,mki->mi", w1, u)
+        # sum_k w1_k (Q_k - p_k I), the p_k I terms taken off a view of the diagonal
+        b = (w1 @ self.q_rows).reshape(m, 16, 16)
+        np.einsum("mii->mi", b)[...] -= np.einsum("mk,mk->m", w1, p)[:, None]
         gt = grad[:, :, None] * t[:, None, :]
-        hess = (np.swapaxes(dp * w2[..., None], 1, 2) @ dp
-                + 2 * (b - gt - np.swapaxes(gt, 1, 2)) / s[:, None, None])
+        hess = (np.swapaxes(u * w2[..., None], 1, 2) @ u
+                + b - 2 * (gt + np.swapaxes(gt, 1, 2)) / s[:, None, None])
         return f, grad, hess
 
 
@@ -312,11 +326,12 @@ def monte_carlo_report(data: TomographyDataset, target: PureState2Q,
     Each of the ``n`` samples redraws every recorded count from a
     Poisson law with the observed value as mean (sample streams are
     SeedSequence(seed) children in order). The observed counts and all
-    samples are fitted together, each as in :func:`mle_reconstruct`; the
-    report carries the point estimate and the mean and standard
-    deviation of fidelity-to-target and concurrence over the samples. A
-    sample whose rectilinear settings drew no counts raises
-    DegenerateDataError naming it.
+    samples are fitted together, each as in :func:`mle_reconstruct`, and
+    the fidelity-to-target and the concurrence of all n + 1 fits come
+    from one stacked call each. The report carries the point estimate
+    with its two figures, and the mean and standard deviation of each
+    figure over the samples. A sample whose rectilinear settings drew no
+    counts raises DegenerateDataError naming it.
     """
     if n < 2:
         raise ValueError("need at least two Monte Carlo samples")
@@ -336,15 +351,16 @@ def monte_carlo_report(data: TomographyDataset, target: PureState2Q,
             f"recorded no counts (the data's rectilinear settings recorded "
             f"{counts[_RECTILINEAR_ROWS].sum()})")
     rhos = _rho_from_params(_fit(stack, likelihood, outcomes))
-    fids = [fidelity(rho, target) for rho in rhos[1:]]
-    concs = [concurrence(rho) for rho in rhos[1:]]
+    fids, concs = fidelity(rhos, target), concurrence(rhos)
     return ReconstructionReport(
         rho=DensityMatrix(rhos[0]),
-        fidelity_to_target=float(np.mean(fids)),
-        fidelity_stdev=float(np.std(fids, ddof=1)),
-        concurrence=float(np.mean(concs)),
-        concurrence_stdev=float(np.std(concs, ddof=1)),
+        fidelity_to_target=float(np.mean(fids[1:])),
+        fidelity_stdev=float(np.std(fids[1:], ddof=1)),
+        concurrence=float(np.mean(concs[1:])),
+        concurrence_stdev=float(np.std(concs[1:], ddof=1)),
         mc_samples=n,
+        point_fidelity=float(fids[0]),
+        point_concurrence=float(concs[0]),
     )
 
 

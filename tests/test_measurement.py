@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wgstate.measurement import (_overlap_grid, analyzer_overlap, axis_state,
+from wgstate.measurement import (analyzer_overlap, axis_state,
                                  checked_counts, checked_durations,
                                  general_axis_observable, outcome_probabilities,
                                  pauli_observable, simulate_counts,
@@ -315,7 +315,7 @@ class TestWaveplateSolver:
                      if f0 * f1 < 0]
         h_grid = np.arange(-359, 361) * 0.25
         for exact_q in exact_qs:
-            near = 1.0 - _overlap_grid(h_grid, exact_q, ket) <= 1e-4
+            near = 1.0 - analyzer_overlap(h_grid, exact_q, ket) <= 1e-4
             assert near.any()
             assert np.abs(h_grid[near]).min() + abs(exact_q) >= abs(h) + abs(q) - 0.3
 
@@ -336,14 +336,19 @@ class TestWrapPlateDeg:
 
 class TestInternalConsistency:
     def test_vectorized_overlap_matches_matrix_path(self):
-        from wgstate.measurement import _overlap_grid
+        # oracle: the Jones product of the plates, read at the PBS's H port
         rng = np.random.default_rng(14)
         for _ in range(25):
             ket = rng.normal(size=2) + 1j * rng.normal(size=2)
             ket = ket / np.linalg.norm(ket)
-            h, q = rng.uniform(-90, 90, 2)
-            assert float(_overlap_grid(h, q, ket)) == pytest.approx(
-                analyzer_overlap(h, q, ket), abs=1e-12)
+            h, q = rng.uniform(-90, 90, (2, 4))
+            jones = [abs((waveplate_jones_lab(WaveplateKind.HWP, np.radians(hi))
+                          @ waveplate_jones_lab(WaveplateKind.QWP, np.radians(qj)) @ ket)[0]) ** 2
+                     for hi in h for qj in q]
+            grid = analyzer_overlap(h[:, None], q[None, :], ket)
+            assert grid.shape == (4, 4)
+            assert np.allclose(grid.ravel(), jones, rtol=0, atol=1e-12)
+            assert float(analyzer_overlap(h[0], q[0], ket)) == pytest.approx(jones[0], abs=1e-12)
 
     @staticmethod
     def ket_projectors(obs):

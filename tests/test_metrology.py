@@ -206,6 +206,22 @@ class TestPauliSearch:
                         continue
                     assert res.estimator_variance >= bound - 1e-9
 
+    @pytest.mark.parametrize("gap, labels, variance", [(1e-7, ("X", "X"), 0.64 + 1e-7),
+                                                       (1e-5, ("Z", "Y"), 0.64)])
+    def test_tie_tolerance_reranks_near_minima(self, monkeypatch, gap, labels, variance):
+        # Z(x)Y: <A> = 0.6 and slope 1, so variance 0.64; X(x)X: a larger slope
+        # 1.1 at a variance gap above it. Within TIE_TOLERANCE the larger
+        # slope wins; beyond it the lower variance does. Every other product
+        # has a vanishing slope.
+        assert 1e-7 < metrology.TIE_TOLERANCE < 1e-5
+        table = np.zeros((2, 4, 4))
+        table[:, 3, 2] = 0.6, 1.0
+        table[:, 1, 1] = np.sqrt(1 - (0.64 + gap) * 1.21), 1.1
+        monkeypatch.setattr(metrology, "_correlations", lambda state, theta: table)
+        obs, res = pauli_search(1.0)
+        assert obs.pauli_labels == labels
+        assert res.estimator_variance == pytest.approx(variance, abs=1e-12)
+
 
 class TestGeneralAxisSearch:
     def test_maximal_weight_reaches_heisenberg_limit(self):

@@ -1,5 +1,6 @@
-"""The lazy scipy.optimize bindings: no command loads scipy.optimize, and
-every binding stays a patchable module global."""
+"""The Newton step of ``sphere_newton``, and the lazy scipy.optimize
+bindings: no command loads scipy.optimize, and every binding stays a
+patchable module global."""
 
 import importlib
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
+
+from wgstate import _optimize
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -94,3 +97,69 @@ def test_no_command_loads_scipy_optimize(tmp_path, last):
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert dict(zip(map(" ".join, commands), loaded)) == {
         " ".join(argv): False for argv in commands}
+
+
+def random_sphere_rows(rng, m, k, d):
+    x = rng.normal(size=(m, k, d))
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def tangent(proj, v):
+    return np.einsum("mij,mj->mi", proj, v)
+
+
+@pytest.mark.parametrize("k, d", [(1, 16), (2, 3)])
+def test_cholesky_step_equals_eigenvalue_step(k, d):
+    # P H P is positive definite on the tangent spaces where H >= I
+    rng = np.random.default_rng(5 + k)
+    x = random_sphere_rows(rng, 7, k, d)
+    proj = _optimize.tangent_projector(x)
+    a = rng.normal(size=(7, k * d, k * d))
+    hess = a @ np.swapaxes(a, 1, 2) + np.eye(k * d)
+    grad = tangent(proj, rng.normal(size=(7, k * d)))
+    cholesky = _optimize._cholesky_step(grad, hess, proj)
+    eigen = _optimize._eigen_step(grad, hess, proj)
+    # sphere_newton projects each step onto the tangent spaces
+    assert np.abs(tangent(proj, cholesky) - tangent(proj, eigen)).max() <= 1e-12
+    assert np.abs(cholesky - tangent(proj, cholesky)).max() <= 1e-12
+
+
+# f(x) = x^T A x / x^T x on the unit sphere in R^4: its minimum is 1, at +-e1,
+# and near e4 its tangent Hessian 2 P (A - f I) P is negative definite
+RAYLEIGH = np.diag([1.0, 2.0, 3.0, 4.0])
+
+
+def rayleigh(rows, index, derivatives=True):
+    s = np.einsum("mi,mi->m", rows, rows)
+    ax = rows @ RAYLEIGH
+    f = np.einsum("mi,mi->m", ax, rows) / s
+    if not derivatives:
+        return f
+    grad = 2 * (ax - f[:, None] * rows) / np.sqrt(s)[:, None]
+    return f, grad, 2 * (RAYLEIGH - f[:, None, None] * np.eye(4))
+
+
+def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch):
+    starts = np.array([[1.0, 0.2, 0.1, 0.3],     # near the minimum
+                       [0.05, 0.1, 0.2, 1.0],    # near the maximum
+                       [0.3, 1.0, 0.2, 0.1]])    # near a saddle
+    starts = (starts / np.linalg.norm(starts, axis=1, keepdims=True))[:, None]
+    proj = _optimize.tangent_projector(starts)
+    _f, grad, hess = rayleigh(starts[:, 0], np.arange(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        _optimize._cholesky_step(grad, hess, proj)
+    fallbacks = []
+    eigen_step = _optimize._eigen_step
+
+    def counting(*args):
+        fallbacks.append(len(args[0]))
+        return eigen_step(*args)
+
+    monkeypatch.setattr(_optimize, "_eigen_step", counting)
+    x, converged, _ = _optimize.sphere_newton(rayleigh, starts)
+    assert fallbacks and converged.all()
+    for row, start in zip(x, starts):
+        alone, (done,), _ = _optimize.sphere_newton(rayleigh, start[None])
+        assert done
+        assert np.abs(row - alone[0]).max() <= 1e-10
+        assert rayleigh(row, None, derivatives=False)[0] == pytest.approx(1.0, abs=1e-14)

@@ -184,3 +184,38 @@ class TestPauliCorrelations:
             assert t[0, 0] == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(np.einsum("ij,ijab->ab", t, PAULI_PRODUCTS) / 4, rho, atol=1e-12)
             assert np.allclose(pauli_correlations(rho), t, atol=0)
+
+
+class TestStackedFigures:
+    """fidelity and concurrence over a stack (..., 4, 4) equal the calls on
+    each matrix alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           ranks=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+           phi=st.floats(0.0, 2 * np.pi))
+    @example(seed=0, ranks=[1, 2], phi=np.pi)
+    def test_stack_matches_each_matrix_alone(self, seed, ranks, phi):
+        rng = np.random.default_rng(seed)
+        states = []
+        for rank in ranks:
+            g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+            states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        # a rank-1 state on the target itself, whose fidelity rounds near 1
+        target = weighted_graph_state(phi)
+        states.append(target.density().matrix)
+        stack = np.array(states)
+        fids, concs = fidelity(stack, target), concurrence(stack)
+        assert fids.shape == concs.shape == (len(states),)
+        for rho, f, c in zip(states, fids, concs):
+            assert abs(f - fidelity(DensityMatrix(rho), target)) <= 1e-15
+            assert abs(c - concurrence(DensityMatrix(rho))) <= 1e-15
+        # more than one leading axis
+        pairs = np.stack([stack, stack[::-1]], axis=1)
+        assert np.abs(fidelity(pairs, target)[:, 0] - fids).max() <= 1e-15
+        assert np.abs(concurrence(pairs)[:, 1] - concs[::-1]).max() <= 1e-15
+
+    def test_one_state_gives_a_float(self):
+        rho = bell_phi_plus().density()
+        assert type(fidelity(rho, bell_phi_plus())) is float
+        assert type(concurrence(rho)) is float

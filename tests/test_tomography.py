@@ -286,7 +286,10 @@ class TestMonteCarloReport:
             rho = mle_reconstruct(TomographyDataset(counts), likelihood=likelihood)
             fids.append(fidelity(rho, target))
             concs.append(concurrence(rho))
-        assert trace_distance(report.rho, mle_reconstruct(data, likelihood=likelihood)) <= 1e-10
+        point = mle_reconstruct(data, likelihood=likelihood)
+        assert trace_distance(report.rho, point) <= 1e-10
+        assert report.point_fidelity == pytest.approx(fidelity(point, target), abs=1e-10)
+        assert report.point_concurrence == pytest.approx(concurrence(point), abs=1e-10)
         assert report.fidelity_to_target == pytest.approx(np.mean(fids), abs=1e-10)
         assert report.fidelity_stdev == pytest.approx(np.std(fids, ddof=1), abs=1e-10)
         assert report.concurrence == pytest.approx(np.mean(concs), abs=1e-10)
