@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
-negative rates and durations, more than 2**53 expected counts, files
-that cannot be read or written, and sizes too large to allocate),
-3 degenerate data (empty counts, vanishing post-selection), 4 numerical
-failures (optimizers, fits, a fringe fit that dips below zero counts).
+negative rates and durations, more than 2**53 expected counts per bin,
+2**53 or more pooled over a sensing run's bins, files that cannot be
+read or written, and sizes too large to allocate), 3 degenerate data
+(empty counts, vanishing post-selection), 4 numerical failures
+(optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -537,6 +538,11 @@ def main(argv=None) -> int:
     if expected > _MAX_EXPECTED_COUNTS:
         parser.error(f"--rate * --duration must be at most 2**53 expected counts, "
                      f"got {expected:g}")
+    # the bootstrap pools all bins of a setting; its sums are exact below 2**53
+    pooled = expected * getattr(args, "bins", 0)
+    if pooled >= _MAX_EXPECTED_COUNTS:
+        parser.error(f"--rate * --duration * --bins must stay below 2**53 pooled "
+                     f"counts, got {pooled:g}")
     try:
         return args.func(args)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:

@@ -13,6 +13,12 @@ derives the expectation, the single-shot variance 1 - E^2, the slope and
 the estimator variance from those same replicates, so replicate b of
 every statistic comes from one draw of the data (Efron & Tibshirani,
 An Introduction to the Bootstrap, 1993).
+
+Replicates are drawn and pooled in chunks of _CHUNK_ENTRIES bin indices
+(rows x bins), in float64: every temporary stays below glibc's 128 KiB
+mmap threshold, and sums of integers below 2**53 are exact, so L times
+the largest bin total must stay below 2**53. The draws come in the order
+of one (mu, L) draw, with redraws of all-empty replicates after them.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ from .optics import canonical_phase
 least_squares = LazyOptimizer("least_squares")
 
 REDRAW_CAP = 100
+# drawn bin indices (rows x bins) per resampling chunk: each chunk's int64
+# and float64 temporaries take 96 KiB, below glibc's 128 KiB mmap threshold
+_CHUNK_ENTRIES = 12288
+# pooled counts below this are exact in float64
+_EXACT_LIMIT = 2 ** 53
 
 
 class DegenerateDataError(ValueError):
@@ -107,39 +118,54 @@ def _weight_vector(weights) -> np.ndarray:
     return w
 
 
-def _pooled(idx: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Pooled counts of each row of drawn bin indices: ``counts[idx].sum(axis=1)``.
-
-    Each row's draws become bin multiplicities, so the pooling is one
-    (rows, L) @ (L, 4) product. The sums are int64 and therefore exact, so
-    the result does not depend on the summation order.
-    """
-    rows = idx.shape[0]
-    n_bins = counts.shape[0]
-    flat = (idx + n_bins * np.arange(rows)[:, None]).ravel()
-    mult = np.bincount(flat, minlength=rows * n_bins).reshape(rows, n_bins)
-    return mult @ counts
-
-
 def _resampled_estimators(counts: np.ndarray, w: np.ndarray,
                           mu: int, rng) -> np.ndarray:
     """mu replicates of the pooled weighted-count estimator.
 
-    Replicates whose resampled total is zero are redrawn, up to
-    REDRAW_CAP passes; persistent zero totals raise DegenerateDataError.
+    The (mu, 4) pooled counts and the (mu,) totals are allocated first,
+    then filled in chunks of _CHUNK_ENTRIES drawn bin indices (rows x
+    bins; one row per chunk when L is larger): each chunk's draws become
+    float64 bin multiplicities (one ``bincount``), pooled by one
+    (rows, L) @ (L, 4) product and one (rows, L) @ (L,) product for the
+    totals. Up to 12,288 bins no temporary reaches glibc's 128 KiB mmap
+    threshold, so no call maps fresh pages. The sums are integers below
+    2**53, which float64 holds exactly whatever the summation order; L
+    times the largest bin total reaching 2**53 raises ValueError. A
+    bounded ``Generator.integers`` gives the same stream drawn at once
+    or in pieces, so the replicates equal those of one (mu, L) draw.
+    Replicates whose resampled total is zero are redrawn after all
+    primary draws, up to REDRAW_CAP passes; persistent zero totals raise
+    DegenerateDataError.
     """
     n_bins = counts.shape[0]
-    idx = rng.integers(0, n_bins, size=(mu, n_bins))
-    totals = _pooled(idx, counts)
-    nu = totals.sum(axis=1)
+    counts = counts.astype(float)
+    bin_totals = counts.sum(axis=1)
+    if n_bins * bin_totals.max() >= _EXACT_LIMIT:
+        raise ValueError(f"{n_bins} bins of up to {bin_totals.max():.6g} counts pool "
+                         f"to 2**53 or more, past exact float64 sums")
+    totals = np.empty((mu, 4))
+    nu = np.empty(mu)
+    rows = max(1, _CHUNK_ENTRIES // n_bins)
+    offsets = n_bins * np.arange(rows)[:, None]
+
+    def pool(totals, nu):
+        for start in range(0, len(nu), rows):
+            stop = min(start + rows, len(nu))
+            idx = rng.integers(0, n_bins, size=(stop - start, n_bins))
+            idx += offsets[:stop - start]
+            mult = np.bincount(idx.ravel(), minlength=idx.size)
+            mult = mult.reshape(idx.shape).astype(float)
+            np.matmul(mult, counts, out=totals[start:stop])
+            np.matmul(mult, bin_totals, out=nu[start:stop])
+
+    pool(totals, nu)
     redraws = 0
-    while (nu == 0).any():
+    while (bad := np.flatnonzero(nu == 0)).size:
         if redraws >= REDRAW_CAP:
             raise DegenerateDataError("resampled totals stayed zero after redraw cap")
-        bad = nu == 0
-        redraw = rng.integers(0, n_bins, size=(int(bad.sum()), n_bins))
-        totals[bad] = _pooled(redraw, counts)
-        nu = totals.sum(axis=1)
+        redrawn, redrawn_nu = np.empty((bad.size, 4)), np.empty(bad.size)
+        pool(redrawn, redrawn_nu)
+        totals[bad], nu[bad] = redrawn, redrawn_nu
         redraws += 1
     return (totals @ w) / nu
 

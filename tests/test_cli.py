@@ -396,6 +396,20 @@ class TestBadInputs:
         assert "--rate * --duration must be at most 2**53 expected counts" in line
         assert not list(tmp_path.iterdir())
 
+    def test_pooled_counts_past_two_to_the_53_exit_two(self, tmp_path, monkeypatch,
+                                                       capsys):
+        # 9e15 expected counts per bin pass the per-bin bound, but 2000 bins
+        # pool to 1.8e19, past exact float64 sums and int64 alike
+        monkeypatch.chdir(tmp_path)
+        code, line = usage_error(["sense", "--phi12", "1", "--observable", "ZY",
+                                  "--rate", "9e15", "--duration", "1", "--bins", "2000",
+                                  "--replicates", "100", "--out", "s",
+                                  "--no-timestamp"], capsys)
+        assert code == 2
+        assert ("--rate * --duration * --bins must stay below 2**53 pooled counts, "
+                "got 1.8e+19") in line
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("contrast", ["2", "-0.1"])
     def test_fringe_contrast_outside_unit_interval_exits_two(
             self, tmp_path, monkeypatch, capsys, contrast):
@@ -556,6 +570,40 @@ class TestBadInputs:
         assert rc == 2
         assert err.startswith("error: input too large: Unable to allocate 466. TiB")
         assert not (tmp_path / "r.json").exists()
+
+
+    def test_oversized_replicates_exit_two_at_once(self, tmp_path, monkeypatch, capsys):
+        # each setting's (replicates, 4) pooled counts are allocated before
+        # any bin index is drawn, so --replicates 10**12 reaches numpy's
+        # MemoryError at once; the stand-ins raise it for that shape and
+        # refuse any index draw
+        real_empty, real_rng = np.empty, np.random.default_rng
+
+        def oversized_empty(shape, dtype=float):
+            if shape == (10 ** 12, 4):
+                raise MemoryError("Unable to allocate 29.1 TiB for an array with shape "
+                                  "(1000000000000, 4) and data type float64")
+            return real_empty(shape, dtype)
+
+        class NoIndexDraw:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def poisson(self, *args, **kwargs):
+                return self._rng.poisson(*args, **kwargs)
+
+            def integers(self, *args, **kwargs):
+                raise AssertionError("bin indices drawn before the pooled counts")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("wgstate.stats.np.empty", oversized_empty)
+        monkeypatch.setattr("wgstate.stats.np.random.default_rng", NoIndexDraw)
+        rc, err = command_error(["sense", "--phi12", "1", "--observable", "ZY",
+                                 "--replicates", "1000000000000", "--out", "s",
+                                 "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err.startswith("error: input too large: Unable to allocate 29.1 TiB")
+        assert not list(tmp_path.iterdir())
 
 
 class TestObservableSpecParsing:

@@ -4,15 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wgstate import metrology
 from wgstate._optimize import sphere_newton
-from wgstate.measurement import general_axis_observable, pauli_observable
+from wgstate.measurement import (general_axis_observable, outcome_probabilities,
+                                 pauli_observable)
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
                                SensingConfig, _axis_angles, encoding_unitary,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
-from wgstate.qmath import PAULIS, PureState2Q, tensor
+from wgstate.qmath import PAULIS, PureState2Q, as_density, tensor
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 
 # (phi12, theta_star, estimator variance, slope) of the general-axis search
@@ -460,3 +463,82 @@ def test_limits():
     assert hl == 0.25
     assert hl == pytest.approx(1.0 / qfi_closed_form(np.pi), abs=1e-12)
 
+
+
+# ------------------------------------------------- Cramer-Rao chain oracle
+
+_ANGLE = st.floats(-np.pi, np.pi)
+_PAULI_PAIRS = [(a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I")]
+_FD_STEP = 1e-5
+# finite-difference and round-off slack of the classical Fisher information
+_CHAIN_RTOL = 1e-6
+
+
+@st.composite
+def _observables(draw):
+    if draw(st.booleans()):
+        return pauli_observable(*draw(st.sampled_from(_PAULI_PAIRS)))
+    return general_axis_observable(*(draw(_ANGLE) for _ in range(4)))
+
+
+@st.composite
+def _pure_states(draw):
+    """(state, F_Q): a weighted graph state with the closed-form QFI, or
+    an arbitrary pure state with 4 Var(H)."""
+    if draw(st.booleans()):
+        phi = draw(st.floats(0, 2 * np.pi))
+        return weighted_graph_state(phi), qfi_closed_form(phi)
+    parts = np.array(draw(st.lists(st.floats(-1, 1), min_size=8, max_size=8)))
+    assume(np.linalg.norm(parts) > 0.1)
+    state = PureState2Q(parts[:4] + 1j * parts[4:])
+    return state, qfi_numeric(state)
+
+
+def _inverse_fisher_and_variance(state, obs, theta):
+    """1/F_C of the four outcome pairs of obs's local settings, and the
+    estimator variance v(A) that ``sense`` reports, at the phase theta.
+
+    F_C = sum (dp)^2 / p comes from ``outcome_probabilities`` of the
+    encoded state and its central difference in theta, a path apart from
+    the correlation matrices behind ``sense``. It is a 0/0 limit where an
+    outcome vanishes, so p is kept away from 0.
+    """
+    rho = as_density(state)
+
+    def probs(t):
+        u = encoding_unitary(t)
+        return outcome_probabilities(u @ rho @ u.conj().T, obs)
+
+    p = probs(theta)
+    assume(p.min() > 1e-3)
+    dp = (probs(theta + _FD_STEP) - probs(theta - _FD_STEP)) / (2 * _FD_STEP)
+    try:
+        variance = sense(state, obs, SensingConfig(theta_star=theta),
+                         derivative_floor=1e-3).estimator_variance
+    except DerivativeVanishesError:
+        assume(False)
+    return 1 / np.sum(dp ** 2 / p), variance
+
+
+class TestCramerRaoChain:
+    """1/F_Q <= 1/F_C <= v(A) for every product observable A and phase
+    (Braunstein & Caves, PRL 72, 3439, 1994; the right-hand side is
+    Cauchy-Schwarz on the error-propagation formula)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(state=_pure_states(), obs=_observables(), theta=_ANGLE)
+    def test_pure_states(self, state, obs, theta):
+        state, qfi = state
+        inverse_fc, variance = _inverse_fisher_and_variance(state, obs, theta)
+        assert 1 / qfi <= inverse_fc * (1 + _CHAIN_RTOL)
+        assert inverse_fc <= variance * (1 + _CHAIN_RTOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi=st.floats(0, 2 * np.pi), p=st.floats(0, 0.9), sigma=st.floats(0, 2),
+           obs=_observables(), theta=_ANGLE)
+    def test_noisy_states(self, phi, p, sigma, obs, theta):
+        # the quantum bound here is a mixed-state QFI, which the package
+        # does not compute: only the right-hand inequality is checked
+        state = apply_noise(weighted_graph_state(phi), NoiseModel(p, sigma))
+        inverse_fc, variance = _inverse_fisher_and_variance(state, obs, theta)
+        assert inverse_fc <= variance * (1 + _CHAIN_RTOL)

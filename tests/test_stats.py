@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -262,20 +265,72 @@ def _count_tables(draw):
 class TestResampledEstimators:
     @settings(max_examples=200, deadline=None)
     @given(counts=_count_tables(), mu=st.integers(1, 300),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_gather_sum_reference(self, counts, mu, seed):
-        w = np.array([1.0, -1.0, -1.0, 1.0])
+           seed=st.integers(0, 2 ** 32 - 1),
+           # a budget below 12 bins x 300 rows splits the draws into several
+           # chunks, mostly with a partial last one
+           chunk=st.one_of(st.just(stats._CHUNK_ENTRIES), st.integers(1, 200)),
+           w=st.one_of(st.just((1.0, -1.0, -1.0, 1.0)),
+                       st.tuples(*[st.floats(-3, 3)] * 4)))
+    def test_matches_gather_sum_reference(self, counts, mu, seed, chunk, w):
+        w = np.array(w)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        try:
-            expected = _reference_estimators(counts, w, mu, ref_rng)
-        except DegenerateDataError:
-            with pytest.raises(DegenerateDataError):
-                _resampled_estimators(counts, w, mu, rng)
-        else:
-            result = _resampled_estimators(counts, w, mu, rng)
-            assert result.tobytes() == expected.tobytes()
+        with mock.patch.object(stats, "_CHUNK_ENTRIES", chunk):
+            try:
+                expected = _reference_estimators(counts, w, mu, ref_rng)
+            except DegenerateDataError:
+                with pytest.raises(DegenerateDataError):
+                    _resampled_estimators(counts, w, mu, rng)
+            else:
+                result = _resampled_estimators(counts, w, mu, rng)
+                assert result.tobytes() == expected.tobytes()
         # both drew the same stream, redraws included
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sensing_at_cli_default_matches_reference(self):
+        # 10000 replicates of 6 bins fill several chunks at the default budget
+        rng = np.random.default_rng(11)
+        tables = [rng.poisson([400, 80, 300, 120], size=(6, 4)) for _ in range(3)]
+        cfg, h = BootstrapConfig(mu=10000, seed=5), np.radians(5)
+        assert cfg.mu * 6 > 2 * stats._CHUNK_ENTRIES
+        w = np.array([1.0, -1.0, -1.0, 1.0])
+        result = bootstrap_sensing(*map(BinnedCounts, tables), h, w, cfg)
+        e_center, e_plus, e_minus = (
+            _reference_estimators(counts, w, cfg.mu, np.random.default_rng(child))
+            for counts, child in zip(tables, np.random.SeedSequence(5).spawn(3)))
+        variance = 1.0 - e_center ** 2
+        slope = (e_plus - e_minus) / (2 * h)
+        expected = {"expectation": e_center, "single_shot_variance": variance,
+                    "derivative": slope,
+                    "estimator_variance": variance / np.maximum(slope ** 2, cfg.epsilon)}
+        for name, samples in expected.items():
+            assert getattr(result, name).samples.tobytes() == np.sort(samples).tobytes(), name
+
+    def test_pooled_totals_must_stay_below_two_to_the_53(self):
+        # two bins pool to at most 2 x the largest bin total: exact in
+        # float64 only below 2**53
+        w = np.array([1.0, -1.0, -1.0, 1.0])
+        below = np.array([[2 ** 51, 0, 2 ** 51 - 1, 0], [0, 0, 0, 1]])
+        result = _resampled_estimators(below, w, 100, np.random.default_rng(0))
+        expected = _reference_estimators(below, w, 100, np.random.default_rng(0))
+        assert result.tobytes() == expected.tobytes()
+        at_bound = below + np.array([[0, 0, 1, 0], [0, 0, 0, 0]])
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            _resampled_estimators(at_bound, w, 100, np.random.default_rng(0))
+
+    def test_peak_memory_stays_in_chunks(self):
+        # tracemalloc counts numpy's allocations deterministically: drawing
+        # all (10000, 6) indices at once and pooling them in int64 peaks at
+        # 1,720 KiB, while the (10000, 4) totals, the results and
+        # chunk-sized temporaries stay under 1 MiB
+        counts = np.random.default_rng(0).poisson(375, size=(6, 4))
+        w = np.array([1.0, -1.0, -1.0, 1.0])
+        tracemalloc.start()
+        try:
+            _resampled_estimators(counts, w, 10000, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024
 
 
 class TestVisibility:
