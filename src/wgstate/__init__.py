@@ -24,7 +24,7 @@ from .stategen import (DegeneratePostselectionError, GenerationConfig,
 from .measurement import (Observable, ProjectorSetting,
                           TomographySetting, WaveplateSolverError,
                           general_axis_observable, outcome_probabilities,
-                          pauli_observable, simulate_counts,
+                          pauli_observable, simulate_counts, solve_projector_batch,
                           solve_projector_waveplates, tomography_settings)
 from .metrology import (DerivativeVanishesError, SearchError,
                         SensingConfig, SensingResult, encoding_unitary,

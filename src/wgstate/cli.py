@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .measurement import (Observable, general_axis_observable,
                           outcome_probabilities, pauli_observable,
-                          solve_projector_waveplates, WaveplateSolverError)
+                          solve_projector_batch, WaveplateSolverError)
 from .metrology import (DerivativeVanishesError, SearchError, SensingConfig,
                         encoding_unitary, general_axis_search, limits,
                         pauli_search, qfi_closed_form, sense)
@@ -83,9 +83,9 @@ def _matrix_pairs(matrix) -> list:
 
 
 def _write_json(path, payload) -> None:
+    # one encode and one write; json.dump writes each chunk separately
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path) -> str:
@@ -143,20 +143,12 @@ _PAULI_AXES = {"I": (0.0, 0.0), "Z": (0.0, 0.0),
 
 def _observable_waveplates(obs: Observable) -> dict:
     """Lab waveplate settings for both projectors of both photons."""
-    if obs.axis_angles is not None:
-        axes = [(obs.axis_angles[0], obs.axis_angles[1]),
-                (obs.axis_angles[2], obs.axis_angles[3])]
-    else:
-        axes = [_PAULI_AXES[l] for l in obs.pauli_labels]
-    out = {}
-    for photon, (beta, alpha) in enumerate(axes, start=1):
-        for outcome in "+-":
-            setting = solve_projector_waveplates(beta, alpha, outcome)
-            out[f"photon{photon}_{'plus' if outcome == '+' else 'minus'}"] = {
-                "hwp_deg": setting.hwp_deg, "qwp_deg": setting.qwp_deg,
-                "residual": setting.residual,
-            }
-    return out
+    b1, a1, b2, a2 = obs.axis_angles or [angle for label in obs.pauli_labels
+                                         for angle in _PAULI_AXES[label]]
+    settings = solve_projector_batch([b1, b1, b2, b2], [a1, a1, a2, a2], ["+", "-", "+", "-"])
+    return {f"photon{1 + k // 2}_{('plus', 'minus')[k % 2]}": {
+                "hwp_deg": s.hwp_deg, "qwp_deg": s.qwp_deg, "residual": s.residual}
+            for k, s in enumerate(settings)}
 
 
 # ----------------------------------------------------------------- state

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ._optimize import LazyOptimizer
-from .optics import WaveplateKind, waveplate_jones_lab, wrap_interval
+from .optics import wrap_interval
 from .qmath import (PAULI_PRODUCTS, POLARIZATION_KETS, as_density,
                     pauli_correlations, tensor)
 
@@ -33,19 +33,20 @@ class WaveplateSolverError(RuntimeError):
     """No waveplate pair reached the target overlap for a projector."""
 
 
-def axis_state(beta: float, alpha: float, outcome: str) -> np.ndarray:
-    """Single-qubit basis state along the Bloch direction (beta, alpha).
+def axis_state(beta, alpha, outcome) -> np.ndarray:
+    """Single-qubit basis states along the Bloch directions (beta, alpha).
 
     "+" gives cos(b/2)|0> + sin(b/2)e^{ia}|1>; "-" the orthogonal
-    -sin(b/2)|0> + cos(b/2)e^{ia}|1>.
+    -sin(b/2)|0> + cos(b/2)e^{ia}|1>. The arguments are scalars or arrays
+    of one shape, and the amplitudes sit on a new first axis, as
+    :func:`analyzer_overlap` reads them.
     """
-    c, s = np.cos(beta / 2), np.sin(beta / 2)
-    ph = np.exp(1j * alpha)
-    if outcome == "+":
-        return np.array([c, s * ph], dtype=complex)
-    if outcome == "-":
-        return np.array([-s, c * ph], dtype=complex)
-    raise ValueError(f"outcome must be '+' or '-', got {outcome!r}")
+    outcome = np.asarray(outcome)
+    if not set(outcome.ravel().tolist()) <= {"+", "-"}:
+        raise ValueError(f"outcome must be '+' or '-', got {outcome.tolist()!r}")
+    plus = outcome == "+"
+    c, s = np.cos(np.divide(beta, 2)), np.sin(np.divide(beta, 2))
+    return np.array([np.where(plus, c, -s), np.where(plus, s, c) * np.exp(1j * np.asarray(alpha))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,29 +224,34 @@ def setting_outcome_kets(setting: TomographySetting) -> dict:
     return kets
 
 
-def analyzer_overlap(hwp_deg, qwp_deg, ket) -> np.ndarray:
-    """Transmission probability |<H| HWP(h) QWP(q) |ket>|^2 of ``ket``
-    through QWP, HWP then PBS(H), over broadcastable lab angles in degrees;
-    the photon traverses the QWP first."""
+def _qwp_action(qwp_deg, ket) -> tuple:
+    """Amplitudes of QWP(q) |ket> for lab angles q in degrees, through the
+    internal-frame matrix at pi/2 - q; broadcasts over angles and kets."""
     ket = np.asarray(ket, dtype=complex)
-    h = np.radians(np.asarray(hwp_deg, float))
     q = np.radians(np.asarray(qwp_deg, float))
     sq, cq = np.sin(q), np.cos(q)
-    # QWP(q) |ket> expressed through the internal-frame matrix at pi/2 - q
-    a = (sq**2 + 1j * cq**2) * ket[0] + sq * cq * (1 - 1j) * ket[1]
-    b = sq * cq * (1 - 1j) * ket[0] + (cq**2 + 1j * sq**2) * ket[1]
+    off = sq * cq * (1 - 1j)
+    return ((sq**2 + 1j * cq**2) * ket[0] + off * ket[1],
+            off * ket[0] + (cq**2 + 1j * sq**2) * ket[1])
+
+
+def analyzer_overlap(hwp_deg, qwp_deg, ket) -> np.ndarray:
+    """Transmission probability |<H| HWP(h) QWP(q) |ket>|^2 of ``ket``
+    (amplitudes on its first axis) through QWP, HWP then PBS(H), over
+    broadcastable lab angles in degrees; the photon traverses the QWP first."""
+    a, b = _qwp_action(qwp_deg, ket)
+    h = np.radians(np.asarray(hwp_deg, float))
     # first row of HWP(h) in the lab frame is (-cos 2h, sin 2h)
-    amp = -np.cos(2 * h) * a + np.sin(2 * h) * b
-    return np.abs(amp) ** 2
+    return np.abs(-np.cos(2 * h) * a + np.sin(2 * h) * b) ** 2
 
 
 # below this degree of linear polarization a state counts as circular
 _CIRCULAR_TOL = 1e-9
 
 
-def solve_projector_waveplates(beta: float, alpha: float, outcome: str,
-                               residual_tol: float = 1e-8) -> ProjectorSetting:
-    """Lab waveplate angles mapping the (beta, alpha, outcome) state to |H>.
+def solve_projector_batch(betas, alphas, outcomes,
+                          residual_tol: float = 1e-8) -> list[ProjectorSetting]:
+    """Lab waveplate angles mapping each (beta, alpha, outcome) state to |H>.
 
     Closed form (Simon & Mukunda, Phys. Lett. A 143, 165, 1990): a QWP
     with its fast axis on either axis of the state's polarization
@@ -258,41 +264,49 @@ def solve_projector_waveplates(beta: float, alpha: float, outcome: str,
     the one with the smallest |h| + |q| is returned, ties broken toward
     positive angles; angles are in degrees wrapped to (-90, 90] and
     ``residual`` is max(0, 1 - transmission).
+
+    All rows are solved at once, with one :func:`analyzer_overlap` call.
     """
-    ket = axis_state(beta, alpha, outcome)
-    psi, linear = _ellipse_azimuth_deg(ket)
-    if linear < _CIRCULAR_TOL:
-        # the kinks: q = 0, and q = +-45 deg, where the QWP alone gives H
-        # (so h = 0) or V
-        qwps = (0.0, 45.0, -45.0)
-    else:
-        # lab angles of the fast axis along the major and the minor axis
-        qwps = (90.0 - psi, -psi)
-    solutions = []
-    for q in map(_wrap_plate_deg, qwps):
-        chi, _ = _ellipse_azimuth_deg(
-            waveplate_jones_lab(WaveplateKind.QWP, np.radians(q)) @ ket)
-        for h in map(_wrap_plate_deg, (90.0 - chi / 2, 180.0 - chi / 2)):
-            residual = 1.0 - float(analyzer_overlap(h, q, ket))
-            if residual <= residual_tol:
-                solutions.append((h, q, max(0.0, residual)))
-    if not solutions:
-        raise WaveplateSolverError(
-            f"no waveplate pair reached residual {residual_tol:g} for "
-            f"beta={beta:.4f}, alpha={alpha:.4f}, outcome={outcome!r}")
-    h, q, residual = min(solutions,
-                         key=lambda s: (round(abs(s[0]) + abs(s[1]), 6),
-                                        -np.sign(s[0]), -np.sign(s[1])))
-    return ProjectorSetting(hwp_deg=h, qwp_deg=q, outcome=outcome, residual=residual)
+    kets = axis_state(betas, alphas, outcomes)
+    qwps, owners = [], []
+    for row, (psi, linear) in enumerate(zip(*(v.tolist() for v in _ellipse_azimuth_deg(kets)))):
+        # a circular state's kinks: q = 0, and q = +-45 deg, where the QWP alone gives
+        # H (so h = 0) or V; else the fast axis along the major and the minor axis
+        candidates = (0.0, 45.0, -45.0) if linear < _CIRCULAR_TOL else (90.0 - psi, -psi)
+        qwps += map(_wrap_plate_deg, candidates)
+        owners += [row] * len(candidates)
+    owned = kets[:, owners]
+    hwps = [[_wrap_plate_deg(90.0 - c), _wrap_plate_deg(180.0 - c)]
+            for c in (_ellipse_azimuth_deg(_qwp_action(qwps, owned))[0] / 2).tolist()]
+    residuals = (1.0 - analyzer_overlap(hwps, np.array(qwps)[:, None], owned[..., None])).tolist()
+    found = [[] for _ in outcomes]
+    for row, q, hs, rs in zip(owners, qwps, hwps, residuals):
+        found[row] += [(h, q, max(0.0, r)) for h, r in zip(hs, rs) if r <= residual_tol]
+    settings = []
+    for solutions, beta, alpha, outcome in zip(found, betas, alphas, outcomes):
+        if not solutions:
+            raise WaveplateSolverError(
+                f"no waveplate pair reached residual {residual_tol:g} for "
+                f"beta={beta:.4f}, alpha={alpha:.4f}, outcome={outcome!r}")
+        h, q, residual = min(solutions, key=lambda s: (round(abs(s[0]) + abs(s[1]), 6),
+                                                       -np.sign(s[0]), -np.sign(s[1])))
+        settings.append(ProjectorSetting(h, q, outcome, residual))
+    return settings
 
 
-def _ellipse_azimuth_deg(ket) -> tuple[float, float]:
+def solve_projector_waveplates(beta: float, alpha: float, outcome: str,
+                               residual_tol: float = 1e-8) -> ProjectorSetting:
+    """Waveplates of one projector: the one-row :func:`solve_projector_batch`."""
+    return solve_projector_batch([beta], [alpha], [outcome], residual_tol)[0]
+
+
+def _ellipse_azimuth_deg(ket) -> tuple:
     """Azimuth of the polarization ellipse (internal frame, degrees, from H
-    toward V) and the degree of linear polarization hypot(S1, S2)."""
+    toward V) and the degree of linear polarization hypot(S1, S2); elementwise."""
     a, b = ket
-    s1 = abs(a) ** 2 - abs(b) ** 2
+    s1 = np.abs(a) ** 2 - np.abs(b) ** 2
     s2 = 2 * (np.conj(a) * b).real
-    return 0.5 * float(np.degrees(np.arctan2(s2, s1))), float(np.hypot(s1, s2))
+    return 0.5 * np.degrees(np.arctan2(s2, s1)), np.hypot(s1, s2)
 
 
 def _wrap_plate_deg(angle: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._optimize import LazyOptimizer, bordered_hessian, sphere_newton, tangent_projector
 from .measurement import Observable, general_axis_observable, pauli_observable
-from .optics import canonical_phase, rotation_gate
+from .optics import PHASE_CUT_TOL, canonical_phase, rotation_gate
 from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
 from .stategen import weighted_graph_state
 
@@ -127,6 +127,11 @@ def sense(state, obs: Observable, cfg: SensingConfig,
         deriv = float((e_plus - e_minus) / (2 * cfg.h))
     elif mode != "analytic":
         raise ValueError(f"unknown derivative mode {mode!r}")
+    return _sensing_result(exp_val, deriv, derivative_floor)
+
+
+def _sensing_result(exp_val: float, deriv: float, derivative_floor: float) -> SensingResult:
+    """The figures of <A> and its slope, or DerivativeVanishesError below the floor."""
     var = 1.0 - exp_val ** 2
     if abs(deriv) < derivative_floor:
         raise DerivativeVanishesError(
@@ -185,9 +190,11 @@ def _unit_vector(beta, alpha):
 
 def _axis_angles(n) -> tuple[float, float]:
     """(beta, alpha) of a Bloch vector, with beta in [0, pi] and alpha in
-    (-pi, pi]; an angle on the +-pi cut is reported as +pi
-    (``optics.canonical_phase``)."""
-    return float(np.arctan2(np.hypot(n[0], n[1]), n[2])), canonical_phase(np.arctan2(n[1], n[0]))
+    (-pi, pi]: +pi on the +-pi cut (``optics.canonical_phase``), and 0 at
+    a pole, where hypot(n_x, n_y) < ``PHASE_CUT_TOL``."""
+    rho = np.hypot(n[0], n[1])
+    alpha = canonical_phase(np.arctan2(n[1], n[0])) if rho >= PHASE_CUT_TOL else 0.0
+    return float(np.arctan2(rho, n[2])), alpha
 
 
 # start grid: Bloch vectors at the polar angles (i + 1/2) pi/12 of the
@@ -197,14 +204,14 @@ _GRID = _unit_vector(*np.meshgrid((np.arange(6) + 0.5) * np.pi / 12,
                                   np.arange(12) * np.pi / 6 - np.pi, indexing="ij")).reshape(72, 3)
 
 
-def _axis_correlations(phi12: float, theta_star: float) -> np.ndarray:
+def _axis_blocks(corr) -> np.ndarray:
     """6 x 6 matrices B = [[0, M], [M^T, 0]] of the 3 x 3 axis blocks
-    M = T[1:, 1:], D[1:, 1:] of the correlation matrices, so that
+    M = T[1:, 1:], D[1:, 1:] of the correlation matrices corr = (T, D), so that
     <A> = n1 . T n2 and d<A>/dtheta = n1 . D n2 for the product
     observable A = (n1 . sigma) (x) (n2 . sigma): both are x . B x / 2 at
     x = (n1, n2), with gradient B x."""
     blocks = np.zeros((2, 6, 6))
-    blocks[:, :3, 3:] = _correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
+    blocks[:, :3, 3:] = corr[:, 1:, 1:]
     blocks[:, 3:, :3] = blocks[:, :3, 3:].transpose(0, 2, 1)
     return blocks
 
@@ -345,11 +352,12 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     correlation matrices, which are bilinear, so their Hessians are
     constant; no scipy solver runs. The axes are reported as polar angles
     with beta in [0, pi] and alpha in (-pi, pi], and their figures come
-    from :func:`sense`, which raises :class:`DerivativeVanishesError` on a
-    zero slope.
+    from the same correlation matrices by the rules of :func:`sense`,
+    which raise :class:`DerivativeVanishesError` on a zero slope.
     """
     cfg = cfg or SensingConfig()
-    blocks = _axis_correlations(phi12, cfg.theta_star)
+    corr = _correlations(weighted_graph_state(phi12), cfg.theta_star)
+    blocks = _axis_blocks(corr)
     correlation, slope = blocks[:, :3, 3:]
     grid = _penalized(_GRID @ correlation @ _GRID.T, _GRID @ slope @ _GRID.T)
     # np.argmin keeps the earlier pair on a tie
@@ -369,4 +377,5 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
         x = pushed
 
     obs = general_axis_observable(*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
-    return obs, sense(weighted_graph_state(phi12), obs, cfg)
+    a, b = obs.coefficients
+    return obs, _sensing_result(*(float(a @ m @ b) for m in corr), DERIVATIVE_FLOOR)

@@ -174,7 +174,12 @@ def _summarize(samples: np.ndarray, ci_level: float,
                n_clamped: int = 0) -> BootstrapResult:
     samples = np.sort(samples)
     tail = 100 * (1 - ci_level) / 2
-    lo, hi = np.percentile(samples, [tail, 100 - tail])
+    # np.percentile's "linear" rule and its lerp, read off the sorted samples
+    last = len(samples) - 1
+    index = last * (np.array([tail, 100 - tail]) / 100)
+    below = np.minimum(np.floor(index), last).astype(int)
+    low, high, t = samples[below], samples[np.minimum(below + 1, last)], index - below
+    lo, hi = np.where(t >= 0.5, high - (high - low) * (1 - t), low + (high - low) * t)
     return BootstrapResult(samples=samples, mean=float(samples.mean()),
                            ci_low=float(lo), ci_high=float(hi),
                            n_clamped=n_clamped)

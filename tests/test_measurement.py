@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +10,9 @@ from scipy.optimize import brentq
 from wgstate.measurement import (analyzer_overlap, axis_state,
                                  checked_counts, checked_durations,
                                  general_axis_observable, outcome_probabilities,
-                                 pauli_observable, simulate_counts,
-                                 solve_projector_waveplates, tomography_settings)
+                                 pauli_observable, simulate_counts, solve_projector_batch,
+                                 solve_projector_waveplates, tomography_settings,
+                                 WaveplateSolverError)
 from wgstate.optics import WaveplateKind, waveplate_jones_lab
 from wgstate.qmath import (PAULIS, POLARIZATION_KETS, PureState2Q, as_density, expectation,
                            tensor)
@@ -318,6 +322,79 @@ class TestWaveplateSolver:
             near = 1.0 - analyzer_overlap(h_grid, exact_q, ket) <= 1e-4
             assert near.any()
             assert np.abs(h_grid[near]).min() + abs(exact_q) >= abs(h) + abs(q) - 0.3
+
+
+def _settings_bytes(settings):
+    return np.array([(s.hwp_deg, s.qwp_deg, s.residual) for s in settings]).tobytes()
+
+
+class TestBatchedWaveplateSolver:
+    # poles, the circular states and states within round-off of them, and
+    # the H/V/D/A axes, besides the random rows of each batch
+    SPECIAL = [(0.0, 0.0), (np.pi, 0.0), (0.0, 2.0), (np.pi, -1.0), (np.pi / 2, np.pi / 2),
+               (np.pi / 2, -np.pi / 2), (np.pi / 2, np.nextafter(np.pi / 2, 0)),
+               (np.nextafter(np.pi / 2, 4), np.pi / 2), (1e-12, 0.3), (np.pi / 2, 0.0),
+               (np.pi / 2, np.pi)]
+
+    def batches(self, count):
+        rng = np.random.default_rng(18)
+        for _ in range(count):
+            size = int(rng.integers(1, 9))
+            betas = rng.uniform(0, np.pi, size)
+            alphas = rng.uniform(-np.pi, np.pi, size)
+            for k in np.flatnonzero(rng.random(size) < 0.3):
+                betas[k], alphas[k] = self.SPECIAL[rng.integers(len(self.SPECIAL))]
+            yield betas.tolist(), alphas.tolist(), rng.choice(["+", "-"], size).tolist()
+
+    def test_batch_equals_one_row_calls_bit_for_bit(self):
+        for betas, alphas, outcomes in self.batches(300):
+            batch = solve_projector_batch(betas, alphas, outcomes)
+            rows = [solve_projector_waveplates(*row) for row in zip(betas, alphas, outcomes)]
+            assert _settings_bytes(batch) == _settings_bytes(rows)
+            assert [s.outcome for s in batch] == outcomes
+
+    def test_every_pair_transmits_its_state(self):
+        # oracle: the Jones product of the plates on a ket built here
+        for betas, alphas, outcomes in self.batches(100):
+            for s, beta, alpha in zip(solve_projector_batch(betas, alphas, outcomes),
+                                      betas, alphas):
+                c, si = np.cos(beta / 2), np.sin(beta / 2)
+                ket = (np.array([c, si * np.exp(1j * alpha)]) if s.outcome == "+"
+                       else np.array([-si, c * np.exp(1j * alpha)]))
+                out = (waveplate_jones_lab(WaveplateKind.HWP, np.radians(s.hwp_deg))
+                       @ waveplate_jones_lab(WaveplateKind.QWP, np.radians(s.qwp_deg)) @ ket)
+                assert abs(out[0]) ** 2 >= 1 - 1e-8
+                assert -90.0 < s.hwp_deg <= 90.0 and -90.0 < s.qwp_deg <= 90.0
+                assert 0.0 <= s.residual <= 1e-8
+
+    def test_pauli_states_give_the_pinned_settings(self):
+        # optimize --kind pauli at phi12 = pi measures Z on photon 1 and Y
+        # on photon 2; the X projectors (D, A) are not pinned by a golden
+        golden = Path(__file__).parent / "golden" / "optimize_pauli_pi.json"
+        plates = json.loads(golden.read_text())["waveplates"]
+        z_plus, z_minus, x_plus, x_minus, y_plus, y_minus = solve_projector_batch(
+            [0.0, 0.0, np.pi / 2, np.pi / 2, np.pi / 2, np.pi / 2],
+            [0.0, 0.0, 0.0, 0.0, np.pi / 2, np.pi / 2], ["+", "-"] * 3)
+        for setting, key in ((z_plus, "photon1_plus"), (z_minus, "photon1_minus"),
+                             (y_plus, "photon2_plus"), (y_minus, "photon2_minus")):
+            assert {"hwp_deg": setting.hwp_deg, "qwp_deg": setting.qwp_deg,
+                    "residual": setting.residual} == plates[key]
+        for setting, h in ((x_plus, -22.5), (x_minus, 22.5)):
+            assert setting.hwp_deg == h and setting.residual == 0.0
+            assert setting.qwp_deg == pytest.approx(45.0, abs=1e-12)
+
+    def test_no_candidate_left_names_the_row(self):
+        with pytest.raises(WaveplateSolverError, match=r"beta=1\.0000, alpha=0\.5000, outcome='-'"):
+            solve_projector_batch([1.0], [0.5], ["-"], residual_tol=-1.0)
+
+    def test_axis_states_stack_on_the_first_axis(self):
+        betas, alphas, outcomes = [0.3, 2.0, np.pi], [-1.0, 0.4, 2.5], ["+", "-", "-"]
+        kets = axis_state(np.array(betas), np.array(alphas), outcomes)
+        assert kets.shape == (2, 3)
+        for k, row in enumerate(zip(betas, alphas, outcomes)):
+            assert kets[:, k].tobytes() == axis_state(*row).tobytes()
+        with pytest.raises(ValueError, match="outcome must be"):
+            axis_state(0.3, 0.1, "x")
 
 
 class TestWrapPlateDeg:

@@ -333,6 +333,31 @@ class TestResampledEstimators:
         assert peak < 1024 * 1024
 
 
+class TestSummarize:
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "ties", "wide", "signed_zeros"]),
+           ci_level=st.one_of(st.floats(1e-9, 1 - 1e-9),
+                              st.sampled_from([0.5, 0.9, 0.95, 0.99, 1 - 1e-15])))
+    def test_percentiles_equal_numpy_bit_for_bit(self, size, seed, kind, ci_level):
+        # the interval is read off the sorted samples by numpy's "linear"
+        # rule; it must give np.percentile's bits, -0.0 included. Two
+        # exceptions are left out: a lone -0.0 sample, which numpy's lerp
+        # keeps negative (a bootstrap has at least 100 replicates), and
+        # -0.0 mixed with 0.0, where np.percentile's partition may return
+        # either of the equal zeros
+        rng = np.random.default_rng(seed)
+        samples = {"normal": lambda: rng.normal(size=size),
+                   "ties": lambda: rng.integers(-3, 4, size).astype(float),
+                   "wide": lambda: rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size),
+                   "signed_zeros": lambda: rng.choice([-0.0, 1e-300, -2.5], size)}[kind]()
+        result = stats._summarize(samples, ci_level)
+        tail = 100 * (1 - ci_level) / 2
+        expected = np.percentile(np.sort(samples), [tail, 100 - tail])
+        assert np.array([result.ci_low, result.ci_high]).tobytes() == expected.tobytes()
+        assert np.array_equal(result.samples, np.sort(samples))
+
+
 class TestVisibility:
     def test_perfect_contrast(self):
         assert visibility(100, 0) == 1.0
