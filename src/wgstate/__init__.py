@@ -21,11 +21,10 @@ from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        GenerationResult, NoiseModel, apply_noise,
                        canonical_config, mzi_phase_condition,
                        simulate_generation, weighted_graph_state)
-from .measurement import (Observable, ProjectorSetting,
-                          TomographySetting, WaveplateSolverError,
+from .measurement import (Observable, ProjectorSetting, WaveplateSolverError,
                           general_axis_observable, outcome_probabilities,
                           pauli_observable, simulate_counts, solve_projector_batch,
-                          solve_projector_waveplates, tomography_settings)
+                          solve_projector_waveplates)
 from .metrology import (DerivativeVanishesError, SearchError,
                         SensingConfig, SensingResult, encoding_unitary,
                         general_axis_search, limits, pauli_search,
@@ -35,8 +34,9 @@ from .stats import (BinnedCounts, BootstrapConfig, BootstrapResult,
                     SensingBootstrap, bootstrap_expectation,
                     bootstrap_sensing, cosine_fit, visibility)
 from .tomography import (ReconstructionError, ReconstructionReport,
-                         TomographyDataset, mle_reconstruct,
+                         TomographyDataset, TomographySetting, mle_reconstruct,
                          monte_carlo_report, read_dataset_csv,
-                         simulate_tomography, write_dataset_csv)
+                         simulate_tomography, tomography_settings,
+                         write_dataset_csv)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

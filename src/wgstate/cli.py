@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
 negative rates and durations, more than 2**53 expected counts per bin,
-2**53 or more pooled over a sensing run's bins, files that cannot be
-read or written, and sizes too large to allocate), 3 degenerate data
-(empty counts, vanishing post-selection), 4 numerical failures
-(optimizers, fits, a fringe fit that dips below zero counts).
+2**53 or more pooled over a sensing run's bins, --varphi-prime without
+--pipeline, a manifest path that names an input or output of the
+command, files that cannot be read or written, and sizes too large to
+allocate), 3 degenerate data (empty counts, vanishing post-selection),
+4 numerical failures (optimizers, fits, a fringe fit that dips below
+zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -26,9 +28,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .measurement import (Observable, general_axis_observable,
-                          outcome_probabilities, pauli_observable,
-                          solve_projector_batch, WaveplateSolverError)
+from .measurement import (Observable, _analyzer_axis, _axis_angles,
+                          general_axis_observable, outcome_probabilities,
+                          pauli_observable, solve_projector_batch, WaveplateSolverError)
 from .metrology import (DerivativeVanishesError, SearchError, SensingConfig,
                         encoding_unitary, general_axis_search, limits,
                         pauli_search, qfi_closed_form, sense)
@@ -95,7 +97,19 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(args, outputs: list) -> None:
+def _outputs(args) -> list:
+    """The command's output paths, in the order its manifest lists them;
+    the --out of sense and fringe is the basename of a .json and a .csv."""
+    if args.command in ("sense", "fringe"):
+        return [args.out + ".json", args.out + ".csv"]
+    return [args.out]
+
+
+def _manifest_path(args) -> str:
+    return args.manifest or _outputs(args)[0] + ".manifest.json"
+
+
+def _write_manifest(args) -> None:
     params = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -103,11 +117,11 @@ def _write_manifest(args, outputs: list) -> None:
         "parameters": params,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(p): _sha256(p) for p in _outputs(args)},
     }
     if not args.no_timestamp:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(args.manifest or (outputs[0] + ".manifest.json"), manifest)
+    _write_json(_manifest_path(args), manifest)
 
 
 def _parse_observable(spec: str) -> Observable:
@@ -137,14 +151,10 @@ def _observable_payload(obs: Observable) -> dict:
     return payload
 
 
-_PAULI_AXES = {"I": (0.0, 0.0), "Z": (0.0, 0.0),
-               "X": (np.pi / 2, 0.0), "Y": (np.pi / 2, np.pi / 2)}
-
-
 def _observable_waveplates(obs: Observable) -> dict:
     """Lab waveplate settings for both projectors of both photons."""
-    b1, a1, b2, a2 = obs.axis_angles or [angle for label in obs.pauli_labels
-                                         for angle in _PAULI_AXES[label]]
+    b1, a1, b2, a2 = obs.axis_angles or [angle for row in obs.coefficients
+                                         for angle in _axis_angles(_analyzer_axis(row))]
     settings = solve_projector_batch([b1, b1, b2, b2], [a1, a1, a2, a2], ["+", "-", "+", "-"])
     return {f"photon{1 + k // 2}_{('plus', 'minus')[k % 2]}": {
                 "hwp_deg": s.hwp_deg, "qwp_deg": s.qwp_deg, "residual": s.residual}
@@ -154,6 +164,8 @@ def _observable_waveplates(obs: Observable) -> dict:
 # ----------------------------------------------------------------- state
 
 def _cmd_state(args) -> int:
+    if args.varphi_prime is not None and not args.pipeline:
+        raise ValueError("--varphi-prime applies only with --pipeline")
     if args.pipeline:
         cfg = canonical_config(args.phi12)
         if args.varphi_prime is not None:
@@ -186,7 +198,7 @@ def _cmd_state(args) -> int:
                                                 weighted_graph_state(args.phi12))
         payload["concurrence"] = concurrence(state.density())
     _write_json(args.out, payload)
-    _write_manifest(args, [args.out])
+    _write_manifest(args)
     print(f"state(phi12={args.phi12:.4f}): fidelity to ideal "
           f"{payload['fidelity_to_ideal']:.2f}, concurrence {payload['concurrence']:.2f}")
     return 0
@@ -208,7 +220,7 @@ def _cmd_qfi(args) -> int:
         lines.append(f"{float(w)!r},{fq!r},{1.0 / fq!r},{sql!r},{hl!r}")
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    _write_manifest(args, [args.out])
+    _write_manifest(args)
     print(f"qfi: wrote {len(weights)} rows to {args.out}")
     return 0
 
@@ -234,7 +246,7 @@ def _cmd_optimize(args) -> int:
         "waveplates": _observable_waveplates(obs),
     }
     _write_json(args.out, payload)
-    _write_manifest(args, [args.out])
+    _write_manifest(args)
     print(f"optimize[{args.kind}] phi12={args.phi12:.4f}: "
           f"(Dtheta)^2={result.estimator_variance:.2f}, "
           f"|d<A>|={result.derivative_magnitude:.2f}")
@@ -296,15 +308,14 @@ def _cmd_sense(args) -> int:
             "estimator_variance": ideal.estimator_variance,
         },
     }
-    json_path = args.out + ".json"
-    csv_path = args.out + ".csv"
+    json_path, csv_path = _outputs(args)
     _write_json(json_path, payload)
     with open(csv_path, "w") as fh:
         fh.write("setting,bin_index,n_pp,n_pm,n_mp,n_mm,duration\n")
         for name in ("center", "plus", "minus"):
             for i, (pp, pm, mp, mm) in enumerate(bins[name].counts):
                 fh.write(f"{name},{i},{pp},{pm},{mp},{mm},{bins[name].duration:g}\n")
-    _write_manifest(args, [json_path, csv_path])
+    _write_manifest(args)
     ratio = boot.estimator_variance
     print(f"sense phi12={args.phi12:.4f} {obs.label}: (Dtheta)^2 = "
           f"{ratio.mean:.2f} [{ratio.ci_low:.2f}, {ratio.ci_high:.2f}]")
@@ -322,7 +333,7 @@ def _cmd_tomo_simulate(args) -> int:
     dataset = simulate_tomography(state, args.rate, args.duration,
                                   seed=args.seed, poisson=args.poisson)
     write_dataset_csv(args.out, dataset)
-    _write_manifest(args, [args.out])
+    _write_manifest(args)
     print(f"tomo simulate phi12={args.phi12:.4f}: total counts {dataset.total}")
     return 0
 
@@ -348,7 +359,7 @@ def _cmd_tomo_reconstruct(args) -> int:
         "point_concurrence": report.point_concurrence,
     }
     _write_json(args.out, payload)
-    _write_manifest(args, [args.out])
+    _write_manifest(args)
     print(f"tomo reconstruct: fidelity {report.fidelity_to_target:.2f} "
           f"+/- {report.fidelity_stdev:.2f}, concurrence {report.concurrence:.2f} "
           f"+/- {report.concurrence_stdev:.2f}")
@@ -385,8 +396,7 @@ def _cmd_fringe(args) -> int:
             f"--varphi-range {start:g} {stop:g}")
     vis = visibility(float(counts.max()), float(counts.min()))
 
-    csv_path = args.out + ".csv"
-    json_path = args.out + ".json"
+    json_path, csv_path = _outputs(args)
     with open(csv_path, "w") as fh:
         fh.write("step,varphi,counts,normalized\n")
         for i, (v, c, n) in enumerate(zip(varphis, counts, normalized)):
@@ -401,7 +411,7 @@ def _cmd_fringe(args) -> int:
         "visibility": vis,
     }
     _write_json(json_path, payload)
-    _write_manifest(args, [json_path, csv_path])
+    _write_manifest(args)
     print(f"fringe: visibility {vis:.2f}, fitted amplitude {abs(fit.a):.2f}")
     return 0
 
@@ -535,6 +545,11 @@ def main(argv=None) -> int:
     if pooled >= _MAX_EXPECTED_COUNTS:
         parser.error(f"--rate * --duration * --bins must stay below 2**53 pooled "
                      f"counts, got {pooled:g}")
+    # the manifest holds the outputs' digests, so it may replace no file the command uses
+    manifest = _manifest_path(args)
+    files = _outputs(args) + ([args.infile] if hasattr(args, "infile") else [])
+    if os.path.abspath(manifest) in map(os.path.abspath, files):
+        parser.error(f"manifest path {manifest} names an input or output of the command")
     try:
         return args.func(args)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:

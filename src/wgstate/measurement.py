@@ -17,9 +17,8 @@ from typing import Optional
 import numpy as np
 
 from ._optimize import LazyOptimizer
-from .optics import wrap_interval
-from .qmath import (PAULI_PRODUCTS, POLARIZATION_KETS, as_density,
-                    pauli_correlations, tensor)
+from .optics import PHASE_CUT_TOL, canonical_phase, wrap_interval
+from .qmath import PAULI_PRODUCTS, as_density, pauli_correlations
 
 minimize = LazyOptimizer("minimize")
 
@@ -31,6 +30,27 @@ _PAULI_ROWS = dict(zip("IXYZ", np.eye(4)))
 
 class WaveplateSolverError(RuntimeError):
     """No waveplate pair reached the target overlap for a projector."""
+
+
+def _unit_vector(beta, alpha):
+    """Bloch vectors (sin b cos a, sin b sin a, cos b) on a last axis."""
+    sb = np.sin(beta)
+    return np.stack([sb * np.cos(alpha), sb * np.sin(alpha), np.cos(beta)], axis=-1)
+
+
+def _axis_angles(n) -> tuple[float, float]:
+    """(beta, alpha) of a Bloch vector, with beta in [0, pi] and alpha in
+    (-pi, pi]: +pi on the +-pi cut (``optics.canonical_phase``), and 0 at
+    a pole, where hypot(n_x, n_y) < ``PHASE_CUT_TOL``."""
+    rho = np.hypot(n[0], n[1])
+    alpha = canonical_phase(np.arctan2(n[1], n[0])) if rho >= PHASE_CUT_TOL else 0.0
+    return float(np.arctan2(rho, n[2])), alpha
+
+
+def _analyzer_axis(row) -> np.ndarray:
+    """Bloch axis along which a factor with Pauli coefficient row ``row``
+    is analysed: its own, or z for an identity factor."""
+    return np.array([0.0, 0.0, 1.0]) if row[0] else row[1:]
 
 
 def axis_state(beta, alpha, outcome) -> np.ndarray:
@@ -93,11 +113,9 @@ def general_axis_observable(beta1: float, alpha1: float,
                             beta2: float, alpha2: float) -> Observable:
     """Product of two general-axis +/-1 observables on the Bloch sphere:
     rows (0, sin b cos a, sin b sin a, cos b)."""
-    beta, alpha = np.array([beta1, beta2]), np.array([alpha1, alpha2])
-    rows = np.stack([np.zeros(2), np.sin(beta) * np.cos(alpha),
-                     np.sin(beta) * np.sin(alpha), np.cos(beta)], axis=1)
+    axes = _unit_vector(np.array([beta1, beta2]), np.array([alpha1, alpha2]))
     return Observable(
-        coefficients=rows,
+        coefficients=np.hstack([np.zeros((2, 1)), axes]),
         label=(f"axis(b1={np.degrees(beta1):.2f},a1={np.degrees(alpha1):.2f},"
                f"b2={np.degrees(beta2):.2f},a2={np.degrees(alpha2):.2f}) deg"),
         axis_angles=(beta1, alpha1, beta2, alpha2),
@@ -108,11 +126,11 @@ def outcome_probabilities(state, obs: Observable) -> np.ndarray:
     """Probabilities of the four outcome pairs (++, +-, -+, --).
 
     The outcome s = +/-1 of a factor projects onto (I + s m . sigma)/2,
-    with m its axis (z for an identity factor), so the pair (s1, s2) has
+    with m its analyzer axis (:func:`_analyzer_axis`), so the pair (s1, s2) has
     probability (1, s1 m1) T (1, s2 m2) / 4 for the state's Pauli
     correlation matrix T.
     """
-    sides = [np.hstack([np.ones((2, 1)), np.outer([1, -1], (0, 0, 1) if row[0] else row[1:])])
+    sides = [np.hstack([np.ones((2, 1)), np.outer([1, -1], _analyzer_axis(row))])
              for row in obs.coefficients]
     corr = pauli_correlations(as_density(state))
     probs = np.clip(np.einsum("ai,ij,bj->ab", sides[0], corr, sides[1]).ravel() / 4, 0.0, None)
@@ -164,64 +182,6 @@ class ProjectorSetting:
     qwp_deg: float
     outcome: str
     residual: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class TomographySetting:
-    """One row of the 16-setting two-photon tomography plan."""
-
-    label: str                       # e.g. "DxD"
-    kets: tuple[np.ndarray, np.ndarray]
-    h1: float
-    q1: float
-    h2: float
-    q2: float
-
-
-# the standard 16-setting two-photon projection plan with lab waveplate
-# angles (degrees); the analyzer chain is PBS( HWP( QWP( . ) ) )
-_TOMO_PLAN = [
-    ("V", "V", 45.0, 0.0, 45.0, 0.0),
-    ("V", "H", 45.0, 0.0, 0.0, 0.0),
-    ("H", "H", 0.0, 0.0, 0.0, 0.0),
-    ("H", "V", 0.0, 0.0, 45.0, 0.0),
-    ("L", "V", -22.5, 0.0, 45.0, 0.0),
-    ("L", "H", -22.5, 0.0, 0.0, 0.0),
-    ("D", "H", -22.5, 45.0, 0.0, 0.0),
-    ("D", "V", -22.5, 45.0, 45.0, 0.0),
-    ("D", "L", -22.5, 45.0, -22.5, 0.0),
-    ("D", "D", -22.5, 45.0, -22.5, 45.0),
-    ("L", "D", -22.5, 0.0, -22.5, 45.0),
-    ("V", "D", 45.0, 0.0, -22.5, 45.0),
-    ("H", "D", 0.0, 0.0, -22.5, 45.0),
-    ("H", "R", 0.0, 0.0, 22.5, 0.0),
-    ("V", "R", 45.0, 0.0, 22.5, 0.0),
-    ("L", "R", -22.5, 0.0, 22.5, 0.0),
-]
-
-_ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "L": "R", "R": "L"}
-
-
-def tomography_settings() -> list[TomographySetting]:
-    """The 16 projective settings used for two-photon state tomography."""
-    out = []
-    for s1, s2, h1, q1, h2, q2 in _TOMO_PLAN:
-        out.append(TomographySetting(
-            label=f"{s1}x{s2}",
-            kets=(POLARIZATION_KETS[s1], POLARIZATION_KETS[s2]),
-            h1=h1, q1=q1, h2=h2, q2=q2,
-        ))
-    return out
-
-
-def setting_outcome_kets(setting: TomographySetting) -> dict:
-    """Outcome-pair -> product ket for a tomography setting (+ transmitted)."""
-    labels = setting.label.split("x")
-    kets = {}
-    for o1, s1 in zip("+-", (labels[0], _ORTHOGONAL[labels[0]])):
-        for o2, s2 in zip("+-", (labels[1], _ORTHOGONAL[labels[1]])):
-            kets[o1 + o2] = tensor(POLARIZATION_KETS[s1], POLARIZATION_KETS[s2])
-    return kets
 
 
 def _qwp_action(qwp_deg, ket) -> tuple:

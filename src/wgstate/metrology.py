@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import LazyOptimizer, bordered_hessian, sphere_newton, tangent_projector
-from .measurement import Observable, general_axis_observable, pauli_observable
-from .optics import PHASE_CUT_TOL, canonical_phase, rotation_gate
+from .measurement import (Observable, _axis_angles, _unit_vector, general_axis_observable,
+                          pauli_observable)
+from .optics import rotation_gate
 from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
 from .stategen import weighted_graph_state
 
@@ -182,21 +183,6 @@ PENALTY_WEIGHT = 0.02
 VARIANCE_TOLERANCE = 1e-4
 
 
-def _unit_vector(beta, alpha):
-    """Bloch vectors (sin b cos a, sin b sin a, cos b) on a last axis."""
-    sb = np.sin(beta)
-    return np.stack([sb * np.cos(alpha), sb * np.sin(alpha), np.cos(beta)], axis=-1)
-
-
-def _axis_angles(n) -> tuple[float, float]:
-    """(beta, alpha) of a Bloch vector, with beta in [0, pi] and alpha in
-    (-pi, pi]: +pi on the +-pi cut (``optics.canonical_phase``), and 0 at
-    a pole, where hypot(n_x, n_y) < ``PHASE_CUT_TOL``."""
-    rho = np.hypot(n[0], n[1])
-    alpha = canonical_phase(np.arctan2(n[1], n[0])) if rho >= PHASE_CUT_TOL else 0.0
-    return float(np.arctan2(rho, n[2])), alpha
-
-
 # start grid: Bloch vectors at the polar angles (i + 1/2) pi/12 of the
 # upper hemisphere, which skips the pole and the mirrored -n copies of each
 # axis (A(-n1, n2) = -A(n1, n2)), times 12 azimuths
@@ -224,7 +210,7 @@ def _penalized(exp_val, deriv):
 
 def _figure_jets(blocks, x):
     """<A> = n1 . T n2 and s = |n1 . D n2| at rows x = (n1, n2) (m, 2, 3),
-    each vector read at unit norm, for the blocks of _axis_correlations.
+    each vector read at unit norm, for the blocks of _axis_blocks.
     Returns the unit rows (m, 6), the values (2, m), their gradients B x
     (2, m, 6) and the sign of n1 . D n2; the Hessians are the constant
     blocks, that of s times the sign."""

@@ -97,10 +97,6 @@ class BootstrapResult:
     ci_high: float
     n_clamped: int = 0
 
-    @property
-    def ci(self) -> tuple[float, float]:
-        return self.ci_low, self.ci_high
-
 
 @dataclass(frozen=True)
 class FitResult:

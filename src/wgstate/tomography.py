@@ -21,10 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optimize import LazyOptimizer, sphere_newton
-from .measurement import (checked_counts, checked_durations, setting_outcome_kets,
-                          tomography_settings)
-from .qmath import (PAULI_PRODUCTS, DensityMatrix, PureState2Q, as_density, concurrence,
-                    fidelity)
+from .measurement import checked_counts, checked_durations
+from .qmath import (PAULI_PRODUCTS, POLARIZATION_KETS, DensityMatrix, PureState2Q, as_density,
+                    concurrence, fidelity, tensor)
 from .stats import DegenerateDataError
 
 minimize = LazyOptimizer("minimize")
@@ -36,6 +35,46 @@ _LOWER = np.tril_indices(4, -1)   # (1,0), (2,0), (2,1), (3,0), (3,1), (3,2)
 
 class ReconstructionError(RuntimeError):
     """Likelihood optimization failed to converge."""
+
+
+@dataclass(frozen=True)
+class TomographySetting:
+    """One row of the 16-setting two-photon tomography plan."""
+
+    label: str                       # e.g. "DxD"
+    h1: float
+    q1: float
+    h2: float
+    q2: float
+
+
+# the standard 16-setting two-photon projection plan with lab waveplate
+# angles (degrees); the analyzer chain is PBS( HWP( QWP( . ) ) )
+_TOMO_PLAN = [
+    ("V", "V", 45.0, 0.0, 45.0, 0.0),
+    ("V", "H", 45.0, 0.0, 0.0, 0.0),
+    ("H", "H", 0.0, 0.0, 0.0, 0.0),
+    ("H", "V", 0.0, 0.0, 45.0, 0.0),
+    ("L", "V", -22.5, 0.0, 45.0, 0.0),
+    ("L", "H", -22.5, 0.0, 0.0, 0.0),
+    ("D", "H", -22.5, 45.0, 0.0, 0.0),
+    ("D", "V", -22.5, 45.0, 45.0, 0.0),
+    ("D", "L", -22.5, 45.0, -22.5, 0.0),
+    ("D", "D", -22.5, 45.0, -22.5, 45.0),
+    ("L", "D", -22.5, 0.0, -22.5, 45.0),
+    ("V", "D", 45.0, 0.0, -22.5, 45.0),
+    ("H", "D", 0.0, 0.0, -22.5, 45.0),
+    ("H", "R", 0.0, 0.0, 22.5, 0.0),
+    ("V", "R", 45.0, 0.0, 22.5, 0.0),
+    ("L", "R", -22.5, 0.0, 22.5, 0.0),
+]
+
+_ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "L": "R", "R": "L"}
+
+
+def tomography_settings() -> list[TomographySetting]:
+    """The 16 projective settings used for two-photon state tomography."""
+    return [TomographySetting(f"{s1}x{s2}", *angles) for s1, s2, *angles in _TOMO_PLAN]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +113,11 @@ class ReconstructionReport:
     point_concurrence: float
 
 
-def _outcome_ket_stack() -> np.ndarray:
-    """(16, 4, 4) product kets of all outcome pairs per setting."""
-    stack = []
-    for setting in tomography_settings():
-        kets = setting_outcome_kets(setting)
-        stack.append([kets["++"], kets["+-"], kets["-+"], kets["--"]])
-    return np.array(stack)
-
-
-_KETS = _outcome_ket_stack()                       # (16, 4, 4)
+# (16, 4, 4) product kets of the outcome pairs (++, +-, -+, --) of each
+# setting; "+" is the plan's state, transmitted, "-" its orthogonal one
+_KETS = np.array([[tensor(POLARIZATION_KETS[k1], POLARIZATION_KETS[k2])
+                   for k1 in (s1, _ORTHOGONAL[s1]) for k2 in (s2, _ORTHOGONAL[s2])]
+                  for s1, s2, *_ in _TOMO_PLAN])
 # row-vectorized projectors: row . M.ravel() = <v|M|v> = Tr(M |v><v|)
 _PROJ_ALL = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
 _PROJ_TRANSMITTED = _PROJ_ALL.reshape(16, 4, 16)[:, 0, :]

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgstate.cli import main
+from wgstate.cli import _observable_waveplates, main
+from wgstate.measurement import pauli_observable, solve_projector_batch
 from wgstate.stategen import weighted_graph_state
 from wgstate.tomography import TomographyDataset, simulate_tomography, write_dataset_csv
 from make_goldens import GOLDEN_DIR, run_all
@@ -102,6 +103,21 @@ class TestOptimizeCommand:
         assert data["estimator_variance"] == pytest.approx(0.25, abs=1e-9)
         assert set(data["waveplates"]) == {"photon1_plus", "photon1_minus",
                                            "photon2_plus", "photon2_minus"}
+
+    def test_pauli_waveplates_match_pinned_axes(self):
+        # (beta, alpha) of each Pauli factor's analyzer axis; an identity
+        # factor is analysed along z
+        pinned = {"I": (0.0, 0.0), "Z": (0.0, 0.0),
+                  "X": (np.pi / 2, 0.0), "Y": (np.pi / 2, np.pi / 2)}
+        for a1 in "IXYZ":
+            for a2 in "IXYZ":
+                (b1, al1), (b2, al2) = pinned[a1], pinned[a2]
+                settings = solve_projector_batch([b1, b1, b2, b2], [al1, al1, al2, al2],
+                                                 ["+", "-", "+", "-"])
+                expected = [[s.hwp_deg, s.qwp_deg, s.residual] for s in settings]
+                got = _observable_waveplates(pauli_observable(a1, a2))
+                assert (np.array([list(v.values()) for v in got.values()]).tobytes()
+                        == np.array(expected).tobytes()), a1 + a2
 
     def test_general_five_eighths(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch,
@@ -482,6 +498,46 @@ class TestBadInputs:
         assert "argument --seed: invalid int value: 'abc'" in line
         # an explicit --seed does not read the environment
         assert main(["qfi", "--grid", "3", "--seed", "1", "--out", "q.csv"]) == 0
+
+    @pytest.mark.parametrize("argv, manifest", [
+        (["state", "--phi12", "1", "--out", "a.json"], "a.json"),
+        (["state", "--phi12", "1", "--out", "a.json"], "./sub/../a.json"),
+        (["sense", "--phi12", "1", "--observable", "ZY", "--replicates", "100",
+          "--out", "run"], "run.csv"),
+        (["sense", "--phi12", "1", "--observable", "ZY", "--replicates", "100",
+          "--out", "run"], "run.json"),
+        (["fringe", "--out", "f"], "f.csv"),
+        (["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1", "--mc", "2",
+          "--out", "r.json"], "d.csv"),
+        (["tomo", "reconstruct", "--in", "r.json.manifest.json", "--phi12", "1",
+          "--mc", "2", "--out", "r.json"], None),
+    ])
+    def test_manifest_over_a_file_of_the_command_exits_two(self, tmp_path, monkeypatch,
+                                                           capsys, argv, manifest):
+        # the manifest would record the digest of a file it replaced
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        write_dataset_csv("d.csv", simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0))
+        for name in ("a.json", "run.json", "run.csv", "f.csv", "r.json.manifest.json"):
+            (tmp_path / name).write_text("before\n")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        code, line = usage_error(
+            argv + (["--manifest", manifest] if manifest else []) + ["--no-timestamp"], capsys)
+        assert code == 2
+        assert f"manifest path {manifest or 'r.json.manifest.json'} names an input or output" \
+            in line
+        assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_varphi_prime_without_pipeline_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the direct construction has no arm phase to override
+        monkeypatch.chdir(tmp_path)
+        rc, err = command_error(["state", "--phi12", "1", "--varphi-prime", "0.5",
+                                 "--out", "s.json", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert "--varphi-prime applies only with --pipeline" in err
+        assert not list(tmp_path.iterdir())
+        assert main(["state", "--phi12", "1", "--varphi-prime", "0.5", "--pipeline",
+                     "--out", "s.json", "--no-timestamp"]) == 0
 
     def test_os_error_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

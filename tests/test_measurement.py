@@ -11,15 +11,14 @@ from wgstate.measurement import (analyzer_overlap, axis_state,
                                  checked_counts, checked_durations,
                                  general_axis_observable, outcome_probabilities,
                                  pauli_observable, simulate_counts, solve_projector_batch,
-                                 solve_projector_waveplates, tomography_settings,
-                                 WaveplateSolverError)
+                                 solve_projector_waveplates, WaveplateSolverError)
 from wgstate.optics import WaveplateKind, waveplate_jones_lab
 from wgstate.qmath import (PAULIS, POLARIZATION_KETS, PureState2Q, as_density, expectation,
                            tensor)
 from wgstate.stategen import (GenerationConfig, NoiseModel, apply_noise, simulate_generation,
                               weighted_graph_state)
 from wgstate.stats import BinnedCounts
-from wgstate.tomography import TomographyDataset
+from wgstate.tomography import TomographyDataset, tomography_settings
 
 
 class TestPauliObservable:
@@ -242,8 +241,9 @@ class TestTomographySettings:
         # Jones-calculus oracle: each photon's plate pair sends its
         # projector state into the transmitted port
         for row in tomography_settings():
-            o1 = analyzer_overlap(row.h1, row.q1, row.kets[0])
-            o2 = analyzer_overlap(row.h2, row.q2, row.kets[1])
+            s1, s2 = row.label.split("x")
+            o1 = analyzer_overlap(row.h1, row.q1, POLARIZATION_KETS[s1])
+            o2 = analyzer_overlap(row.h2, row.q2, POLARIZATION_KETS[s2])
             assert o1 >= 1 - 1e-8, row.label
             assert o2 >= 1 - 1e-8, row.label
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from wgstate import metrology
 from wgstate._optimize import sphere_newton
-from wgstate.measurement import (general_axis_observable, outcome_probabilities,
-                                 pauli_observable)
+from wgstate.measurement import (_axis_angles, general_axis_observable,
+                                 outcome_probabilities, pauli_observable)
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
-                               SensingConfig, _axis_angles, encoding_unitary,
+                               SensingConfig, encoding_unitary,
                                general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric, sense)
 from wgstate.qmath import PAULIS, PureState2Q, as_density, tensor

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wgstate.tomography as tomography
-from wgstate.measurement import setting_outcome_kets, tomography_settings
-from wgstate.qmath import (DensityMatrix, PureState2Q, as_density, concurrence, fidelity,
-                           trace_distance)
+from wgstate.qmath import (POLARIZATION_KETS, DensityMatrix, PureState2Q, as_density,
+                           concurrence, fidelity, tensor, trace_distance)
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 from wgstate.stats import DegenerateDataError
 from wgstate.tomography import (ReconstructionReport, TomographyDataset,
                                 mle_reconstruct, monte_carlo_report,
                                 read_dataset_csv, simulate_tomography,
-                                write_dataset_csv)
+                                tomography_settings, write_dataset_csv)
 
 LIKELIHOODS = ("gaussian", "poisson")
 # maximum-likelihood estimates of the former L-BFGS-B fit on Poisson data
@@ -27,12 +26,17 @@ def scaled_dataset(data, factor):
     return TomographyDataset(data.counts * factor, data.durations)
 
 
+ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "L": "R", "R": "L"}
+
+
 def brute_force_probs(state, setting):
-    """Independent Born-rule oracle: explicit projector sandwiches."""
+    """Independent Born-rule oracle: explicit projector sandwiches of the
+    setting's labelled states ("+") and their orthogonal partners ("-")."""
     rho = state.density().matrix if isinstance(state, PureState2Q) else state.matrix
-    kets = setting_outcome_kets(setting)
-    return np.array([np.real(kets[o].conj() @ rho @ kets[o])
-                     for o in ("++", "+-", "-+", "--")])
+    s1, s2 = setting.label.split("x")
+    kets = [tensor(POLARIZATION_KETS[k1], POLARIZATION_KETS[k2])
+            for k1 in (s1, ORTHOGONAL[s1]) for k2 in (s2, ORTHOGONAL[s2])]
+    return np.array([np.real(ket.conj() @ rho @ ket) for ket in kets])
 
 
 class TestSimulateTomography:
