@@ -4,10 +4,10 @@ Exit codes: 0 success, 2 usage errors (including non-finite numbers,
 negative rates and durations, more than 2**53 expected counts per bin,
 2**53 or more pooled over a sensing run's bins, --varphi-prime without
 --pipeline, a manifest path that names an input or output of the
-command, files that cannot be read or written, and sizes too large to
-allocate), 3 degenerate data (empty counts, vanishing post-selection),
-4 numerical failures (optimizers, fits, a fringe fit that dips below
-zero counts).
+command or lies in a missing directory, files that cannot be read or
+written, and sizes too large to allocate), 3 degenerate data (empty
+counts, vanishing post-selection), 4 numerical failures (optimizers,
+fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -550,6 +550,9 @@ def main(argv=None) -> int:
     files = _outputs(args) + ([args.infile] if hasattr(args, "infile") else [])
     if os.path.abspath(manifest) in map(os.path.abspath, files):
         parser.error(f"manifest path {manifest} names an input or output of the command")
+    # the outputs are written first, so a manifest that cannot be written would orphan them
+    if args.manifest and not os.path.isdir(os.path.dirname(manifest) or "."):
+        parser.error(f"manifest path {manifest} is in a directory that does not exist")
     try:
         return args.func(args)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:

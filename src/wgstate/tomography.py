@@ -8,9 +8,10 @@ Tr(T^dag T), which is physical by construction, to a Gaussian (default)
 or exact Poisson likelihood. A damped Newton solver on the exact Hessian
 fits a whole stack of datasets at once, so a Monte Carlo report fits the
 observed counts and every resample in one solve, and reads their
-fidelities and concurrences from one stacked call each. The photon-flux
-normalization is estimated from the four rectilinear-basis settings,
-whose outcomes partition unity.
+fidelities and concurrences from one stacked call each. Each fit starts
+from the least-squares inversion of the outcome ratios it fits, projected
+onto the PSD cone. The photon-flux normalization is estimated from the
+four rectilinear-basis settings, whose outcomes partition unity.
 """
 
 from __future__ import annotations
@@ -121,10 +122,12 @@ _KETS = np.array([[tensor(POLARIZATION_KETS[k1], POLARIZATION_KETS[k2])
 # row-vectorized projectors: row . M.ravel() = <v|M|v> = Tr(M |v><v|)
 _PROJ_ALL = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
 _PROJ_TRANSMITTED = _PROJ_ALL.reshape(16, 4, 16)[:, 0, :]
-# two-qubit Pauli basis of linear inversion and the map from its
-# coefficients to the transmitted-port probabilities
+# two-qubit Pauli basis, and the least-squares maps to its coefficients
+# from the 64 or 16 outcome ratios a likelihood fits, keyed by that number
 _PAULI_BASIS = PAULI_PRODUCTS.reshape(16, 4, 4) / 2
-_INVERSION_MATRIX = _PROJ_TRANSMITTED @ _PAULI_BASIS.reshape(16, 16).T
+_LEAST_SQUARES = {len(proj): np.linalg.pinv((proj @ _PAULI_BASIS.reshape(16, 16).T).real)
+                  for proj in (_PROJ_ALL, _PROJ_TRANSMITTED)}
+_START_MIX = 0.03   # fraction of I/4 in the start of a fit
 
 
 def simulate_tomography(state, rate: float, duration: float, seed: int = 0,
@@ -184,31 +187,6 @@ def _quadratic_forms() -> np.ndarray:
 
 _Q_ALL = _quadratic_forms()
 _Q_TRANSMITTED = _Q_ALL[::4]
-
-
-def _linear_inversion(transmitted: np.ndarray) -> np.ndarray:
-    """Dual-basis inversion of transmitted-port counts (m, 16) whose
-    rectilinear settings hold counts, projected onto the PSD cone."""
-    n_total = transmitted[:, _RECTILINEAR_ROWS].sum(axis=1, keepdims=True)
-    coeffs = np.linalg.solve(_INVERSION_MATRIX, (transmitted / n_total).T).T
-    rho = np.tensordot(coeffs, _PAULI_BASIS, axes=1)
-    rho = (rho + np.swapaxes(rho.conj(), 1, 2)) / 2
-    vals, vecs = np.linalg.eigh(rho)
-    rho = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
-    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-
-
-def _start(counts: np.ndarray) -> np.ndarray:
-    """Start of each fit: linear inversion mixed with 30% of I/4, or I/4
-    alone where the rectilinear settings hold no transmitted counts.
-    The mixture keeps the start off the p = 0 barrier of an observed
-    outcome, where Newton steps only halve the objective."""
-    transmitted = counts[:, :, 0].astype(float)
-    rho = np.tile(np.eye(4, dtype=complex) / 4, (len(counts), 1, 1))
-    inverted = transmitted[:, _RECTILINEAR_ROWS].sum(axis=1) > 0
-    if inverted.any():
-        rho[inverted] = 0.7 * _linear_inversion(transmitted[inverted]) + 0.3 * rho[inverted]
-    return _cholesky_params(rho)
 
 
 def _rectilinear_flux(counts: np.ndarray, outcomes: str) -> np.ndarray:
@@ -303,9 +281,26 @@ class _Likelihood:
         return f, grad, hess
 
 
+def _start(nll: _Likelihood) -> np.ndarray:
+    """Unit T-parameter rows (m, 16) that start the fit of ``nll``: the
+    least-squares inversion of the ratios it fits, clipped to the PSD cone
+    (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), mixed with
+    _START_MIX of I/4. The mixture keeps the start positive definite and
+    off the p = 0 barrier of an observed outcome, where Newton steps only
+    halve the objective. The clipped trace is at least the mean outcome
+    sum of a setting, or the rectilinear sum, and the likelihood refuses
+    data where that is zero."""
+    coeffs = nll.ratios @ _LEAST_SQUARES[nll.ratios.shape[1]].T
+    vals, vecs = np.linalg.eigh(np.tensordot(coeffs, _PAULI_BASIS, axes=1))
+    rho = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return _cholesky_params((1 - _START_MIX) * rho + _START_MIX * np.eye(4) / 4)
+
+
 def _fit(counts: np.ndarray, likelihood: str, outcomes: str) -> np.ndarray:
     """Unit T-parameter rows (m, 16) of the MLE of each dataset in a
-    (m, 16, 4) count stack.
+    (m, 16, 4) count stack, each fit started by :func:`_start` from the
+    least-squares inversion of the ratios its likelihood fits.
 
     The objective does not depend on the scale of t, so its gradient is
     tangent to the unit sphere and the direction of t is an exact null
@@ -315,7 +310,7 @@ def _fit(counts: np.ndarray, likelihood: str, outcomes: str) -> np.ndarray:
     its final gradient is negligible on the scale of its flux.
     """
     nll = _Likelihood(counts, likelihood, outcomes)
-    t, converged, grad = sphere_newton(nll, _start(counts)[:, None])
+    t, converged, grad = sphere_newton(nll, _start(nll)[:, None])
     _accept_unconverged(grad, nll.flux[~converged])
     return t[:, 0]
 
@@ -341,9 +336,9 @@ def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian",
     likelihood weighs squared residuals by the expected counts; the
     Poisson option is the exact counting likelihood. A damped Newton
     solver minimizes it on the exact gradient and Hessian in the
-    Cholesky parameters, starting from the linear-inversion estimate
-    mixed with the maximally mixed state (from the maximally mixed state
-    alone when the rectilinear settings hold no transmitted counts).
+    Cholesky parameters, starting from the least-squares inversion of
+    the same outcomes, clipped to the PSD cone and mixed with 3% of the
+    maximally mixed state.
     """
     counts = data.counts
     if counts.sum() <= 0:

@@ -528,6 +528,22 @@ class TestBadInputs:
             in line
         assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize("argv", [
+        ["state", "--phi12", "1", "--out", "s.json"],
+        ["sense", "--phi12", "1", "--observable", "ZY", "--bins", "2",
+         "--replicates", "100", "--out", "run"],
+        ["tomo", "simulate", "--phi12", "1", "--out", "t.csv"],
+    ])
+    def test_manifest_in_a_missing_directory_exits_two(self, tmp_path, monkeypatch,
+                                                       capsys, argv):
+        # the outputs come first, so they would be left without a manifest
+        monkeypatch.chdir(tmp_path)
+        code, line = usage_error(argv + ["--manifest", "nodir/m.json", "--no-timestamp"],
+                                 capsys)
+        assert code == 2
+        assert "manifest path nodir/m.json is in a directory that does not exist" in line
+        assert not list(tmp_path.iterdir())
+
     def test_varphi_prime_without_pipeline_exits_two(self, tmp_path, monkeypatch, capsys):
         # the direct construction has no arm phase to override
         monkeypatch.chdir(tmp_path)

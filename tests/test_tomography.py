@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgstate.tomography as tomography
@@ -221,6 +221,110 @@ class TestGradient:
         assert curvature.min() >= -1e-8 * curvature.max()
 
 
+def unmixed_start(nll):
+    """The start of a fit with its I/4 admixture taken out again."""
+    rho = tomography._rho_from_params(tomography._start(nll))
+    mix = tomography._START_MIX
+    return (rho - mix * np.eye(4) / 4) / (1 - mix)
+
+
+def sparse_stack(kind, outcomes):
+    """Poisson datasets of ~3 counts per setting, or of 150 counts per
+    setting with the non-rectilinear settings or the rectilinear
+    transmitted counts emptied, keeping those whose flux is positive."""
+    stack = np.stack([simulate_tomography(
+        apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=0.1)),
+        0.3 if kind == "three counts" else 15.0, 10.0, seed=seed, poisson=True).counts
+        for seed, phi in enumerate(np.linspace(0.0, np.pi, 30))])
+    if kind == "non-rectilinear empty":
+        stack[:, 4:] = 0
+    elif kind == "rectilinear transmitted empty":
+        stack[:, :4, 0] = 0
+    return stack[tomography._rectilinear_flux(stack, outcomes) > 0]
+
+
+class TestStart:
+    """The least-squares start of the fit."""
+
+    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
+    def test_exact_probabilities_invert_to_the_state(self, outcomes):
+        rng = np.random.default_rng(11)
+        gram = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        rhos = gram @ np.swapaxes(gram.conj(), 1, 2)
+        rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+        probs = np.array([[brute_force_probs(DensityMatrix(rho), setting)
+                           for setting in tomography_settings()] for rho in rhos])
+        nll = tomography._Likelihood(probs, "gaussian", outcomes)
+        assert np.abs(unmixed_start(nll) - rhos).max() <= 1e-12
+
+    def test_transmitted_start_is_the_dual_basis_inversion(self):
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+                  np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        basis = [np.kron(a, b) / 2 for a in paulis for b in paulis]
+        kets = [tensor(POLARIZATION_KETS[s1], POLARIZATION_KETS[s2])
+                for s1, s2 in (s.label.split("x") for s in tomography_settings())]
+        matrix = np.array([[np.real(v.conj() @ b @ v) for b in basis] for v in kets])
+        stack = np.stack([simulate_tomography(
+            apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
+            rate, 10.0, seed=seed, poisson=True).counts
+            for seed, (phi, p, rate) in enumerate([(0.3, 0.0, 15.0), (1.2, 0.1, 150.0),
+                                                   (np.pi, 0.02, 1500.0), (2.0, 0.4, 3.0)])])
+        nll = tomography._Likelihood(stack, "poisson", "transmitted")
+        for ratios, start in zip(nll.ratios, unmixed_start(nll)):
+            rho = np.tensordot(np.linalg.solve(matrix, ratios), basis, axes=1)
+            vals, vecs = np.linalg.eigh(rho)
+            rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+            assert np.abs(start - rho / np.trace(rho).real).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind, outcomes", [
+        ("three counts", "all"), ("three counts", "transmitted"),
+        ("non-rectilinear empty", "all"), ("non-rectilinear empty", "transmitted"),
+        # the former start took I/4 alone here
+        ("rectilinear transmitted empty", "all"),
+    ])
+    def test_unit_and_positive_definite_on_sparse_data(self, kind, outcomes):
+        stack = sparse_stack(kind, outcomes)
+        assert len(stack) >= 10
+        t = tomography._start(tomography._Likelihood(stack, "gaussian", outcomes))
+        assert np.all(np.isfinite(t))
+        assert np.allclose(np.linalg.norm(t, axis=1), 1.0, rtol=0, atol=1e-12)
+        smallest = np.linalg.eigvalsh(tomography._rho_from_params(t))[:, 0]
+        assert smallest.min() >= tomography._START_MIX / 4 * (1 - 1e-9)
+
+    def test_newton_iterations_within_budget(self, monkeypatch):
+        # 40 tomo-mc-like stacks: a dataset and four Poisson resamples; the
+        # former start (inversion of the transmitted counts with 30% of
+        # I/4) took 13.85 Hessian evaluations per stack here, this one 9.85
+        evaluations = []
+
+        class Counting(tomography._Likelihood):
+            def __call__(self, t, rows, derivatives=True):
+                evaluations.append(derivatives)
+                return super().__call__(t, rows, derivatives)
+
+        monkeypatch.setattr(tomography, "_Likelihood", Counting)
+        rng = np.random.default_rng(20261019)
+        per_stack = []
+        for mixed in (False, True):
+            for per_setting in (30.0, 1500.0):
+                for likelihood in LIKELIHOODS:
+                    for _ in range(5):
+                        state = weighted_graph_state(rng.uniform(0, np.pi))
+                        if mixed:
+                            state = apply_noise(state, NoiseModel(
+                                depolarizing_p=rng.uniform(0.05, 0.3),
+                                phase_jitter_sigma=rng.uniform(0.1, 0.6)))
+                        counts = simulate_tomography(state, per_setting / 10, 10.0,
+                                                     seed=int(rng.integers(2 ** 31)),
+                                                     poisson=True).counts
+                        stack = np.concatenate([counts[None], rng.poisson(counts, (4, 16, 4))])
+                        evaluations.clear()
+                        tomography._fit(stack, likelihood, "all")
+                        per_stack.append(evaluations.count(True))
+        assert len(per_stack) == 40
+        assert np.mean(per_stack) <= 11.5
+
+
 class TestBatchedFit:
     """One Newton solve over a stack of datasets."""
 
@@ -231,6 +335,12 @@ class TestBatchedFit:
                           min_size=2, max_size=6),
            likelihood=st.sampled_from(LIKELIHOODS),
            outcomes=st.sampled_from(["all", "transmitted"]))
+    # two examples hypothesis once reported: the lone fits end on
+    # rank-deficient optima, where the end point depends on the path
+    @example(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)],
+             likelihood="gaussian", outcomes="all")
+    @example(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)],
+             likelihood="poisson", outcomes="all")
     def test_stack_matches_each_fit_alone(self, specs, likelihood, outcomes):
         stack = np.stack([simulate_tomography(
             apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
