@@ -5,9 +5,10 @@
 Cholesky parameters of tomography on one sphere in R^16, and the two
 Bloch vectors of the general-axis search on two spheres in R^3. Its
 Newton step factors the bordered tangent system P H P + (I - P)
-(:func:`bordered_hessian`) by Cholesky and solves it. Where a row of the
-batch is not positive definite there, the whole batch takes the step
-from the eigenvalues of P H P by magnitude instead.
+(:func:`bordered_hessian`) by Cholesky and solves it. A row that is not
+positive definite there takes the step from the eigenvalues of P H P by
+magnitude instead, and the other rows of its batch keep their Cholesky
+steps.
 
 No ``wgstate`` code calls a scipy solver. The five bindings
 ``measurement.minimize``, ``tomography.minimize``, ``metrology.minimize``,
@@ -84,6 +85,28 @@ def _eigen_step(grad, hess, proj):
     return -np.einsum("mij,mj->mi", vecs, np.einsum("mji,mj->mi", vecs, grad) / lam)
 
 
+def _newton_step(grad, hess, proj):
+    """The tangent Newton step of each row: by :func:`_cholesky_step` for
+    the whole batch where it can, and otherwise row by row, by Cholesky
+    where a row's bordered system is positive definite and by
+    :func:`_eigen_step` where it is not. Each row's step is thus the one it
+    takes alone, so a fit in a batch ends where it ends alone."""
+    try:
+        return _cholesky_step(grad, hess, proj)
+    except np.linalg.LinAlgError:
+        pass
+    definite = np.ones(len(grad), dtype=bool)
+    for i, bordered in enumerate(bordered_hessian(hess, proj)):
+        try:
+            np.linalg.cholesky(bordered)
+        except np.linalg.LinAlgError:
+            definite[i] = False
+    step = np.empty_like(grad)
+    step[definite] = _cholesky_step(grad[definite], hess[definite], proj[definite])
+    step[~definite] = _eigen_step(grad[~definite], hess[~definite], proj[~definite])
+    return step
+
+
 def sphere_newton(fun, x):
     """Damped Newton minimization from each row of x (m, k, d), a point on
     the product of k unit spheres in R^d.
@@ -97,9 +120,10 @@ def sphere_newton(fun, x):
 
     Each step solves P H P s = -g in the tangent space (P projects out the
     normal x_i of every sphere): by a Cholesky factorization of the
-    bordered system P H P + (I - P) where every active row is positive
-    definite there, and otherwise, for the whole batch, with the
-    eigenvalues of P H P taken by magnitude and floored. It backtracks to
+    bordered system P H P + (I - P) where a row is positive definite
+    there, and otherwise with the eigenvalues of P H P taken by magnitude
+    and floored (:func:`_newton_step`), so each row takes the steps it
+    would take alone. It backtracks to
     the Armijo condition and retracts onto the spheres by normalizing each
     block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, ch. 6). Every row stops on its own Newton decrement.
@@ -117,10 +141,7 @@ def sphere_newton(fun, x):
         flat = xa.reshape(len(active), k * d)
         f, grad, hess = fun(flat, active)
         proj = tangent_projector(xa)
-        try:
-            step = _cholesky_step(grad, hess, proj)
-        except np.linalg.LinAlgError:
-            step = _eigen_step(grad, hess, proj)
+        step = _newton_step(grad, hess, proj)
         step -= (np.einsum("mkd,mkd->mk", step.reshape(xa.shape), xa)[..., None]
                  * xa).reshape(flat.shape)
         slope = np.einsum("mi,mi->m", grad, step)

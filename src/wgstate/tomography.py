@@ -256,7 +256,10 @@ class _Likelihood:
         flux, ratios, observed = self.flux[rows], self.ratios[rows], self.observed[rows]
         m = len(t)
         s = np.einsum("mi,mi->m", t, t)
-        qt = (t @ self.q_columns).reshape(m, -1, 16)   # Q_k t
+        # products over stacked (m, 1, n) rows, which numpy takes one row
+        # at a time: a row rounds the same in any batch, so a fit in a
+        # stack ends where it ends alone
+        qt = (t[:, None] @ self.q_columns).reshape(m, -1, 16)   # Q_k t
         p = np.einsum("mki,mi->mk", qt, t) / s[:, None]
         # an outcome without counts takes any positive stand-in, and its
         # term is linear in p with the slope phi'(., 0)
@@ -273,7 +276,7 @@ class _Likelihood:
         u = qt - p[..., None] * t[:, None, :]
         grad = np.einsum("mk,mki->mi", w1, u)
         # sum_k w1_k (Q_k - p_k I), the p_k I terms taken off a view of the diagonal
-        b = (w1 @ self.q_rows).reshape(m, 16, 16)
+        b = (w1[:, None] @ self.q_rows).reshape(m, 16, 16)
         np.einsum("mii->mi", b)[...] -= np.einsum("mk,mk->m", w1, p)[:, None]
         gt = grad[:, :, None] * t[:, None, :]
         hess = (np.swapaxes(u * w2[..., None], 1, 2) @ u
@@ -290,8 +293,9 @@ def _start(nll: _Likelihood) -> np.ndarray:
     halve the objective. The clipped trace is at least the mean outcome
     sum of a setting, or the rectilinear sum, and the likelihood refuses
     data where that is zero."""
-    coeffs = nll.ratios @ _LEAST_SQUARES[nll.ratios.shape[1]].T
-    vals, vecs = np.linalg.eigh(np.tensordot(coeffs, _PAULI_BASIS, axes=1))
+    # stacked rows, as in _Likelihood, so a start does not depend on its batch
+    coeffs = nll.ratios[:, None] @ _LEAST_SQUARES[nll.ratios.shape[1]].T
+    vals, vecs = np.linalg.eigh((coeffs @ _PAULI_BASIS.reshape(16, 16)).reshape(-1, 4, 4))
     rho = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     return _cholesky_params((1 - _START_MIX) * rho + _START_MIX * np.eye(4) / 4)

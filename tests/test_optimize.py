@@ -163,3 +163,22 @@ def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch
         assert done
         assert np.abs(row - alone[0]).max() <= 1e-10
         assert rayleigh(row, None, derivatives=False)[0] == pytest.approx(1.0, abs=1e-14)
+
+
+def test_definite_row_keeps_its_cholesky_step_beside_an_indefinite_one():
+    # the first and third starts are positive definite on their tangent
+    # spaces, the second (near the maximum) is not
+    starts = np.array([[1.0, 0.2, 0.1, 0.3],
+                       [0.05, 0.1, 0.2, 1.0],
+                       [0.9, 0.3, 0.2, 0.1]])
+    starts = (starts / np.linalg.norm(starts, axis=1, keepdims=True))[:, None]
+    proj = _optimize.tangent_projector(starts)
+    _f, grad, hess = rayleigh(starts[:, 0], np.arange(3))
+    step = _optimize._newton_step(grad, hess, proj)
+    for i in (0, 2):
+        alone = _optimize._cholesky_step(grad[i:i + 1], hess[i:i + 1], proj[i:i + 1])
+        assert np.array_equal(step[i], alone[0])
+    with pytest.raises(np.linalg.LinAlgError):
+        _optimize._cholesky_step(grad[1:2], hess[1:2], proj[1:2])
+    eigen = _optimize._eigen_step(grad[1:2], hess[1:2], proj[1:2])
+    assert np.array_equal(step[1], eigen[0])

@@ -335,12 +335,15 @@ class TestBatchedFit:
                           min_size=2, max_size=6),
            likelihood=st.sampled_from(LIKELIHOODS),
            outcomes=st.sampled_from(["all", "transmitted"]))
-    # two examples hypothesis once reported: the lone fits end on
-    # rank-deficient optima, where the end point depends on the path
+    # examples hypothesis once reported: the lone fits end on
+    # rank-deficient optima, where the end point depends on the path, so a
+    # stacked row must take each step a lone fit takes, to the last bit
     @example(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)],
              likelihood="gaussian", outcomes="all")
     @example(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)],
              likelihood="poisson", outcomes="all")
+    @example(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.25, 15.0, 400688)],
+             likelihood="gaussian", outcomes="transmitted")
     def test_stack_matches_each_fit_alone(self, specs, likelihood, outcomes):
         stack = np.stack([simulate_tomography(
             apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
