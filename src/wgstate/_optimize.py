@@ -86,23 +86,24 @@ def _eigen_step(grad, hess, proj):
 
 
 def _newton_step(grad, hess, proj):
-    """The tangent Newton step of each row: by :func:`_cholesky_step` for
-    the whole batch where it can, and otherwise row by row, by Cholesky
-    where a row's bordered system is positive definite and by
-    :func:`_eigen_step` where it is not. Each row's step is thus the one it
-    takes alone, so a fit in a batch ends where it ends alone."""
+    """The tangent Newton step of each row: :func:`_cholesky_step` where
+    every row is positive definite, and otherwise the solve with the
+    bordered system for each row that its own Cholesky factorization finds
+    positive definite, and :func:`_eigen_step` for the others. A row thus
+    takes the step it takes alone, whatever the other rows of its batch."""
     try:
         return _cholesky_step(grad, hess, proj)
     except np.linalg.LinAlgError:
         pass
+    bordered = bordered_hessian(hess, proj)
     definite = np.ones(len(grad), dtype=bool)
-    for i, bordered in enumerate(bordered_hessian(hess, proj)):
+    for i, row in enumerate(bordered):
         try:
-            np.linalg.cholesky(bordered)
+            np.linalg.cholesky(row)
         except np.linalg.LinAlgError:
             definite[i] = False
     step = np.empty_like(grad)
-    step[definite] = _cholesky_step(grad[definite], hess[definite], proj[definite])
+    step[definite] = -np.linalg.solve(bordered[definite], grad[definite, :, None])[..., 0]
     step[~definite] = _eigen_step(grad[~definite], hess[~definite], proj[~definite])
     return step
 
@@ -122,8 +123,7 @@ def sphere_newton(fun, x):
     normal x_i of every sphere): by a Cholesky factorization of the
     bordered system P H P + (I - P) where a row is positive definite
     there, and otherwise with the eigenvalues of P H P taken by magnitude
-    and floored (:func:`_newton_step`), so each row takes the steps it
-    would take alone. It backtracks to
+    and floored (:func:`_newton_step`). It backtracks to
     the Armijo condition and retracts onto the spheres by normalizing each
     block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
     Manifolds, 2008, ch. 6). Every row stops on its own Newton decrement.

@@ -4,10 +4,10 @@ Exit codes: 0 success, 2 usage errors (including non-finite numbers,
 negative rates and durations, more than 2**53 expected counts per bin,
 2**53 or more pooled over a sensing run's bins, --varphi-prime without
 --pipeline, a manifest path that names an input or output of the
-command or lies in a missing directory, files that cannot be read or
-written, and sizes too large to allocate), 3 degenerate data (empty
-counts, vanishing post-selection), 4 numerical failures (optimizers,
-fits, a fringe fit that dips below zero counts).
+command, lies in a missing directory or is a directory, files that
+cannot be read or written, and sizes too large to allocate), 3
+degenerate data (empty counts, vanishing post-selection), 4 numerical
+failures (optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -553,6 +553,8 @@ def main(argv=None) -> int:
     # the outputs are written first, so a manifest that cannot be written would orphan them
     if args.manifest and not os.path.isdir(os.path.dirname(manifest) or "."):
         parser.error(f"manifest path {manifest} is in a directory that does not exist")
+    if os.path.isdir(manifest):
+        parser.error(f"manifest path {manifest} is a directory")
     try:
         return args.func(args)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:

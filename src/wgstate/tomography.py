@@ -8,7 +8,8 @@ Tr(T^dag T), which is physical by construction, to a Gaussian (default)
 or exact Poisson likelihood. A damped Newton solver on the exact Hessian
 fits a whole stack of datasets at once, so a Monte Carlo report fits the
 observed counts and every resample in one solve, and reads their
-fidelities and concurrences from one stacked call each. Each fit starts
+fidelities and concurrences from one stacked call each; each fit takes
+the steps it takes alone (:func:`_rows_times`). Each fit starts
 from the least-squares inversion of the outcome ratios it fits, projected
 onto the PSD cone. The photon-flux normalization is estimated from the
 four rectilinear-basis settings, whose outcomes partition unity.
@@ -217,6 +218,19 @@ def _poisson_terms(p, r):
 _LIKELIHOODS = {"gaussian": (_gaussian_terms, 1e-9), "poisson": (_poisson_terms, 1e-12)}
 
 
+def _rows_times(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """x @ matrix for rows x (m, n), a lone row paired with a copy of
+    itself. numpy hands a lone row to BLAS as a matrix-vector product,
+    which rounds differently from the matrix-matrix product of a stack,
+    and over a fit to a rank-deficient optimum that difference grows to
+    ~1e-10. Paired, a lone fit rounds as it does in a stack wherever BLAS
+    rounds each row of a product alone: OpenBLAS's SkylakeX kernels do,
+    its Haswell and Prescott kernels do not."""
+    if len(x) == 1:
+        return (np.concatenate([x, x]) @ matrix)[:1]
+    return x @ matrix
+
+
 class _Likelihood:
     """The negative log-likelihood of a stack of datasets (m, 16, 4) as a
     function of one real T-parameter row per dataset.
@@ -256,10 +270,7 @@ class _Likelihood:
         flux, ratios, observed = self.flux[rows], self.ratios[rows], self.observed[rows]
         m = len(t)
         s = np.einsum("mi,mi->m", t, t)
-        # products over stacked (m, 1, n) rows, which numpy takes one row
-        # at a time: a row rounds the same in any batch, so a fit in a
-        # stack ends where it ends alone
-        qt = (t[:, None] @ self.q_columns).reshape(m, -1, 16)   # Q_k t
+        qt = _rows_times(t, self.q_columns).reshape(m, -1, 16)   # Q_k t
         p = np.einsum("mki,mi->mk", qt, t) / s[:, None]
         # an outcome without counts takes any positive stand-in, and its
         # term is linear in p with the slope phi'(., 0)
@@ -276,7 +287,7 @@ class _Likelihood:
         u = qt - p[..., None] * t[:, None, :]
         grad = np.einsum("mk,mki->mi", w1, u)
         # sum_k w1_k (Q_k - p_k I), the p_k I terms taken off a view of the diagonal
-        b = (w1[:, None] @ self.q_rows).reshape(m, 16, 16)
+        b = _rows_times(w1, self.q_rows).reshape(m, 16, 16)
         np.einsum("mii->mi", b)[...] -= np.einsum("mk,mk->m", w1, p)[:, None]
         gt = grad[:, :, None] * t[:, None, :]
         hess = (np.swapaxes(u * w2[..., None], 1, 2) @ u
@@ -293,9 +304,8 @@ def _start(nll: _Likelihood) -> np.ndarray:
     halve the objective. The clipped trace is at least the mean outcome
     sum of a setting, or the rectilinear sum, and the likelihood refuses
     data where that is zero."""
-    # stacked rows, as in _Likelihood, so a start does not depend on its batch
-    coeffs = nll.ratios[:, None] @ _LEAST_SQUARES[nll.ratios.shape[1]].T
-    vals, vecs = np.linalg.eigh((coeffs @ _PAULI_BASIS.reshape(16, 16)).reshape(-1, 4, 4))
+    coeffs = _rows_times(nll.ratios, _LEAST_SQUARES[nll.ratios.shape[1]].T)
+    vals, vecs = np.linalg.eigh(_rows_times(coeffs, _PAULI_BASIS.reshape(16, 16)).reshape(-1, 4, 4))
     rho = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     return _cholesky_params((1 - _START_MIX) * rho + _START_MIX * np.eye(4) / 4)

@@ -534,15 +534,19 @@ class TestBadInputs:
          "--replicates", "100", "--out", "run"],
         ["tomo", "simulate", "--phi12", "1", "--out", "t.csv"],
     ])
-    def test_manifest_in_a_missing_directory_exits_two(self, tmp_path, monkeypatch,
-                                                       capsys, argv):
+    @pytest.mark.parametrize("manifest, message", [
+        ("nodir/m.json", "is in a directory that does not exist"),
+        ("sub", "is a directory"),
+    ])
+    def test_manifest_that_cannot_be_written_exits_two(self, tmp_path, monkeypatch,
+                                                       capsys, argv, manifest, message):
         # the outputs come first, so they would be left without a manifest
         monkeypatch.chdir(tmp_path)
-        code, line = usage_error(argv + ["--manifest", "nodir/m.json", "--no-timestamp"],
-                                 capsys)
+        (tmp_path / "sub").mkdir()
+        code, line = usage_error(argv + ["--manifest", manifest, "--no-timestamp"], capsys)
         assert code == 2
-        assert "manifest path nodir/m.json is in a directory that does not exist" in line
-        assert not list(tmp_path.iterdir())
+        assert f"manifest path {manifest} {message}" in line
+        assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
     def test_varphi_prime_without_pipeline_exits_two(self, tmp_path, monkeypatch, capsys):
         # the direct construction has no arm phase to override

@@ -165,7 +165,7 @@ def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch
         assert rayleigh(row, None, derivatives=False)[0] == pytest.approx(1.0, abs=1e-14)
 
 
-def test_definite_row_keeps_its_cholesky_step_beside_an_indefinite_one():
+def test_definite_rows_keep_their_cholesky_steps_beside_an_indefinite_one():
     # the first and third starts are positive definite on their tangent
     # spaces, the second (near the maximum) is not
     starts = np.array([[1.0, 0.2, 0.1, 0.3],
@@ -180,5 +180,4 @@ def test_definite_row_keeps_its_cholesky_step_beside_an_indefinite_one():
         assert np.array_equal(step[i], alone[0])
     with pytest.raises(np.linalg.LinAlgError):
         _optimize._cholesky_step(grad[1:2], hess[1:2], proj[1:2])
-    eigen = _optimize._eigen_step(grad[1:2], hess[1:2], proj[1:2])
-    assert np.array_equal(step[1], eigen[0])
+    assert np.array_equal(step[1], _optimize._eigen_step(grad[1:2], hess[1:2], proj[1:2])[0])

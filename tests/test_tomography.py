@@ -325,6 +325,24 @@ class TestStart:
         assert np.mean(per_stack) <= 11.5
 
 
+# stacks hypothesis once reported: a lone fit ends on a rank-deficient
+# optimum, where the end point depends on the path to the last bit
+PINNED_STACKS = [
+    dict(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)],
+         likelihood="gaussian", outcomes="all"),
+    dict(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)],
+         likelihood="poisson", outcomes="all"),
+    dict(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.25, 15.0, 400688)],
+         likelihood="gaussian", outcomes="transmitted"),
+]
+
+
+def stacked_counts(specs):
+    return np.stack([simulate_tomography(
+        apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
+        rate, 10.0, seed=seed, poisson=True).counts for phi, p, rate, seed in specs])
+
+
 class TestBatchedFit:
     """One Newton solve over a stack of datasets."""
 
@@ -335,23 +353,42 @@ class TestBatchedFit:
                           min_size=2, max_size=6),
            likelihood=st.sampled_from(LIKELIHOODS),
            outcomes=st.sampled_from(["all", "transmitted"]))
-    # examples hypothesis once reported: the lone fits end on
-    # rank-deficient optima, where the end point depends on the path, so a
-    # stacked row must take each step a lone fit takes, to the last bit
-    @example(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)],
-             likelihood="gaussian", outcomes="all")
-    @example(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)],
-             likelihood="poisson", outcomes="all")
-    @example(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.25, 15.0, 400688)],
-             likelihood="gaussian", outcomes="transmitted")
+    @example(**PINNED_STACKS[0])
+    @example(**PINNED_STACKS[1])
+    @example(**PINNED_STACKS[2])
     def test_stack_matches_each_fit_alone(self, specs, likelihood, outcomes):
-        stack = np.stack([simulate_tomography(
-            apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
-            rate, 10.0, seed=seed, poisson=True).counts for phi, p, rate, seed in specs])
+        stack = stacked_counts(specs)
         rhos = tomography._rho_from_params(tomography._fit(stack, likelihood, outcomes))
         for counts, rho in zip(stack, rhos):
             alone = tomography._rho_from_params(tomography._fit(counts[None], likelihood, outcomes))
             assert trace_distance(rho, alone[0]) <= 1e-10
+
+    @pytest.mark.parametrize("pinned", PINNED_STACKS, ids=range(len(PINNED_STACKS)))
+    def test_pinned_stacks_match_each_fit_alone_bit_for_bit(self, pinned):
+        stack = stacked_counts(pinned["specs"])
+        t = tomography._fit(stack, pinned["likelihood"], pinned["outcomes"])
+        for i, counts in enumerate(stack):
+            alone = tomography._fit(counts[None], pinned["likelihood"], pinned["outcomes"])
+            assert np.array_equal(t[i], alone[0])
+
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
+    def test_stacked_likelihood_rows_equal_lone_calls(self, likelihood, outcomes):
+        # each row of a stacked call rounds as the same row called alone
+        stack = stacked_counts([(0.4 * i, 0.1, 15.0, i) for i in range(5)])
+        nll = tomography._Likelihood(stack, likelihood, outcomes)
+        rng = np.random.default_rng(3)
+        t = rng.normal(size=(5, 16))
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        rows = np.arange(5)
+        stacked = nll(t, rows), nll(t, rows, False), tomography._start(nll)
+        for i in rows:
+            alone = tomography._Likelihood(stack[i:i + 1], likelihood, outcomes)
+            lone = alone(t[i:i + 1], rows[:1]), alone(t[i:i + 1], rows[:1], False)
+            for got, want in zip(stacked[0], lone[0]):
+                assert np.array_equal(got[i], want[0])
+            assert np.array_equal(stacked[1][i], lone[1][0])
+            assert np.array_equal(stacked[2][i], tomography._start(alone)[0])
 
     @pytest.mark.parametrize("case", LBFGS_ESTIMATES["cases"],
                              ids=lambda c: f"{c['state']}-{c['phi12']}-{c['rate']:g}-{c['likelihood']}")
