@@ -15,7 +15,7 @@ No ``wgstate`` code calls a scipy solver. The five bindings
 ``metrology.differential_evolution`` and ``stats.least_squares`` are
 uncalled. They stay because ``bench/spans.py`` rebinds every name in its
 ``OPTIMIZERS`` list, and they go when the tracer stops rebinding module
-names (ROADMAP item 3). A ``LazyOptimizer`` imports ``scipy.optimize``
+names (ROADMAP item 5). A ``LazyOptimizer`` imports ``scipy.optimize``
 only when called, so no command loads it.
 """
 

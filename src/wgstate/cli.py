@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 usage errors (including non-finite numbers,
 negative rates and durations, more than 2**53 expected counts per bin,
 2**53 or more pooled over a sensing run's bins, --varphi-prime without
 --pipeline, a manifest path that names an input or output of the
-command, lies in a missing directory or is a directory, files that
-cannot be read or written, and sizes too large to allocate), 3
+command, lies in a missing directory or is a directory, a tomography
+setting with counts but a duration of 0, files that cannot be read or
+written, and sizes too large to allocate), 3
 degenerate data (empty counts, vanishing post-selection), 4 numerical
 failures (optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate

@@ -4,15 +4,16 @@ reconstruction and Monte Carlo error bars.
 A dataset is one (16, 4) array of counts: for each setting, the four
 outcome pairs of both analyzer ports of both photons. Reconstruction
 fits a Cholesky-parameterized density matrix rho(T) = T^dag T /
-Tr(T^dag T), which is physical by construction, to a Gaussian (default)
-or exact Poisson likelihood. A damped Newton solver on the exact Hessian
-fits a whole stack of datasets at once, so a Monte Carlo report fits the
-observed counts and every resample in one solve, and reads their
-fidelities and concurrences from one stacked call each; each fit takes
-the steps it takes alone (:func:`_rows_times`). Each fit starts
-from the least-squares inversion of the outcome ratios it fits, projected
-onto the PSD cone. The photon-flux normalization is estimated from the
-four rectilinear-basis settings, whose outcomes partition unity.
+Tr(T^dag T), which is physical by construction, to all 64 outcome
+counts under a Gaussian (default) or exact Poisson likelihood. A damped
+Newton solver on the exact Hessian fits a whole stack of datasets at
+once, so a Monte Carlo report fits the observed counts and every
+resample in one solve, and reads their fidelities and concurrences from
+one stacked call each; each fit takes the steps it takes alone
+(:func:`_rows_times`). Each fit starts from the least-squares inversion
+of its outcome ratios, projected onto the PSD cone. The photon-flux
+normalization is estimated from the four rectilinear-basis settings,
+whose outcomes partition unity.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class TomographyDataset:
 
     ``counts`` is stored as a read-only (16, 4) int64 array, one row of
     outcome-pair counts (++, +-, -+, --) per setting, and ``durations`` as
-    the 16 acquisition times in seconds; one value applies to all.
+    the 16 acquisition times in seconds; one value applies to all. A
+    setting with counts needs a positive duration.
     """
 
     counts: np.ndarray
@@ -94,6 +96,10 @@ class TomographyDataset:
     def __post_init__(self):
         object.__setattr__(self, "counts", checked_counts(self.counts, (16, 4)))
         object.__setattr__(self, "durations", checked_durations(self.durations, (16,)))
+        idle = np.flatnonzero((self.durations == 0) & (self.counts.sum(axis=1) > 0))
+        if idle.size:
+            label = tomography_settings()[idle[0]].label
+            raise ValueError(f"setting {idle[0]} ({label}) has counts but a duration of 0")
 
     @property
     def total(self) -> int:
@@ -121,13 +127,11 @@ _KETS = np.array([[tensor(POLARIZATION_KETS[k1], POLARIZATION_KETS[k2])
                    for k1 in (s1, _ORTHOGONAL[s1]) for k2 in (s2, _ORTHOGONAL[s2])]
                   for s1, s2, *_ in _TOMO_PLAN])
 # row-vectorized projectors: row . M.ravel() = <v|M|v> = Tr(M |v><v|)
-_PROJ_ALL = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
-_PROJ_TRANSMITTED = _PROJ_ALL.reshape(16, 4, 16)[:, 0, :]
-# two-qubit Pauli basis, and the least-squares maps to its coefficients
-# from the 64 or 16 outcome ratios a likelihood fits, keyed by that number
+_PROJECTORS = np.einsum("ski,skj->skij", _KETS.conj(), _KETS).reshape(64, 16)
+# two-qubit Pauli basis, and the least-squares map to its coefficients
+# from the 64 outcome ratios
 _PAULI_BASIS = PAULI_PRODUCTS.reshape(16, 4, 4) / 2
-_LEAST_SQUARES = {len(proj): np.linalg.pinv((proj @ _PAULI_BASIS.reshape(16, 16).T).real)
-                  for proj in (_PROJ_ALL, _PROJ_TRANSMITTED)}
+_LEAST_SQUARES = np.linalg.pinv((_PROJECTORS @ _PAULI_BASIS.reshape(16, 16).T).real)
 _START_MIX = 0.03   # fraction of I/4 in the start of a fit
 
 
@@ -182,22 +186,17 @@ def _quadratic_forms() -> np.ndarray:
     over the 16 real parameters t (and Tr(T^dag T) = t^T t)."""
     basis = _t_matrix(np.eye(16))                      # T of each unit parameter
     gram = np.einsum("iba,jbc->ijac", basis.conj(), basis).reshape(16, 16, 16)
-    q = np.einsum("kx,ijx->kij", _PROJ_ALL, gram).real
+    q = np.einsum("kx,ijx->kij", _PROJECTORS, gram).real
     return (q + np.swapaxes(q, 1, 2)) / 2
 
 
-_Q_ALL = _quadratic_forms()
-_Q_TRANSMITTED = _Q_ALL[::4]
+_Q = _quadratic_forms()
 
 
-def _rectilinear_flux(counts: np.ndarray, outcomes: str) -> np.ndarray:
+def _rectilinear_flux(counts: np.ndarray) -> np.ndarray:
     """Photon flux of each dataset in a (m, 16, 4) stack, estimated from
     the rectilinear settings, whose outcomes partition unity."""
-    if outcomes == "all":
-        return counts[:, _RECTILINEAR_ROWS].sum(axis=(1, 2)) / 4.0
-    if outcomes == "transmitted":
-        return counts[:, _RECTILINEAR_ROWS, 0].sum(axis=1).astype(float)
-    raise ValueError(f"unknown outcomes mode {outcomes!r}")
+    return counts[:, _RECTILINEAR_ROWS].sum(axis=(1, 2)) / 4.0
 
 
 # per-outcome likelihood phi(p) for the observed ratio r > 0 of an
@@ -236,8 +235,9 @@ class _Likelihood:
     function of one real T-parameter row per dataset.
 
     With p_k = t^T Q_k t / s and s = t^T t, the objective is
-    f = flux * sum_k phi(p_k, r_k) for the observed ratios r_k, so
-    rescaling every count leaves the minimizer unchanged. The
+    f = flux * sum_k phi(p_k, r_k) over the 64 outcomes k of the 16
+    settings, for the observed ratios r_k = n_k / flux, so rescaling
+    every count leaves the minimizer unchanged. The
     parameterization is the Cholesky T-matrix of James, Kwiat, Munro &
     White (PRA 64, 052312, 2001). Its derivatives are
     grad p_k = 2 (Q_k t - p_k t) / s and
@@ -247,21 +247,18 @@ class _Likelihood:
     needs the floor, below which its term is constant.
     """
 
-    def __init__(self, counts: np.ndarray, likelihood: str, outcomes: str):
+    # Q_k stacked for t -> (Q_k t)_k, and flattened for sum_k w_k Q_k
+    q_columns = _Q.reshape(-1, 16).T
+    q_rows = _Q.reshape(64, 256)
+
+    def __init__(self, counts: np.ndarray, likelihood: str):
         if likelihood not in _LIKELIHOODS:
             raise ValueError(f"unknown likelihood {likelihood!r}")
         self.terms, self.floor = _LIKELIHOODS[likelihood]
-        self.flux = _rectilinear_flux(counts, outcomes)
+        self.flux = _rectilinear_flux(counts)
         if (self.flux <= 0).any():
             raise DegenerateDataError("rectilinear settings recorded no counts")
-        if outcomes == "all":
-            observed, q = counts.reshape(len(counts), 64), _Q_ALL
-        else:
-            observed, q = counts[:, :, 0], _Q_TRANSMITTED
-        # Q_k stacked for t -> (Q_k t)_k, and flattened for sum_k w_k Q_k
-        self.q_columns = q.reshape(-1, 16).T
-        self.q_rows = q.reshape(len(q), 256)
-        self.ratios = observed / self.flux[:, None]
+        self.ratios = counts.reshape(len(counts), 64) / self.flux[:, None]
         self.observed = self.ratios > 0
 
     def __call__(self, t: np.ndarray, rows: np.ndarray, derivatives: bool = True):
@@ -297,24 +294,23 @@ class _Likelihood:
 
 def _start(nll: _Likelihood) -> np.ndarray:
     """Unit T-parameter rows (m, 16) that start the fit of ``nll``: the
-    least-squares inversion of the ratios it fits, clipped to the PSD cone
+    least-squares inversion of its 64 outcome ratios, clipped to the PSD cone
     (Smolin, Gambetta & Smith, PRL 108, 070502, 2012), mixed with
     _START_MIX of I/4. The mixture keeps the start positive definite and
     off the p = 0 barrier of an observed outcome, where Newton steps only
     halve the objective. The clipped trace is at least the mean outcome
-    sum of a setting, or the rectilinear sum, and the likelihood refuses
-    data where that is zero."""
-    coeffs = _rows_times(nll.ratios, _LEAST_SQUARES[nll.ratios.shape[1]].T)
+    sum of a setting, and the likelihood refuses data where that is zero."""
+    coeffs = _rows_times(nll.ratios, _LEAST_SQUARES.T)
     vals, vecs = np.linalg.eigh(_rows_times(coeffs, _PAULI_BASIS.reshape(16, 16)).reshape(-1, 4, 4))
     rho = (vecs * np.clip(vals, 0.0, None)[:, None, :]) @ np.swapaxes(vecs.conj(), 1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
     return _cholesky_params((1 - _START_MIX) * rho + _START_MIX * np.eye(4) / 4)
 
 
-def _fit(counts: np.ndarray, likelihood: str, outcomes: str) -> np.ndarray:
+def _fit(counts: np.ndarray, likelihood: str) -> np.ndarray:
     """Unit T-parameter rows (m, 16) of the MLE of each dataset in a
     (m, 16, 4) count stack, each fit started by :func:`_start` from the
-    least-squares inversion of the ratios its likelihood fits.
+    least-squares inversion of its outcome ratios.
 
     The objective does not depend on the scale of t, so its gradient is
     tangent to the unit sphere and the direction of t is an exact null
@@ -323,7 +319,7 @@ def _fit(counts: np.ndarray, likelihood: str, outcomes: str) -> np.ndarray:
     search stalls, or that reaches the iteration cap, is accepted only if
     its final gradient is negligible on the scale of its flux.
     """
-    nll = _Likelihood(counts, likelihood, outcomes)
+    nll = _Likelihood(counts, likelihood)
     t, converged, grad = sphere_newton(nll, _start(nll)[:, None])
     _accept_unconverged(grad, nll.flux[~converged])
     return t[:, 0]
@@ -340,36 +336,33 @@ def _accept_unconverged(grad: np.ndarray, flux: np.ndarray) -> None:
             f"{norms[bad].max():.3e}")
 
 
-def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian",
-                    outcomes: str = "all") -> DensityMatrix:
+def mle_reconstruct(data: TomographyDataset, likelihood: str = "gaussian") -> DensityMatrix:
     """Maximum-likelihood density matrix for a tomography dataset.
 
-    ``outcomes="all"`` fits the full four-outcome records;
-    ``outcomes="transmitted"`` uses only each setting's transmitted-pair
-    count (the classic 16-number reconstruction). The Gaussian
-    likelihood weighs squared residuals by the expected counts; the
-    Poisson option is the exact counting likelihood. A damped Newton
+    The fit reads all four outcome-pair counts of every setting. The
+    Gaussian likelihood weighs squared residuals by the expected counts;
+    the Poisson option is the exact counting likelihood. A damped Newton
     solver minimizes it on the exact gradient and Hessian in the
     Cholesky parameters, starting from the least-squares inversion of
-    the same outcomes, clipped to the PSD cone and mixed with 3% of the
+    the outcome ratios, clipped to the PSD cone and mixed with 3% of the
     maximally mixed state.
     """
     counts = data.counts
     if counts.sum() <= 0:
         raise DegenerateDataError("dataset contains no counts")
-    return DensityMatrix(_rho_from_params(_fit(counts[None], likelihood, outcomes))[0])
+    return DensityMatrix(_rho_from_params(_fit(counts[None], likelihood))[0])
 
 
 def monte_carlo_report(data: TomographyDataset, target: PureState2Q,
                        n: int = 100, seed: int = 0,
-                       likelihood: str = "gaussian",
-                       outcomes: str = "all") -> ReconstructionReport:
+                       likelihood: str = "gaussian") -> ReconstructionReport:
     """Reconstruction with Poisson-resampled error bars.
 
     Each of the ``n`` samples redraws every recorded count from a
     Poisson law with the observed value as mean (sample streams are
     SeedSequence(seed) children in order). The observed counts and all
-    samples are fitted together, each as in :func:`mle_reconstruct`, and
+    samples are fitted together, each on all four outcome pairs of every
+    setting as in :func:`mle_reconstruct`, and
     the fidelity-to-target and the concurrence of all n + 1 fits come
     from one stacked call each. The report carries the point estimate
     with its two figures, and the mean and standard deviation of each
@@ -386,14 +379,14 @@ def monte_carlo_report(data: TomographyDataset, target: PureState2Q,
     stack[0] = counts
     for row, seq in zip(stack[1:], np.random.SeedSequence(seed).spawn(n)):
         row[:] = np.random.default_rng(seq).poisson(counts)
-    flux = _rectilinear_flux(stack, outcomes)
+    flux = _rectilinear_flux(stack)
     empty = np.flatnonzero(flux[1:] <= 0)
     if flux[0] > 0 and empty.size:
         raise DegenerateDataError(
             f"Monte Carlo resample {empty[0] + 1} of {n}: rectilinear settings "
             f"recorded no counts (the data's rectilinear settings recorded "
             f"{counts[_RECTILINEAR_ROWS].sum()})")
-    rhos = _rho_from_params(_fit(stack, likelihood, outcomes))
+    rhos = _rho_from_params(_fit(stack, likelihood))
     fids, concs = fidelity(rhos, target), concurrence(rhos)
     return ReconstructionReport(
         rho=DensityMatrix(rhos[0]),

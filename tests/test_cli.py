@@ -266,15 +266,21 @@ class TestTomoCommand:
         assert rc == 2
         assert "appears twice" in err
 
-    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
-    def test_bad_duration_exits_two(self, tmp_path, monkeypatch, capsys, duration):
+    @pytest.mark.parametrize("duration, message", [
+        ("nan", "duration must be finite"), ("inf", "duration must be finite"),
+        ("-1", "duration must be finite"),
+        # the setting recorded counts
+        ("0", "setting 6 (DxH) has counts but a duration of 0")],
+        ids=["nan", "inf", "-1", "0"])
+    def test_bad_duration_exits_two(self, tmp_path, monkeypatch, capsys, duration, message):
         monkeypatch.chdir(tmp_path)
         lines = self._dataset_lines(tmp_path)
         lines[7] = lines[7].rsplit(",", 1)[0] + "," + duration
         (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
         rc, err = self._reconstruct(capsys)
         assert rc == 2
-        assert "duration must be finite" in err
+        assert message in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_default_mc_is_hundred(self):
         from wgstate.cli import build_parser

@@ -82,6 +82,17 @@ class TestSimulateTomography:
         with pytest.raises(ValueError):
             TomographyDataset(np.ones((15, 4), dtype=int))
 
+    def test_counts_without_duration_rejected(self):
+        durations = np.full(16, 10.0)
+        durations[1] = 0.0
+        with pytest.raises(ValueError, match=r"^setting 1 \(VxH\) has counts but a duration of 0$"):
+            TomographyDataset(np.full((16, 4), 375), durations)
+
+    def test_zero_duration_without_counts_accepted(self):
+        data = simulate_tomography(weighted_graph_state(1.0), rate=150.0, duration=0.0)
+        assert data.total == 0
+        assert np.array_equal(data.durations, np.zeros(16))
+
 
 class TestMLE:
     def test_exact_counts_recover_max_weight_state(self):
@@ -99,12 +110,6 @@ class TestMLE:
             np.array([1, 0, 0, -np.exp(1j * np.pi / 2)], dtype=complex) / np.sqrt(2))
         data = simulate_tomography(target, rate=150.0, duration=10.0)
         assert fidelity(mle_reconstruct(data), target) >= 0.999
-
-    def test_transmitted_only_mode(self):
-        target = weighted_graph_state(np.pi / 2)
-        data = simulate_tomography(target, rate=1500.0, duration=10.0)
-        rho = mle_reconstruct(data, outcomes="transmitted")
-        assert fidelity(rho, target) >= 0.999
 
     def test_poisson_likelihood_flag(self):
         target = weighted_graph_state(3 * np.pi / 4)
@@ -173,10 +178,9 @@ class TestGradient:
     """The fit's exact gradient and Hessian against central differences."""
 
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
-    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
-    def test_matches_central_differences(self, likelihood, outcomes):
+    def test_matches_central_differences(self, likelihood):
         data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
-        nll = tomography._Likelihood(data.counts[None], likelihood, outcomes)
+        nll = tomography._Likelihood(data.counts[None], likelihood)
         rows = np.array([0])
         rng = np.random.default_rng(8)
         near_pure = (1 - 1e-3) * as_density(weighted_graph_state(2.0)) + 1e-3 * np.eye(4) / 4
@@ -208,13 +212,13 @@ class TestGradient:
                 return super().__call__(t, rows, derivatives)
 
         monkeypatch.setattr(tomography, "_Likelihood", Counting)
-        t = tomography._fit(data.counts[None], "gaussian", "all")
+        t = tomography._fit(data.counts[None], "gaussian")
         # Newton's quadratic convergence: a few Hessian evaluations, where
         # L-BFGS-B took ~70 gradient evaluations
         assert 3 <= evaluations.count(True) <= 20
         # a second-order minimum on the unit sphere: no tangent gradient,
         # and the projected Hessian has no negative curvature
-        _f, grad, hess = nll_class(data.counts[None], "gaussian", "all")(t, np.array([0]))
+        _f, grad, hess = nll_class(data.counts[None], "gaussian")(t, np.array([0]))
         proj = np.eye(16) - np.outer(t[0], t[0])
         assert np.linalg.norm(proj @ grad[0]) <= 1e-6
         curvature = np.linalg.eigvalsh(proj @ hess[0] @ proj)
@@ -228,7 +232,7 @@ def unmixed_start(nll):
     return (rho - mix * np.eye(4) / 4) / (1 - mix)
 
 
-def sparse_stack(kind, outcomes):
+def sparse_stack(kind):
     """Poisson datasets of ~3 counts per setting, or of 150 counts per
     setting with the non-rectilinear settings or the rectilinear
     transmitted counts emptied, keeping those whose flux is positive."""
@@ -240,52 +244,31 @@ def sparse_stack(kind, outcomes):
         stack[:, 4:] = 0
     elif kind == "rectilinear transmitted empty":
         stack[:, :4, 0] = 0
-    return stack[tomography._rectilinear_flux(stack, outcomes) > 0]
+    return stack[tomography._rectilinear_flux(stack) > 0]
 
 
 class TestStart:
     """The least-squares start of the fit."""
 
-    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
-    def test_exact_probabilities_invert_to_the_state(self, outcomes):
+    def test_exact_probabilities_invert_to_the_state(self):
         rng = np.random.default_rng(11)
         gram = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
         rhos = gram @ np.swapaxes(gram.conj(), 1, 2)
         rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
         probs = np.array([[brute_force_probs(DensityMatrix(rho), setting)
                            for setting in tomography_settings()] for rho in rhos])
-        nll = tomography._Likelihood(probs, "gaussian", outcomes)
+        nll = tomography._Likelihood(probs, "gaussian")
         assert np.abs(unmixed_start(nll) - rhos).max() <= 1e-12
 
-    def test_transmitted_start_is_the_dual_basis_inversion(self):
-        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
-                  np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
-        basis = [np.kron(a, b) / 2 for a in paulis for b in paulis]
-        kets = [tensor(POLARIZATION_KETS[s1], POLARIZATION_KETS[s2])
-                for s1, s2 in (s.label.split("x") for s in tomography_settings())]
-        matrix = np.array([[np.real(v.conj() @ b @ v) for b in basis] for v in kets])
-        stack = np.stack([simulate_tomography(
-            apply_noise(weighted_graph_state(phi), NoiseModel(depolarizing_p=p)),
-            rate, 10.0, seed=seed, poisson=True).counts
-            for seed, (phi, p, rate) in enumerate([(0.3, 0.0, 15.0), (1.2, 0.1, 150.0),
-                                                   (np.pi, 0.02, 1500.0), (2.0, 0.4, 3.0)])])
-        nll = tomography._Likelihood(stack, "poisson", "transmitted")
-        for ratios, start in zip(nll.ratios, unmixed_start(nll)):
-            rho = np.tensordot(np.linalg.solve(matrix, ratios), basis, axes=1)
-            vals, vecs = np.linalg.eigh(rho)
-            rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-            assert np.abs(start - rho / np.trace(rho).real).max() <= 1e-12
-
-    @pytest.mark.parametrize("kind, outcomes", [
-        ("three counts", "all"), ("three counts", "transmitted"),
-        ("non-rectilinear empty", "all"), ("non-rectilinear empty", "transmitted"),
+    @pytest.mark.parametrize("kind", [
+        "three counts", "non-rectilinear empty",
         # the former start took I/4 alone here
-        ("rectilinear transmitted empty", "all"),
+        "rectilinear transmitted empty",
     ])
-    def test_unit_and_positive_definite_on_sparse_data(self, kind, outcomes):
-        stack = sparse_stack(kind, outcomes)
+    def test_unit_and_positive_definite_on_sparse_data(self, kind):
+        stack = sparse_stack(kind)
         assert len(stack) >= 10
-        t = tomography._start(tomography._Likelihood(stack, "gaussian", outcomes))
+        t = tomography._start(tomography._Likelihood(stack, "gaussian"))
         assert np.all(np.isfinite(t))
         assert np.allclose(np.linalg.norm(t, axis=1), 1.0, rtol=0, atol=1e-12)
         smallest = np.linalg.eigvalsh(tomography._rho_from_params(t))[:, 0]
@@ -319,7 +302,7 @@ class TestStart:
                                                      poisson=True).counts
                         stack = np.concatenate([counts[None], rng.poisson(counts, (4, 16, 4))])
                         evaluations.clear()
-                        tomography._fit(stack, likelihood, "all")
+                        tomography._fit(stack, likelihood)
                         per_stack.append(evaluations.count(True))
         assert len(per_stack) == 40
         assert np.mean(per_stack) <= 11.5
@@ -328,12 +311,8 @@ class TestStart:
 # stacks hypothesis once reported: a lone fit ends on a rank-deficient
 # optimum, where the end point depends on the path to the last bit
 PINNED_STACKS = [
-    dict(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)],
-         likelihood="gaussian", outcomes="all"),
-    dict(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)],
-         likelihood="poisson", outcomes="all"),
-    dict(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.25, 15.0, 400688)],
-         likelihood="gaussian", outcomes="transmitted"),
+    dict(specs=[(0.0, 0.0, 3.0, 0), (0.0, 0.05859375, 15.0, 201)], likelihood="gaussian"),
+    dict(specs=[(0.0, 0.0, 3.0, 0), (1.0, 0.015625, 15.0, 254942)], likelihood="poisson"),
 ]
 
 
@@ -351,39 +330,36 @@ class TestBatchedFit:
                                     st.sampled_from([3.0, 15.0, 150.0]),
                                     st.integers(0, 2 ** 32 - 1)),
                           min_size=2, max_size=6),
-           likelihood=st.sampled_from(LIKELIHOODS),
-           outcomes=st.sampled_from(["all", "transmitted"]))
+           likelihood=st.sampled_from(LIKELIHOODS))
     @example(**PINNED_STACKS[0])
     @example(**PINNED_STACKS[1])
-    @example(**PINNED_STACKS[2])
-    def test_stack_matches_each_fit_alone(self, specs, likelihood, outcomes):
+    def test_stack_matches_each_fit_alone(self, specs, likelihood):
         stack = stacked_counts(specs)
-        rhos = tomography._rho_from_params(tomography._fit(stack, likelihood, outcomes))
+        rhos = tomography._rho_from_params(tomography._fit(stack, likelihood))
         for counts, rho in zip(stack, rhos):
-            alone = tomography._rho_from_params(tomography._fit(counts[None], likelihood, outcomes))
+            alone = tomography._rho_from_params(tomography._fit(counts[None], likelihood))
             assert trace_distance(rho, alone[0]) <= 1e-10
 
     @pytest.mark.parametrize("pinned", PINNED_STACKS, ids=range(len(PINNED_STACKS)))
     def test_pinned_stacks_match_each_fit_alone_bit_for_bit(self, pinned):
         stack = stacked_counts(pinned["specs"])
-        t = tomography._fit(stack, pinned["likelihood"], pinned["outcomes"])
+        t = tomography._fit(stack, pinned["likelihood"])
         for i, counts in enumerate(stack):
-            alone = tomography._fit(counts[None], pinned["likelihood"], pinned["outcomes"])
+            alone = tomography._fit(counts[None], pinned["likelihood"])
             assert np.array_equal(t[i], alone[0])
 
     @pytest.mark.parametrize("likelihood", LIKELIHOODS)
-    @pytest.mark.parametrize("outcomes", ["all", "transmitted"])
-    def test_stacked_likelihood_rows_equal_lone_calls(self, likelihood, outcomes):
+    def test_stacked_likelihood_rows_equal_lone_calls(self, likelihood):
         # each row of a stacked call rounds as the same row called alone
         stack = stacked_counts([(0.4 * i, 0.1, 15.0, i) for i in range(5)])
-        nll = tomography._Likelihood(stack, likelihood, outcomes)
+        nll = tomography._Likelihood(stack, likelihood)
         rng = np.random.default_rng(3)
         t = rng.normal(size=(5, 16))
         t /= np.linalg.norm(t, axis=1, keepdims=True)
         rows = np.arange(5)
         stacked = nll(t, rows), nll(t, rows, False), tomography._start(nll)
         for i in rows:
-            alone = tomography._Likelihood(stack[i:i + 1], likelihood, outcomes)
+            alone = tomography._Likelihood(stack[i:i + 1], likelihood)
             lone = alone(t[i:i + 1], rows[:1]), alone(t[i:i + 1], rows[:1], False)
             for got, want in zip(stacked[0], lone[0]):
                 assert np.array_equal(got[i], want[0])
@@ -398,11 +374,11 @@ class TestBatchedFit:
             state = apply_noise(state, NoiseModel(depolarizing_p=0.15, phase_jitter_sigma=0.4))
         counts = simulate_tomography(state, case["rate"], 10.0, seed=case["seed"],
                                      poisson=True).counts[None]
-        t = tomography._fit(counts, case["likelihood"], "all")
+        t = tomography._fit(counts, case["likelihood"])
         pinned = np.array([case["t"]])
         assert trace_distance(tomography._rho_from_params(t)[0],
                               tomography._rho_from_params(pinned)[0]) <= 1e-6
-        nll = tomography._Likelihood(counts, case["likelihood"], "all")
+        nll = tomography._Likelihood(counts, case["likelihood"])
         rows = np.array([0])
         assert nll(t, rows, False)[0] <= nll(pinned, rows, False)[0] + 1e-9 * nll.flux[0]
 
