@@ -282,6 +282,16 @@ class TestTomoCommand:
         assert message in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_zero_duration_dataset_exits_three(self, tmp_path, monkeypatch, capsys):
+        # a dataset recorded in no time is valid, and holds no counts to fit
+        monkeypatch.chdir(tmp_path)
+        assert main(["tomo", "simulate", "--phi12", "1.0", "--duration", "0",
+                     "--out", "d.csv", "--no-timestamp"]) == 0
+        rc, err = self._reconstruct(capsys)
+        assert rc == 3
+        assert "dataset contains no counts" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_default_mc_is_hundred(self):
         from wgstate.cli import build_parser
         parser = build_parser()

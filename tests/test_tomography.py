@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,31 @@ class TestSimulateTomography:
         data = simulate_tomography(weighted_graph_state(1.0), rate=150.0, duration=0.0)
         assert data.total == 0
         assert np.array_equal(data.durations, np.zeros(16))
+
+    @pytest.mark.parametrize("idle, emptied, named", [
+        ("all", [], "setting 0 (VxV)"),          # one duration for every setting
+        ([15, 3], [], "setting 3 (HxV)"),        # the first in plan order
+        ([2, 9], [2], "setting 9 (DxD)"),        # an idle setting without counts is valid
+        ([15], "one count", "setting 15 (LxR)"),
+    ], ids=["one-duration", "first-named", "beside-valid-idle", "single-count"])
+    def test_first_setting_with_counts_and_no_duration_is_named(self, idle, emptied, named):
+        counts = np.full((16, 4), 375)
+        if emptied == "one count":
+            counts[15] = [0, 0, 1, 0]
+        else:
+            counts[emptied] = 0
+        durations = 0.0 if idle == "all" else np.where(np.isin(np.arange(16), idle), 0.0, 10.0)
+        with pytest.raises(ValueError, match=rf"^{re.escape(named)} has counts but a duration of 0$"):
+            TomographyDataset(counts, durations)
+
+    def test_idle_setting_beside_counted_ones_is_fitted(self):
+        data = simulate_tomography(weighted_graph_state(np.pi), rate=150.0, duration=10.0)
+        counts = data.counts.copy()
+        counts[9] = 0
+        durations = np.full(16, 10.0)
+        durations[9] = 0.0
+        rho = mle_reconstruct(TomographyDataset(counts, durations))
+        assert fidelity(rho, weighted_graph_state(np.pi)) >= 0.999
 
 
 class TestMLE:
@@ -259,6 +285,25 @@ class TestStart:
                            for setting in tomography_settings()] for rho in rhos])
         nll = tomography._Likelihood(probs, "gaussian")
         assert np.abs(unmixed_start(nll) - rhos).max() <= 1e-12
+
+    def test_start_is_the_least_squares_inversion(self):
+        # reference: the Pauli coefficients fitted to all 64 outcome ratios
+        # by lstsq on explicit projector sandwiches, clipped to the PSD cone
+        paulis = [np.eye(2), np.array([[0, 1], [1, 0]]),
+                  np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+        basis = [np.kron(a, b) / 2 for a in paulis for b in paulis]
+        kets = [tensor(POLARIZATION_KETS[k1], POLARIZATION_KETS[k2])
+                for s1, s2 in (s.label.split("x") for s in tomography_settings())
+                for k1 in (s1, ORTHOGONAL[s1]) for k2 in (s2, ORTHOGONAL[s2])]
+        matrix = np.array([[np.real(v.conj() @ b @ v) for b in basis] for v in kets])
+        stack = stacked_counts([(0.3, 0.0, 15.0, 0), (1.2, 0.1, 150.0, 1),
+                                (np.pi, 0.02, 1500.0, 2), (2.0, 0.4, 3.0, 3)])
+        nll = tomography._Likelihood(stack, "poisson")
+        for ratios, start in zip(nll.ratios, unmixed_start(nll)):
+            coeffs = np.linalg.lstsq(matrix, ratios, rcond=None)[0]
+            vals, vecs = np.linalg.eigh(np.tensordot(coeffs, basis, axes=1))
+            rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+            assert np.abs(start - rho / np.trace(rho).real).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", [
         "three counts", "non-rectilinear empty",
@@ -435,6 +480,11 @@ class TestMonteCarloReport:
                            match=r"^Monte Carlo resample \d+ of 20: .*recorded 1\)$"):
             monte_carlo_report(data, target, n=20, seed=3)
 
+    def test_all_zero_rejected(self):
+        target = weighted_graph_state(np.pi)
+        with pytest.raises(DegenerateDataError, match="^dataset contains no counts$"):
+            monte_carlo_report(TomographyDataset(np.zeros((16, 4), dtype=int)), target, n=2)
+
     def test_needs_two_samples(self):
         target = weighted_graph_state(np.pi)
         data = simulate_tomography(target, 150.0, 10.0)
@@ -467,7 +517,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="twice"):
             read_dataset_csv(path)
 
-    @pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+    def test_zero_duration_without_counts_round_trips(self, tmp_path):
+        data = simulate_tomography(weighted_graph_state(1.1), 150.0, 0.0)
+        path = tmp_path / "idle.csv"
+        write_dataset_csv(path, data)
+        loaded = read_dataset_csv(path)
+        assert loaded.total == 0
+        assert np.array_equal(loaded.durations, np.zeros(16))
+
+    # "0": setting 3 (HxV) has counts
+    @pytest.mark.parametrize("duration", ["nan", "inf", "-1", "0"])
     def test_bad_duration_rejected(self, tmp_path, duration):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
         path = tmp_path / "bad_duration.csv"
