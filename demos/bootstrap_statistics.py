@@ -8,14 +8,14 @@ same replicates, comparing each against the ideal values.
 
 import numpy as np
 
-from wgstate import (BinnedCounts, BootstrapConfig, SensingConfig,
-                     bootstrap_sensing, encoding_unitary,
+from wgstate import (BinnedCounts, bootstrap_sensing, encoding_unitary,
                      outcome_probabilities, pauli_observable, sense,
                      simulate_counts, weighted_graph_state)
 from wgstate.qmath import PureState2Q
 
 PHI12, RATE, DURATION, N_BINS = np.pi, 150.0, 10.0, 6
 H_SHIFT = np.radians(5.0)
+REPLICATES = 10000
 
 state = weighted_graph_state(PHI12)
 obs = pauli_observable("Z", "Y")
@@ -31,13 +31,13 @@ def binned(theta, seed0):
 center = binned(0.0, 100)
 plus = binned(+H_SHIFT, 200)
 minus = binned(-H_SHIFT, 300)
-cfg = BootstrapConfig(mu=10000, seed=1)
 
-ideal = sense(state, obs, SensingConfig(h=H_SHIFT))
-boot = bootstrap_sensing(center, plus, minus, H_SHIFT, obs.weights, cfg)
+ideal = sense(state, obs)
+boot = bootstrap_sensing(center, plus, minus, H_SHIFT, obs.weights,
+                         mu=REPLICATES, seed=1)
 
 print(f"weight pi, Z(x)Y, {N_BINS} bins x {RATE:.0f} cps x {DURATION:.0f} s, "
-      f"{cfg.mu} bootstrap replicates")
+      f"{REPLICATES} bootstrap replicates")
 print(f"{'quantity':22s} {'bootstrap mean':>14s} {'95% CI':>22s} {'ideal':>8s}")
 rows = [("expectation", boot.expectation, ideal.expectation),
         ("single-shot variance", boot.single_shot_variance,
@@ -53,4 +53,4 @@ nu = center.total
 print()
 print(f"shot-noise scale: nu = {nu} pooled counts, so the expectation's "
       f"sampling noise ~ 1/sqrt(nu) = {1 / np.sqrt(nu):.4f}")
-print(f"clamped ratio replicates: {boot.estimator_variance.n_clamped} of {cfg.mu}")
+print(f"clamped ratio replicates: {boot.estimator_variance.n_clamped} of {REPLICATES}")

@@ -25,14 +25,13 @@ from .measurement import (Observable, ProjectorSetting, WaveplateSolverError,
                           general_axis_observable, outcome_probabilities,
                           pauli_observable, simulate_counts, solve_projector_batch,
                           solve_projector_waveplates)
-from .metrology import (DerivativeVanishesError, SearchError,
-                        SensingConfig, SensingResult, encoding_unitary,
-                        general_axis_search, limits, pauli_search,
-                        qfi_closed_form, qfi_numeric, sense)
-from .stats import (BinnedCounts, BootstrapConfig, BootstrapResult,
-                    CosineFitError, DegenerateDataError, FitResult,
-                    SensingBootstrap, bootstrap_expectation,
-                    bootstrap_sensing, cosine_fit, visibility)
+from .metrology import (DerivativeVanishesError, SearchError, SensingResult,
+                        encoding_unitary, general_axis_search, limits,
+                        pauli_search, qfi_closed_form, qfi_numeric, sense)
+from .stats import (BinnedCounts, BootstrapResult, CosineFitError,
+                    DegenerateDataError, FitResult, SensingBootstrap,
+                    bootstrap_expectation, bootstrap_sensing, cosine_fit,
+                    visibility)
 from .tomography import (ReconstructionError, ReconstructionReport,
                          TomographyDataset, TomographySetting, mle_reconstruct,
                          monte_carlo_report, read_dataset_csv,

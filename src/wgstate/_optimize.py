@@ -66,11 +66,16 @@ def bordered_hessian(hess, proj):
 
 
 def _cholesky_step(grad, hess, proj):
-    """-(P H P)^-1 g on the tangent spaces, from a solve with the bordered
-    system. Raises LinAlgError unless every row is positive definite: the
-    Cholesky factorization is that test, and the step comes from one
-    general solve, since numpy has no triangular solve to reuse the factor."""
-    bordered = bordered_hessian(hess, proj)
+    """-(P H P)^-1 g on the tangent spaces: :func:`_bordered_step` of the
+    bordered system built from hess and proj."""
+    return _bordered_step(grad, bordered_hessian(hess, proj))
+
+
+def _bordered_step(grad, bordered):
+    """-(P H P)^-1 g from a solve with the bordered system. Raises
+    LinAlgError unless every row is positive definite: the Cholesky
+    factorization is that test, and the step comes from one general
+    solve, since numpy has no triangular solve to reuse the factor."""
     np.linalg.cholesky(bordered)
     return -np.linalg.solve(bordered, grad[..., None])[..., 0]
 
@@ -86,16 +91,17 @@ def _eigen_step(grad, hess, proj):
 
 
 def _newton_step(grad, hess, proj):
-    """The tangent Newton step of each row: :func:`_cholesky_step` where
+    """The tangent Newton step of each row: :func:`_bordered_step` where
     every row is positive definite, and otherwise the solve with the
     bordered system for each row that its own Cholesky factorization finds
     positive definite, and :func:`_eigen_step` for the others. A row thus
-    takes the step it takes alone, whatever the other rows of its batch."""
+    takes the step it takes alone, whatever the other rows of its batch.
+    The bordered system is built once, for both paths."""
+    bordered = bordered_hessian(hess, proj)
     try:
-        return _cholesky_step(grad, hess, proj)
+        return _bordered_step(grad, bordered)
     except np.linalg.LinAlgError:
         pass
-    bordered = bordered_hessian(hess, proj)
     definite = np.ones(len(grad), dtype=bool)
     for i, row in enumerate(bordered):
         try:

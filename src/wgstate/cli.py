@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
-negative rates and durations, more than 2**53 expected counts per bin,
-2**53 or more pooled over a sensing run's bins, --varphi-prime without
---pipeline, a manifest path that names an input or output of the
-command, lies in a missing directory or is a directory, a tomography
-setting with counts but a duration of 0, files that cannot be read or
-written, and sizes too large to allocate), 3
+negative rates and durations, a --shift-deg of 0 or less, more than 2**53
+expected counts per bin, 2**53 or more pooled over a sensing run's bins,
+--varphi-prime without --pipeline, a manifest path that names an input
+or output of the command, lies in a missing directory or is a
+directory, a tomography setting with counts but a duration of 0, a
+tomography count or a dataset total of 2**63 or more, files that cannot
+be read or written, and sizes too large to allocate), 3
 degenerate data (empty counts, vanishing post-selection), 4 numerical
 failures (optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
@@ -32,17 +33,16 @@ from . import __version__
 from .measurement import (Observable, _analyzer_axis, _axis_angles,
                           general_axis_observable, outcome_probabilities,
                           pauli_observable, solve_projector_batch, WaveplateSolverError)
-from .metrology import (DerivativeVanishesError, SearchError, SensingConfig,
-                        encoding_unitary, general_axis_search, limits,
-                        pauli_search, qfi_closed_form, sense)
+from .metrology import (DerivativeVanishesError, SearchError, encoding_unitary,
+                        general_axis_search, limits, pauli_search,
+                        qfi_closed_form, sense)
 from .qmath import PureState2Q, concurrence, fidelity
 from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        NoiseModel, apply_noise, canonical_config,
                        mzi_phase_condition, simulate_generation,
                        weighted_graph_state)
-from .stats import (BinnedCounts, BootstrapConfig, CosineFitError,
-                    DegenerateDataError, bootstrap_sensing, cosine_fit,
-                    visibility)
+from .stats import (BinnedCounts, CosineFitError, DegenerateDataError,
+                    bootstrap_sensing, cosine_fit, visibility)
 from .tomography import (ReconstructionError, monte_carlo_report,
                          read_dataset_csv, simulate_tomography,
                          write_dataset_csv)
@@ -229,11 +229,8 @@ def _cmd_qfi(args) -> int:
 # -------------------------------------------------------------- optimize
 
 def _cmd_optimize(args) -> int:
-    cfg = SensingConfig(theta_star=args.theta_star)
-    if args.kind == "pauli":
-        obs, result = pauli_search(args.phi12, cfg)
-    else:
-        obs, result = general_axis_search(args.phi12, cfg)
+    search = pauli_search if args.kind == "pauli" else general_axis_search
+    obs, result = search(args.phi12, args.theta_star)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
@@ -270,6 +267,8 @@ def _cmd_sense(args) -> int:
         raise ValueError("--bins must be at least 2")
     if args.replicates < 100:
         raise ValueError("--replicates must be at least 100")
+    if args.shift_deg <= 0:
+        raise ValueError(f"--shift-deg must be > 0, got {args.shift_deg:g}")
     obs = _parse_observable(args.observable)
     if args.rate <= 0:
         raise DegenerateDataError("rate must be positive to accumulate counts")
@@ -284,8 +283,7 @@ def _cmd_sense(args) -> int:
             for name, theta in thetas.items()}
 
     boot = bootstrap_sensing(bins["center"], bins["plus"], bins["minus"], h,
-                             obs.weights,
-                             BootstrapConfig(mu=args.replicates, seed=args.seed))
+                             obs.weights, mu=args.replicates, seed=args.seed)
 
     def block(result):
         out = {"mean": result.mean, "ci95": [result.ci_low, result.ci_high]}
@@ -293,7 +291,7 @@ def _cmd_sense(args) -> int:
             out["n_clamped"] = result.n_clamped
         return out
 
-    ideal = sense(state, obs, SensingConfig(theta_star=args.theta_star, h=h))
+    ideal = sense(state, obs, args.theta_star)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "phi12": args.phi12,

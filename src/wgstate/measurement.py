@@ -139,12 +139,19 @@ def outcome_probabilities(state, obs: Observable) -> np.ndarray:
 
 def checked_counts(counts, shape: tuple) -> np.ndarray:
     """Outcome-pair counts as a read-only int64 copy of ``shape``; raises
-    ValueError for any other shape or a negative count."""
-    c = np.array(counts, dtype=np.int64)
+    ValueError for any other shape, a negative count, or counts that int64
+    cannot hold: one of 2**63 or more, or a total of 2**63 or more."""
+    try:
+        c = np.array(counts, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a count lies outside int64: counts must be below 2**63") from None
     if c.shape != shape:
         raise ValueError(f"counts must have shape {shape}, got {c.shape}")
     if (c < 0).any():
         raise ValueError("counts must be non-negative")
+    # the int64 sum wraps past 2**63; the exact one is taken only where it may
+    if c.size and int(c.max()) * c.size >= 2 ** 63 and sum(c.ravel().tolist()) >= 2 ** 63:
+        raise ValueError("counts must total below 2**63, the int64 limit")
     c.flags.writeable = False
     return c
 

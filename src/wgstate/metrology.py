@@ -10,7 +10,10 @@ is the phase variance of the method-of-moments estimator.
 A product observable A = sum_ij a_i b_j sigma_i (x) sigma_j has <A> = a . T b
 and d<A>/dtheta = a . D b for the Pauli correlation matrices T of the encoded
 state rho and D of its derivative -i[H, rho] (``qmath.pauli_correlations``);
-as A^2 = I, (DA)^2 = 1 - <A>^2.
+as A^2 = I, (DA)^2 = 1 - <A>^2. :func:`sense` and both searches read these
+figures at the phase ``theta_star``, with the exact slope; the two-point
+slope of a sensing run, from counts at theta* +- h, is
+``stats.bootstrap_sensing``'s.
 """
 
 from __future__ import annotations
@@ -40,25 +43,6 @@ class DerivativeVanishesError(ArithmeticError):
 
 class SearchError(RuntimeError):
     """An observable search failed to produce a usable optimum."""
-
-
-@dataclass(frozen=True)
-class SensingConfig:
-    """Operating point for a sensing run.
-
-    ``theta_star`` is the phase around which the derivative is taken and
-    ``h`` the two-point finite-difference shift (radians); both must be
-    finite, and h > 0.
-    """
-
-    theta_star: float = 0.0
-    h: float = np.radians(5.0)
-
-    def __post_init__(self):
-        if not np.isfinite(self.theta_star):
-            raise ValueError(f"theta_star must be finite, got {self.theta_star!r}")
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"finite-difference shift h must be finite and > 0, got {self.h!r}")
 
 
 @dataclass(frozen=True)
@@ -101,42 +85,35 @@ def limits() -> tuple[float, float]:
 def _correlations(state, theta: float) -> np.ndarray:
     """Pauli correlation matrices (T, D) (2, 4, 4) of the encoded state
     rho = U(theta) rho U(theta)^dag and of its derivative -i[H, rho]; the
-    state is pure or mixed."""
+    state is pure or mixed. A non-finite theta raises ValueError."""
+    if not np.isfinite(theta):
+        raise ValueError(f"theta_star must be finite, got {theta!r}")
     u = encoding_unitary(theta)
     rho = u @ as_density(state) @ u.conj().T
     return pauli_correlations(np.stack([rho, -1j * (GENERATOR @ rho - rho @ GENERATOR)]))
 
 
-def sense(state, obs: Observable, cfg: SensingConfig,
-          mode: str = "analytic",
-          derivative_floor: float = DERIVATIVE_FLOOR) -> SensingResult:
-    """Evaluate an observable's phase-estimation figures at the operating point.
+def sense(state, obs: Observable, theta_star: float = 0.0) -> SensingResult:
+    """Evaluate an observable's phase-estimation figures at the phase
+    ``theta_star``.
 
     <A> = a . T b and the exact slope a . D b come from the correlation
     matrices of the encoded state (pure or mixed), and (DA)^2 = 1 - <A>^2.
-    ``mode`` selects that exact slope or the symmetric two-point finite
-    difference of a . T b with shift ``cfg.h``. A
-    slope below ``derivative_floor`` raises
+    A slope below ``DERIVATIVE_FLOOR`` raises
     :class:`DerivativeVanishesError` rather than returning an unusable
     number.
     """
     a, b = obs.coefficients
-    exp_val, deriv = (float(a @ m @ b) for m in _correlations(state, cfg.theta_star))
-    if mode == "finite_difference":
-        e_plus, e_minus = (a @ _correlations(state, cfg.theta_star + shift)[0] @ b
-                           for shift in (cfg.h, -cfg.h))
-        deriv = float((e_plus - e_minus) / (2 * cfg.h))
-    elif mode != "analytic":
-        raise ValueError(f"unknown derivative mode {mode!r}")
-    return _sensing_result(exp_val, deriv, derivative_floor)
+    return _sensing_result(*(float(a @ m @ b) for m in _correlations(state, theta_star)))
 
 
-def _sensing_result(exp_val: float, deriv: float, derivative_floor: float) -> SensingResult:
-    """The figures of <A> and its slope, or DerivativeVanishesError below the floor."""
+def _sensing_result(exp_val: float, deriv: float) -> SensingResult:
+    """The figures of <A> and its slope, or DerivativeVanishesError below
+    DERIVATIVE_FLOOR."""
     var = 1.0 - exp_val ** 2
-    if abs(deriv) < derivative_floor:
+    if abs(deriv) < DERIVATIVE_FLOOR:
         raise DerivativeVanishesError(
-            f"|d<A>/dtheta| = {abs(deriv):.3e} below floor {derivative_floor:g}")
+            f"|d<A>/dtheta| = {abs(deriv):.3e} below floor {DERIVATIVE_FLOOR:g}")
     return SensingResult(
         expectation=exp_val,
         derivative_magnitude=abs(deriv),
@@ -149,9 +126,9 @@ def _sensing_result(exp_val: float, deriv: float, derivative_floor: float) -> Se
 TIE_TOLERANCE = 1e-6
 
 
-def pauli_search(phi12: float, cfg: SensingConfig | None = None
-                 ) -> tuple[Observable, SensingResult]:
-    """Exhaustive search over the 16 Pauli products for the lowest phase variance.
+def pauli_search(phi12: float, theta_star: float = 0.0) -> tuple[Observable, SensingResult]:
+    """Exhaustive search over the 16 Pauli products for the lowest phase
+    variance at ``theta_star``.
 
     The expectation and slope of sigma_i (x) sigma_j are the entries T_ij
     and D_ij of the encoded state's correlation matrices. Candidates
@@ -159,8 +136,7 @@ def pauli_search(phi12: float, cfg: SensingConfig | None = None
     deterministically: largest |slope| first, then positive slope, then
     smaller expectation, then enumeration order (I, X, Y, Z per factor).
     """
-    cfg = cfg or SensingConfig()
-    exp_vals, derivs = _correlations(weighted_graph_state(phi12), cfg.theta_star).reshape(2, 16)
+    exp_vals, derivs = _correlations(weighted_graph_state(phi12), theta_star).reshape(2, 16)
     variances = 1.0 - exp_vals ** 2
     usable = np.abs(derivs) >= DERIVATIVE_FLOOR
     estimates = np.where(usable, variances, np.inf) / np.where(usable, derivs, 1.0) ** 2
@@ -318,7 +294,7 @@ def _push_slope(blocks, x, cap):
     return best
 
 
-def general_axis_search(phi12: float, cfg: SensingConfig | None = None
+def general_axis_search(phi12: float, theta_star: float = 0.0
                         ) -> tuple[Observable, SensingResult]:
     """Deterministic search over local general-axis products.
 
@@ -341,8 +317,7 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
     from the same correlation matrices by the rules of :func:`sense`,
     which raise :class:`DerivativeVanishesError` on a zero slope.
     """
-    cfg = cfg or SensingConfig()
-    corr = _correlations(weighted_graph_state(phi12), cfg.theta_star)
+    corr = _correlations(weighted_graph_state(phi12), theta_star)
     blocks = _axis_blocks(corr)
     correlation, slope = blocks[:, :3, 3:]
     grid = _penalized(_GRID @ correlation @ _GRID.T, _GRID @ slope @ _GRID.T)
@@ -364,4 +339,4 @@ def general_axis_search(phi12: float, cfg: SensingConfig | None = None
 
     obs = general_axis_observable(*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
     a, b = obs.coefficients
-    return obs, _sensing_result(*(float(a @ m @ b) for m in corr), DERIVATIVE_FLOOR)
+    return obs, _sensing_result(*(float(a @ m @ b) for m in corr))

@@ -17,12 +17,10 @@ from enum import Enum
 
 import numpy as np
 
-from .qmath import I2, X, Y, Z
+from .qmath import I2, PAULIS
 
 Q0 = np.array([[1, 0], [0, 1j]], dtype=complex)   # QWP with fast axis horizontal
 H0 = np.array([[1, 0], [0, -1]], dtype=complex)   # HWP with fast axis horizontal
-
-_AXES = {"x": X, "y": Y, "z": Z}
 
 
 class WaveplateKind(str, Enum):
@@ -111,8 +109,7 @@ def canonical_phase(angle: float) -> float:
 
 def rot(axis: str, psi: float) -> np.ndarray:
     """exp(-i psi sigma_axis); rotates the Bloch vector by 2*psi."""
-    sigma = _AXES[axis]
-    return np.cos(psi) * I2 - 1j * np.sin(psi) * sigma
+    return np.cos(psi) * I2 - 1j * np.sin(psi) * PAULIS[axis.upper()]
 
 
 def rotation_gate(axis: str, theta: float) -> np.ndarray:

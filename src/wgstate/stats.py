@@ -4,15 +4,17 @@ cosine fitting.
 Counts for one measurement setting come in L acquisition bins of four
 outcome-pair counts each. A bootstrap replicate redraws L bins with
 replacement, pools them, and evaluates the weighted-count estimator
-E = sum_k w_k N_k / sum_k N_k. Point estimates are replicate means and
-confidence intervals are empirical percentiles.
+E = sum_k w_k N_k / sum_k N_k. A bootstrap draws mu >= 100 replicates
+from a master seed; point estimates are replicate means and confidence
+intervals are empirical percentiles at level CI_LEVEL (95%).
 
 A sensing run has three settings: the operating point and the phases
 shifted by +-h. ``bootstrap_sensing`` resamples each of them once and
 derives the expectation, the single-shot variance 1 - E^2, the slope and
 the estimator variance from those same replicates, so replicate b of
 every statistic comes from one draw of the data (Efron & Tibshirani,
-An Introduction to the Bootstrap, 1993).
+An Introduction to the Bootstrap, 1993). The squared slope under the
+estimator variance is floored at SLOPE_SQ_FLOOR (1e-12).
 
 Replicates are drawn and pooled in chunks of _CHUNK_ENTRIES bin indices
 (rows x bins), in float64: every temporary stays below glibc's 128 KiB
@@ -34,6 +36,10 @@ from .optics import canonical_phase
 least_squares = LazyOptimizer("least_squares")
 
 REDRAW_CAP = 100
+# level of the percentile intervals
+CI_LEVEL = 0.95
+# floor on a replicate's squared slope in the estimator variance
+SLOPE_SQ_FLOOR = 1e-12
 # drawn bin indices (rows x bins) per resampling chunk: each chunk's int64
 # and float64 temporaries take 96 KiB, below glibc's 128 KiB mmap threshold
 _CHUNK_ENTRIES = 12288
@@ -71,22 +77,6 @@ class BinnedCounts:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    mu: int = 10000
-    epsilon: float = 1e-12
-    seed: int = 0
-    ci_level: float = 0.95
-
-    def __post_init__(self):
-        if self.mu < 100:
-            raise ValueError("mu must be >= 100")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if not 0 < self.ci_level < 1:
-            raise ValueError("ci_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,16 +171,26 @@ def _summarize(samples: np.ndarray, ci_level: float,
                            n_clamped=n_clamped)
 
 
-def bootstrap_expectation(bins: BinnedCounts, weights,
-                          cfg: BootstrapConfig) -> BootstrapResult:
-    """Bin bootstrap of the expectation-value estimator."""
-    counts = bins.counts
-    if counts.sum() == 0:
-        raise DegenerateDataError("no counts recorded")
+def _replicates(tables, weights, mu: int, seed: int) -> list:
+    """mu replicates of the weighted-count estimator of each count table,
+    table k resampled with child k of the master seed; raises ValueError
+    for mu below 100 and DegenerateDataError for a table with no counts."""
+    if mu < 100:
+        raise ValueError(f"mu must be >= 100, got {mu}")
+    if any(counts.sum() == 0 for counts in tables):
+        raise DegenerateDataError("a setting has no counts")
     w = _weight_vector(weights)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    samples = _resampled_estimators(counts, w, cfg.mu, rng)
-    return _summarize(samples, cfg.ci_level)
+    children = np.random.SeedSequence(seed).spawn(len(tables))
+    return [_resampled_estimators(counts, w, mu, np.random.default_rng(child))
+            for counts, child in zip(tables, children)]
+
+
+def bootstrap_expectation(bins: BinnedCounts, weights, *, mu: int = 10000,
+                          seed: int = 0) -> BootstrapResult:
+    """Bin bootstrap of the expectation-value estimator: mu >= 100
+    replicates from child 0 of the master seed."""
+    samples, = _replicates([bins.counts], weights, mu, seed)
+    return _summarize(samples, CI_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -204,37 +204,31 @@ class SensingBootstrap:
 
 
 def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
-                      bins_minus: BinnedCounts, h: float, weights,
-                      cfg: BootstrapConfig) -> SensingBootstrap:
+                      bins_minus: BinnedCounts, h: float, weights, *,
+                      mu: int = 10000, seed: int = 0) -> SensingBootstrap:
     """Bin bootstrap of a sensing run at the operating point and +-h.
 
-    Each setting is resampled once, from children 0, 1 and 2 of the
-    master seed. Replicate b gives E_c, the slope (E_+ - E_-) / (2h) and
-    the estimator variance (1 - E_c^2) / |slope|^2 from the b-th resample
-    of each setting. The squared slope in the denominator is clamped from
-    below by ``cfg.epsilon`` and the number of clamped replicates is
-    reported.
+    Each setting is resampled mu >= 100 times, from children 0, 1 and 2
+    of the master seed. Replicate b gives E_c, the slope (E_+ - E_-) / (2h)
+    and the estimator variance (1 - E_c^2) / |slope|^2 from the b-th
+    resample of each setting. The squared slope in the denominator is
+    clamped from below at ``SLOPE_SQ_FLOOR`` and the number of clamped
+    replicates is reported.
     """
-    if h <= 0:
-        raise ValueError("shift h must be > 0")
-    tables = [b.counts for b in (bins_center, bins_plus, bins_minus)]
-    if any(counts.sum() == 0 for counts in tables):
-        raise DegenerateDataError("a setting has no counts")
-    w = _weight_vector(weights)
-    children = np.random.SeedSequence(cfg.seed).spawn(3)
-    e_center, e_plus, e_minus = (
-        _resampled_estimators(counts, w, cfg.mu, np.random.default_rng(child))
-        for counts, child in zip(tables, children))
+    if not h > 0:
+        raise ValueError(f"shift h must be > 0, got {h!r}")
+    e_center, e_plus, e_minus = _replicates(
+        [b.counts for b in (bins_center, bins_plus, bins_minus)], weights, mu, seed)
     variance = 1.0 - e_center ** 2
     slope = (e_plus - e_minus) / (2 * h)
     slope_sq = slope ** 2
     return SensingBootstrap(
-        expectation=_summarize(e_center, cfg.ci_level),
-        single_shot_variance=_summarize(variance, cfg.ci_level),
-        derivative=_summarize(slope, cfg.ci_level),
+        expectation=_summarize(e_center, CI_LEVEL),
+        single_shot_variance=_summarize(variance, CI_LEVEL),
+        derivative=_summarize(slope, CI_LEVEL),
         estimator_variance=_summarize(
-            variance / np.maximum(slope_sq, cfg.epsilon), cfg.ci_level,
-            n_clamped=int((slope_sq < cfg.epsilon).sum())))
+            variance / np.maximum(slope_sq, SLOPE_SQ_FLOOR), CI_LEVEL,
+            n_clamped=int((slope_sq < SLOPE_SQ_FLOOR).sum())))
 
 
 def visibility(n_max: float, n_min: float) -> float:

@@ -9,15 +9,14 @@ import pytest
 
 from wgstate.cli import main
 from wgstate.measurement import outcome_probabilities, pauli_observable
-from wgstate.metrology import (SensingConfig, general_axis_search, limits,
-                               pauli_search, qfi_closed_form, qfi_numeric)
+from wgstate.metrology import (general_axis_search, limits, pauli_search,
+                               qfi_closed_form, qfi_numeric)
 from wgstate.optics import (EulerAngles, RotationAxis, euler_to_waveplates,
                             euler_unitary, phase_aligned_distance,
                             rotation_gate, rotation_waveplates)
 from wgstate.qmath import concurrence, fidelity
 from wgstate.stategen import canonical_config, simulate_generation, weighted_graph_state
-from wgstate.stats import (BinnedCounts, BootstrapConfig, bootstrap_expectation,
-                           cosine_fit)
+from wgstate.stats import BinnedCounts, bootstrap_expectation, cosine_fit
 from wgstate.tomography import mle_reconstruct, simulate_tomography
 
 NINE_WEIGHTS = [k * np.pi / 8 for k in range(9)]
@@ -204,8 +203,7 @@ def test_criterion_8_bootstrap_validity(tmp_path, monkeypatch):
     for i in range(200):
         counts = rng.poisson(1500 * probs, size=(24, 4))
         bins = BinnedCounts(counts)
-        res = bootstrap_expectation(bins, obs.weights,
-                                    BootstrapConfig(mu=2000, seed=1000 + i))
+        res = bootstrap_expectation(bins, obs.weights, mu=2000, seed=1000 + i)
         covered += (res.ci_low <= -0.5 <= res.ci_high)
     coverage = covered / 200
 

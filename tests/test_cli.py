@@ -282,6 +282,26 @@ class TestTomoCommand:
         assert message in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("count, message", [
+        (2 ** 63, "a count lies outside int64: counts must be below 2**63"),
+        (10 ** 30, "a count lies outside int64: counts must be below 2**63"),
+        (-2 ** 63 - 1, "a count lies outside int64: counts must be below 2**63"),
+        # each count fits in int64, but the total wraps it to a negative
+        # number, which read as "no counts" before
+        (9223372036854775000, "counts must total below 2**63, the int64 limit")],
+        ids=["2**63", "1e30", "-2**63-1", "total"])
+    def test_counts_past_int64_exit_two(self, tmp_path, monkeypatch, capsys, count, message):
+        monkeypatch.chdir(tmp_path)
+        lines = self._dataset_lines(tmp_path)
+        fields = lines[1].split(",")
+        fields[6] = ";".join([str(count)] + fields[6].split(";")[1:])
+        lines[1] = ",".join(fields)
+        (tmp_path / "d.csv").write_text("\n".join(lines) + "\n")
+        rc, err = self._reconstruct(capsys)
+        assert rc == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
     def test_zero_duration_dataset_exits_three(self, tmp_path, monkeypatch, capsys):
         # a dataset recorded in no time is valid, and holds no counts to fit
         monkeypatch.chdir(tmp_path)
@@ -474,7 +494,11 @@ class TestBadInputs:
          "--replicates must be at least 100"),
         (["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1", "--mc", "1",
           "--out", "r.json"], "--mc must be at least 2"),
-    ], ids=["replicates", "mc"])
+        (["sense", "--phi12", "1", "--observable", "IY", "--shift-deg", "0", "--out", "s"],
+         "--shift-deg must be > 0, got 0"),
+        (["sense", "--phi12", "1", "--observable", "IY", "--shift-deg", "-5", "--out", "s"],
+         "--shift-deg must be > 0, got -5"),
+    ], ids=["replicates", "mc", "shift-zero", "shift-negative"])
     def test_too_small_count_option_exits_two(self, tmp_path, monkeypatch, capsys,
                                               argv, message):
         monkeypatch.chdir(tmp_path)

@@ -186,6 +186,25 @@ class TestCountValidation:
         with pytest.raises(ValueError, match="counts must be non-negative"):
             make(counts, 10.0)
 
+    @pytest.mark.parametrize("count", [2 ** 63, -2 ** 63 - 1])
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_count_outside_int64_rejected(self, make, shape, count):
+        counts = np.ones(shape, dtype=object)
+        counts.flat[-1] = count
+        with pytest.raises(ValueError, match=r"outside int64: counts must be below 2\*\*63"):
+            make(counts, 10.0)
+
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_total_past_int64_rejected(self, make, shape):
+        # two counts of 2**62 total 2**63, which an int64 sum wraps to -2**63;
+        # one count less totals 2**63 - 1, the largest int64
+        counts = np.zeros(shape, dtype=np.int64)
+        counts.flat[:2] = 2 ** 62
+        with pytest.raises(ValueError, match=r"counts must total below 2\*\*63"):
+            make(counts, 10.0)
+        counts.flat[1] -= 1
+        make(counts, 10.0)
+
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
     @pytest.mark.parametrize("make, shape", HOLDERS)
     def test_duration_finite_and_non_negative(self, make, shape, duration):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +11,8 @@ from wgstate._optimize import sphere_newton
 from wgstate.measurement import (_axis_angles, general_axis_observable,
                                  outcome_probabilities, pauli_observable)
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
-                               SensingConfig, encoding_unitary,
-                               general_axis_search, limits, pauli_search,
-                               qfi_closed_form, qfi_numeric, sense)
+                               encoding_unitary, general_axis_search, limits,
+                               pauli_search, qfi_closed_form, qfi_numeric, sense)
 from wgstate.qmath import PAULIS, PureState2Q, as_density, tensor
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 
@@ -35,6 +33,15 @@ PAULI_TABLE = [
     (np.pi / 8,     ("I", "Y"), 0.19, 0.96, 1.04),
     (0.0,           ("I", "Y"), 0.00, 1.00, 1.00),
 ]
+
+
+def _two_point_slope(state, obs, theta, h):
+    """(<A>(theta + h) - <A>(theta - h)) / 2h, read off the correlation
+    matrices, so that no slope floor applies."""
+    a, b = obs.coefficients
+    e_plus, e_minus = (a @ metrology._correlations(state, theta + shift)[0] @ b
+                       for shift in (h, -h))
+    return float((e_plus - e_minus) / (2 * h))
 
 
 class TestEncodingUnitary:
@@ -80,15 +87,13 @@ class TestQFI:
 
 class TestSense:
     def test_max_weight_zy(self):
-        res = sense(weighted_graph_state(np.pi), pauli_observable("Z", "Y"),
-                    SensingConfig())
+        res = sense(weighted_graph_state(np.pi), pauli_observable("Z", "Y"))
         assert res.expectation == pytest.approx(0.0, abs=1e-10)
         assert res.derivative_magnitude == pytest.approx(2.0, abs=1e-10)
         assert res.estimator_variance == pytest.approx(0.25, abs=1e-10)
 
     def test_half_weight_zy(self):
-        res = sense(weighted_graph_state(np.pi / 2), pauli_observable("Z", "Y"),
-                    SensingConfig())
+        res = sense(weighted_graph_state(np.pi / 2), pauli_observable("Z", "Y"))
         assert res.expectation == pytest.approx(-0.5, abs=1e-10)
         assert res.derivative_magnitude == pytest.approx(1.0, abs=1e-10)
         assert res.estimator_variance == pytest.approx(0.75, abs=1e-10)
@@ -96,12 +101,10 @@ class TestSense:
     def test_finite_difference_truncation_order(self):
         state = weighted_graph_state(np.pi)
         obs = pauli_observable("Z", "Y")
-        exact = sense(state, obs, SensingConfig()).derivative_magnitude
+        exact = sense(state, obs).derivative_magnitude
 
         def fd_error(h):
-            res = sense(state, obs, SensingConfig(h=h),
-                        mode="finite_difference")
-            return abs(res.derivative_magnitude - exact)
+            return abs(abs(_two_point_slope(state, obs, 0.0, h)) - exact)
 
         h = 0.2
         ratio = fd_error(h) / fd_error(h / 2)
@@ -109,8 +112,7 @@ class TestSense:
 
     def test_vanishing_derivative_raises(self):
         with pytest.raises(DerivativeVanishesError):
-            sense(weighted_graph_state(np.pi), pauli_observable("I", "I"),
-                  SensingConfig())
+            sense(weighted_graph_state(np.pi), pauli_observable("I", "I"))
 
     def test_estimator_variance_identity(self):
         rng = np.random.default_rng(8)
@@ -121,7 +123,7 @@ class TestSense:
                                           rng.uniform(0, np.pi),
                                           rng.uniform(-np.pi, np.pi))
             try:
-                res = sense(weighted_graph_state(phi), obs, SensingConfig())
+                res = sense(weighted_graph_state(phi), obs)
             except DerivativeVanishesError:
                 continue
             assert res.estimator_variance == pytest.approx(
@@ -140,15 +142,13 @@ class TestSense:
                                           rng.uniform(-np.pi, np.pi))
             state = weighted_graph_state(phi)
             try:
-                exact = sense(state, obs, SensingConfig()).derivative_magnitude
+                exact = sense(state, obs).derivative_magnitude
             except DerivativeVanishesError:
                 continue
-            fd_h = sense(state, obs, SensingConfig(h=h),
-                         mode="finite_difference", derivative_floor=0.0)
-            fd_h2 = sense(state, obs, SensingConfig(h=h / 2),
-                          mode="finite_difference", derivative_floor=0.0)
+            fd_h = abs(_two_point_slope(state, obs, 0.0, h))
+            fd_h2 = abs(_two_point_slope(state, obs, 0.0, h / 2))
             # signs agree near theta* = 0, so magnitudes extrapolate too
-            richardson = (4 * fd_h2.derivative_magnitude - fd_h.derivative_magnitude) / 3
+            richardson = (4 * fd_h2 - fd_h) / 3
             assert richardson == pytest.approx(exact, abs=1e-6)
 
 
@@ -167,24 +167,23 @@ class TestSense:
             exp_val = np.trace(a @ encoded).real
             slope = np.trace(1j * (metrology.GENERATOR @ a - a @ metrology.GENERATOR)
                              @ encoded).real
-            res = sense(rho, obs, SensingConfig(theta_star=theta), derivative_floor=0.0)
+            res = sense(rho, obs, theta)
             assert res.expectation == pytest.approx(exp_val, abs=1e-12)
             assert res.derivative_magnitude == pytest.approx(abs(slope), abs=1e-12)
             assert res.single_shot_variance == pytest.approx(
                 np.trace(a @ a @ encoded).real - exp_val ** 2, abs=1e-12)
 
 
-class TestSensingConfig:
-    @pytest.mark.parametrize("kwargs", [{"h": np.nan}, {"h": np.inf}, {"h": 0.0},
-                                        {"h": -0.1}, {"theta_star": np.inf},
-                                        {"theta_star": -np.inf}, {"theta_star": np.nan}])
-    def test_non_finite_or_non_positive_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            SensingConfig(**kwargs)
-
-    def test_two_fields(self):
-        assert SensingConfig() == SensingConfig(theta_star=0.0, h=np.radians(5.0))
-        assert [f.name for f in fields(SensingConfig)] == ["theta_star", "h"]
+class TestThetaStar:
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", ["sense", "pauli_search", "general_axis_search"])
+    def test_non_finite_rejected(self, entry, theta):
+        call = {"sense": lambda: sense(weighted_graph_state(1.0), pauli_observable("Z", "Y"),
+                                       theta),
+                "pauli_search": lambda: pauli_search(1.0, theta),
+                "general_axis_search": lambda: general_axis_search(1.0, theta)}[entry]
+        with pytest.raises(ValueError, match="theta_star must be finite"):
+            call()
 
 
 class TestPauliSearch:
@@ -203,8 +202,7 @@ class TestPauliSearch:
             for a1 in "IXYZ":
                 for a2 in "IXYZ":
                     try:
-                        res = sense(state, pauli_observable(a1, a2),
-                                    SensingConfig())
+                        res = sense(state, pauli_observable(a1, a2))
                     except DerivativeVanishesError:
                         continue
                     assert res.estimator_variance >= bound - 1e-9
@@ -262,7 +260,7 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star, variance, slope", POWELL)
     def test_no_worse_than_powell(self, phi12, theta_star, variance, slope):
-        _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        _, res = general_axis_search(phi12, theta_star)
         assert res.estimator_variance <= variance + 1e-7
         assert res.derivative_magnitude == pytest.approx(slope, abs=1e-5)
 
@@ -270,9 +268,8 @@ class TestGeneralAxisSearch:
         for phi in np.linspace(0.0, np.pi, 33):
             bound = 1.0 / qfi_closed_form(phi)
             for theta in (0.0, 0.7, -2.1):
-                cfg = SensingConfig(theta_star=theta)
-                obs, res = general_axis_search(phi, cfg)
-                pauli = pauli_search(phi, cfg)[1].estimator_variance
+                obs, res = general_axis_search(phi, theta)
+                pauli = pauli_search(phi, theta)[1].estimator_variance
                 assert bound - 1e-9 <= res.estimator_variance <= pauli + 1e-6
                 beta1, alpha1, beta2, alpha2 = obs.axis_angles
                 for beta, alpha in ((beta1, alpha1), (beta2, alpha2)):
@@ -298,9 +295,8 @@ class TestGeneralAxisSearch:
         assert _axis_angles(np.array([0.0, 2e-9, 1.0]))[1] == np.pi / 2
 
     def test_deterministic(self):
-        cfg = SensingConfig(theta_star=0.4)
-        obs_a, res_a = general_axis_search(1.3, cfg)
-        obs_b, res_b = general_axis_search(1.3, cfg)
+        obs_a, res_a = general_axis_search(1.3, 0.4)
+        obs_b, res_b = general_axis_search(1.3, 0.4)
         assert obs_a.axis_angles == obs_b.axis_angles
         assert res_a == res_b
 
@@ -342,14 +338,14 @@ class TestGeneralAxisSearch:
             return result
 
         monkeypatch.setattr(metrology, "sphere_newton", spy)
-        general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        general_axis_search(phi12, theta_star)
         assert runs[0].shape == (1,) and runs[0].all()
 
     def test_no_worse_than_polar_angle_search(self):
         # every 4th case of the 452 pinned ones
         failures = []
         for phi12, theta_star, variance, slope in GENERAL_SEARCH_ESTIMATES[::4]:
-            _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+            _, res = general_axis_search(phi12, theta_star)
             if (res.estimator_variance > variance + 1e-9
                     or res.derivative_magnitude < slope - 1e-6):
                 failures.append((phi12, theta_star, res.estimator_variance,
@@ -370,7 +366,7 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star, slope, cap", NEAR_PI_PUSH)
     def test_near_pi_push_no_worse_than_slsqp(self, phi12, theta_star, slope, cap):
-        _, res = general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        _, res = general_axis_search(phi12, theta_star)
         assert res.derivative_magnitude >= slope - 1e-5
         assert res.estimator_variance <= cap + 1e-9
 
@@ -459,7 +455,7 @@ class TestSearchGradient:
         monkeypatch.setattr(metrology, "minimize", refuse)
         monkeypatch.setattr(metrology, "differential_evolution", refuse)
         monkeypatch.setattr(metrology, "sphere_newton", spy)
-        general_axis_search(phi12, SensingConfig(theta_star=theta_star))
+        general_axis_search(phi12, theta_star)
         # the first run from the best grid pair; every run gets Hessians
         assert runs and runs[0][0].shape == (1,)
         assert all(hess.shape == (len(value), 6, 6) for value, _, hess in runs)
@@ -523,11 +519,12 @@ def _inverse_fisher_and_variance(state, obs, theta):
         return None
     dp = (probs(theta + _FD_STEP) - probs(theta - _FD_STEP)) / (2 * _FD_STEP)
     try:
-        variance = sense(state, obs, SensingConfig(theta_star=theta),
-                         derivative_floor=1e-3).estimator_variance
+        res = sense(state, obs, theta)
     except DerivativeVanishesError:
         return None
-    return 1 / np.sum(dp ** 2 / p), variance
+    if res.derivative_magnitude < 1e-3:
+        return None
+    return 1 / np.sum(dp ** 2 / p), res.estimator_variance
 
 
 class TestCramerRaoChain:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wgstate import stats
 from wgstate.measurement import outcome_probabilities, pauli_observable
 from wgstate.stategen import weighted_graph_state
-from wgstate.stats import (REDRAW_CAP, BinnedCounts, BootstrapConfig, CosineFitError,
+from wgstate.stats import (REDRAW_CAP, BinnedCounts, CosineFitError,
                            DegenerateDataError, FitResult, _resampled_estimators,
                            bootstrap_expectation, bootstrap_sensing, cosine_fit,
                            visibility)
@@ -33,18 +33,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             BinnedCounts([[1, 2, 3, 4]])
 
-    def test_config_bounds(self):
-        with pytest.raises(ValueError):
-            BootstrapConfig(mu=50)
-        with pytest.raises(ValueError):
-            BootstrapConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            BootstrapConfig(ci_level=1.0)
+    def test_fewer_than_100_replicates_rejected(self):
+        bins = BinnedCounts([[1, 2, 3, 4]] * 3)
+        with pytest.raises(ValueError, match="mu must be >= 100"):
+            bootstrap_expectation(bins, ZY_WEIGHTS, mu=99)
+        with pytest.raises(ValueError, match="mu must be >= 100"):
+            bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS, mu=50)
 
     def test_empty_counts_rejected(self):
         bins = BinnedCounts([[0, 0, 0, 0]] * 3)
         with pytest.raises(DegenerateDataError):
-            bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(seed=0))
+            bootstrap_expectation(bins, ZY_WEIGHTS, seed=0)
 
     def test_sensing_rejects_empty_setting_and_bad_shift(self):
         empty = BinnedCounts([[0, 0, 0, 0]] * 3)
@@ -52,37 +51,37 @@ class TestValidation:
         for triple in ((empty, full, full), (full, empty, full), (full, full, empty)):
             with pytest.raises(DegenerateDataError):
                 bootstrap_sensing(*triple, np.radians(5), ZY_WEIGHTS,
-                                  BootstrapConfig(seed=0))
+                                  seed=0)
         with pytest.raises(ValueError):
-            bootstrap_sensing(full, full, full, 0.0, ZY_WEIGHTS, BootstrapConfig(seed=0))
+            bootstrap_sensing(full, full, full, 0.0, ZY_WEIGHTS, seed=0)
 
 
 class TestBootstrapExpectation:
     def test_identical_bins_zero_width(self):
         bins = BinnedCounts([[40, 10, 30, 20]] * 6)
-        res = bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(mu=500, seed=1))
+        res = bootstrap_expectation(bins, ZY_WEIGHTS, mu=500, seed=1)
         assert np.all(res.samples == res.samples[0])
         assert res.ci_low == res.ci_high == pytest.approx(res.mean)
 
     def test_single_outcome_gives_unity(self):
         bins = BinnedCounts([[17, 0, 0, 0], [23, 0, 0, 0], [11, 0, 0, 0]])
         res = bootstrap_expectation(bins, {"++": 1, "+-": -1, "-+": -1, "--": 1},
-                                    BootstrapConfig(mu=500, seed=2))
+                                    mu=500, seed=2)
         assert np.all(res.samples == 1.0)
 
     def test_recovers_known_expectation(self):
         rng = np.random.default_rng(21)
         bins = poisson_bins(weighted_graph_state(np.pi), ZY, 1500, 6, rng)
-        res = bootstrap_expectation(bins, ZY_WEIGHTS, BootstrapConfig(seed=3))
+        res = bootstrap_expectation(bins, ZY_WEIGHTS, seed=3)
         half_width = (res.ci_high - res.ci_low) / 2
         assert abs(res.mean - 0.0) < 3 * half_width
 
     def test_determinism(self):
         rng = np.random.default_rng(22)
         bins = poisson_bins(weighted_graph_state(np.pi / 2), ZY, 800, 6, rng)
-        cfg = BootstrapConfig(mu=1000, seed=9)
-        a = bootstrap_expectation(bins, ZY_WEIGHTS, cfg)
-        b = bootstrap_expectation(bins, ZY_WEIGHTS, cfg)
+        cfg = dict(mu=1000, seed=9)
+        a = bootstrap_expectation(bins, ZY_WEIGHTS, **cfg)
+        b = bootstrap_expectation(bins, ZY_WEIGHTS, **cfg)
         assert np.array_equal(a.samples, b.samples)
 
 
@@ -94,14 +93,14 @@ class TestBootstrapVariance:
         # equal counts in every outcome keep E identically zero
         bins = BinnedCounts([[25, 25, 25, 25]] * 6)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
-                                BootstrapConfig(mu=500, seed=4)).single_shot_variance
+                                mu=500, seed=4).single_shot_variance
         assert np.all(res.samples == 1.0)
 
     def test_recovers_known_variance(self):
         rng = np.random.default_rng(23)
         bins = poisson_bins(weighted_graph_state(np.pi / 2), ZY, 1500, 6, rng)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
-                                BootstrapConfig(seed=5)).single_shot_variance
+                                seed=5).single_shot_variance
         assert res.ci_low <= 0.75 <= res.ci_high
 
     def test_single_shot_recovery(self):
@@ -129,7 +128,7 @@ class TestBootstrapDerivative:
         counts = rng.poisson(500, size=(6, 4))
         bins = BinnedCounts(counts)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
-                                BootstrapConfig(seed=6)).derivative
+                                seed=6).derivative
         assert res.ci_low <= 0.0 <= res.ci_high
 
     def test_recovers_slope_two(self):
@@ -139,7 +138,7 @@ class TestBootstrapDerivative:
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
         res = bootstrap_sensing(plus, plus, minus, h, ZY_WEIGHTS,
-                                BootstrapConfig(seed=7)).derivative
+                                seed=7).derivative
         assert res.ci_low <= 2.0 <= res.ci_high
 
     def test_halving_shift_doubles_ci_width(self):
@@ -151,15 +150,12 @@ class TestBootstrapDerivative:
             plus = poisson_bins(state, ZY, 1500, 6, rng, theta=shift)
             minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-shift)
             res = bootstrap_sensing(plus, plus, minus, shift, ZY_WEIGHTS,
-                                    BootstrapConfig(seed=8)).derivative
+                                    seed=8).derivative
             widths[shift] = res.ci_high - res.ci_low
         assert 1.5 <= widths[h / 2] / widths[h] <= 2.5
 
 
 class TestBootstrapRatio:
-    def test_default_epsilon(self):
-        assert BootstrapConfig().epsilon == 1e-12
-
     def test_recovers_heisenberg_limit(self):
         rng = np.random.default_rng(27)
         h = np.radians(5)
@@ -168,18 +164,18 @@ class TestBootstrapRatio:
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
         res = bootstrap_sensing(center, plus, minus, h, ZY_WEIGHTS,
-                                BootstrapConfig(seed=10)).estimator_variance
+                                seed=10).estimator_variance
         assert res.ci_low <= 0.25 <= res.ci_high
         assert res.n_clamped == 0
 
     def test_zero_derivative_clamps(self):
         bins = BinnedCounts([[30, 10, 20, 40]] * 6)
-        cfg = BootstrapConfig(mu=500, seed=11)
+        cfg = dict(mu=500, seed=11)
         res = bootstrap_sensing(bins, bins, bins, np.radians(5), ZY_WEIGHTS,
-                                cfg).estimator_variance
-        assert res.n_clamped == cfg.mu
+                                **cfg).estimator_variance
+        assert res.n_clamped == cfg["mu"]
         e = (np.array([30, 10, 20, 40]) @ np.array([1, -1, -1, 1])) / 100
-        assert np.all(res.samples == pytest.approx((1 - e ** 2) / cfg.epsilon))
+        assert np.all(res.samples == pytest.approx((1 - e ** 2) / stats.SLOPE_SQ_FLOOR))
 
 
 class TestBootstrapSensing:
@@ -193,20 +189,20 @@ class TestBootstrapSensing:
         center = BinnedCounts([[40, 10, 30, 20]] * 6)
         plus = poisson_bins(state, ZY, 1500, 6, rng, theta=h)
         minus = poisson_bins(state, ZY, 1500, 6, rng, theta=-h)
-        cfg = BootstrapConfig(mu=2000, seed=13)
-        res = bootstrap_sensing(center, plus, minus, h, ZY_WEIGHTS, cfg)
+        cfg = dict(mu=2000, seed=13)
+        res = bootstrap_sensing(center, plus, minus, h, ZY_WEIGHTS, **cfg)
         v = res.single_shot_variance.samples
         assert np.all(v == v[0])
-        expected = np.sort(v[0] / np.maximum(res.derivative.samples ** 2, cfg.epsilon))
+        expected = np.sort(v[0] / np.maximum(res.derivative.samples ** 2, stats.SLOPE_SQ_FLOOR))
         assert np.array_equal(expected, res.estimator_variance.samples)
 
     def test_expectation_stream_matches_bootstrap_expectation(self):
         rng = np.random.default_rng(29)
         state = weighted_graph_state(np.pi / 2)
         center, plus, minus = (poisson_bins(state, ZY, 800, 6, rng) for _ in range(3))
-        cfg = BootstrapConfig(mu=1000, seed=14)
-        res = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
-        alone = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
+        cfg = dict(mu=1000, seed=14)
+        res = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, **cfg)
+        alone = bootstrap_expectation(center, ZY_WEIGHTS, **cfg)
         assert np.array_equal(res.expectation.samples, alone.samples)
 
 
@@ -221,12 +217,12 @@ class TestBootstrapDeterminism:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_repeat_call_gives_identical_samples(self, center, plus, minus, seed):
         assume(min(b.total for b in (center, plus, minus)) > 0)
-        cfg = BootstrapConfig(mu=100, seed=seed)
-        a = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
-        b = bootstrap_expectation(center, ZY_WEIGHTS, cfg)
+        cfg = dict(mu=100, seed=seed)
+        a = bootstrap_expectation(center, ZY_WEIGHTS, **cfg)
+        b = bootstrap_expectation(center, ZY_WEIGHTS, **cfg)
         assert np.array_equal(a.samples, b.samples)
-        first = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
-        second = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, cfg)
+        first = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, **cfg)
+        second = bootstrap_sensing(center, plus, minus, np.radians(5), ZY_WEIGHTS, **cfg)
         for name, result in vars(first).items():
             again = getattr(second, name)
             assert np.array_equal(result.samples, again.samples), name
@@ -290,18 +286,18 @@ class TestResampledEstimators:
         # 10000 replicates of 6 bins fill several chunks at the default budget
         rng = np.random.default_rng(11)
         tables = [rng.poisson([400, 80, 300, 120], size=(6, 4)) for _ in range(3)]
-        cfg, h = BootstrapConfig(mu=10000, seed=5), np.radians(5)
-        assert cfg.mu * 6 > 2 * stats._CHUNK_ENTRIES
+        cfg, h = dict(mu=10000, seed=5), np.radians(5)
+        assert cfg["mu"] * 6 > 2 * stats._CHUNK_ENTRIES
         w = np.array([1.0, -1.0, -1.0, 1.0])
-        result = bootstrap_sensing(*map(BinnedCounts, tables), h, w, cfg)
+        result = bootstrap_sensing(*map(BinnedCounts, tables), h, w, **cfg)
         e_center, e_plus, e_minus = (
-            _reference_estimators(counts, w, cfg.mu, np.random.default_rng(child))
+            _reference_estimators(counts, w, cfg["mu"], np.random.default_rng(child))
             for counts, child in zip(tables, np.random.SeedSequence(5).spawn(3)))
         variance = 1.0 - e_center ** 2
         slope = (e_plus - e_minus) / (2 * h)
         expected = {"expectation": e_center, "single_shot_variance": variance,
                     "derivative": slope,
-                    "estimator_variance": variance / np.maximum(slope ** 2, cfg.epsilon)}
+                    "estimator_variance": variance / np.maximum(slope ** 2, stats.SLOPE_SQ_FLOOR)}
         for name, samples in expected.items():
             assert getattr(result, name).samples.tobytes() == np.sort(samples).tobytes(), name
 
@@ -461,7 +457,7 @@ class TestCosineFit:
 
 def test_weights_accepted_as_array():
     bins = BinnedCounts([[40, 10, 30, 20]] * 4)
-    cfg = BootstrapConfig(mu=500, seed=12)
-    as_dict = bootstrap_expectation(bins, ZY_WEIGHTS, cfg)
-    as_array = bootstrap_expectation(bins, [1, -1, -1, 1], cfg)
+    cfg = dict(mu=500, seed=12)
+    as_dict = bootstrap_expectation(bins, ZY_WEIGHTS, **cfg)
+    as_array = bootstrap_expectation(bins, [1, -1, -1, 1], **cfg)
     assert np.array_equal(as_dict.samples, as_array.samples)
