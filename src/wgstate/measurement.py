@@ -139,7 +139,8 @@ def outcome_probabilities(state, obs: Observable) -> np.ndarray:
 
 def checked_counts(counts, shape: tuple) -> np.ndarray:
     """Outcome-pair counts as a read-only int64 copy of ``shape``; raises
-    ValueError for any other shape, a negative count, or counts that int64
+    ValueError for any other shape, a count that is not a whole number
+    (2.0 is one, 1.7 is not), a negative count, or counts that int64
     cannot hold: one of 2**63 or more, or a total of 2**63 or more."""
     try:
         c = np.array(counts, dtype=np.int64)
@@ -147,6 +148,9 @@ def checked_counts(counts, shape: tuple) -> np.ndarray:
         raise ValueError("a count lies outside int64: counts must be below 2**63") from None
     if c.shape != shape:
         raise ValueError(f"counts must have shape {shape}, got {c.shape}")
+    given = np.asarray(counts)
+    if given.dtype.kind == "f" and (c != given).any():
+        raise ValueError(f"counts must be whole numbers, got {float(given[c != given][0])!r}")
     if (c < 0).any():
         raise ValueError("counts must be non-negative")
     # the int64 sum wraps past 2**63; the exact one is taken only where it may

@@ -13,7 +13,10 @@ state rho and D of its derivative -i[H, rho] (``qmath.pauli_correlations``);
 as A^2 = I, (DA)^2 = 1 - <A>^2. :func:`sense` and both searches read these
 figures at the phase ``theta_star``, with the exact slope; the two-point
 slope of a sensing run, from counts at theta* +- h, is
-``stats.bootstrap_sensing``'s.
+``stats.bootstrap_sensing``'s. As both figures are bilinear in the Bloch
+vectors (a, b) of a general-axis product, every stationary point of a
+function of the two is a singular pair of cos tau T + sin tau D for one
+angle tau; :func:`general_axis_search` searches on that family.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import LazyOptimizer, bordered_hessian, sphere_newton, tangent_projector
-from .measurement import (Observable, _axis_angles, _unit_vector, general_axis_observable,
-                          pauli_observable)
+from ._optimize import LazyOptimizer, sphere_newton
+from .measurement import Observable, _axis_angles, general_axis_observable, pauli_observable
 from .optics import rotation_gate
 from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
 from .stategen import weighted_graph_state
@@ -159,11 +161,19 @@ PENALTY_WEIGHT = 0.02
 VARIANCE_TOLERANCE = 1e-4
 
 
-# start grid: Bloch vectors at the polar angles (i + 1/2) pi/12 of the
-# upper hemisphere, which skips the pole and the mirrored -n copies of each
-# axis (A(-n1, n2) = -A(n1, n2)), times 12 azimuths
-_GRID = _unit_vector(*np.meshgrid((np.arange(6) + 0.5) * np.pi / 12,
-                                  np.arange(12) * np.pi / 6 - np.pi, indexing="ij")).reshape(72, 3)
+# the start scan: the singular pairs of K(tau) = cos tau T + sin tau D at
+# tau = k pi/64 for k = 0 ... 63; K(tau + pi) = -K(tau) has the same pairs
+# up to sign, so these angles cover the whole family
+_SCAN_ANGLES = np.arange(64) * np.pi / 64
+# the slope push ends when the variance on the branch is this close to the
+# cap, or when the bracket on tau is this narrow; unconverged after
+# _ROOT_STEPS angles
+_CAP_TOL = 1e-11
+_ANGLE_TOL = 1e-14
+_ROOT_STEPS = 100
+# each reported Bloch vector is signed so that the first of (n_z, -n_x, -n_y)
+# larger than this in magnitude is positive
+_SIGN_TOL = 1e-12
 
 
 def _axis_blocks(corr) -> np.ndarray:
@@ -201,19 +211,18 @@ def _figure_jets(blocks, x):
     return x, value, grad, sign
 
 
-def _figures(blocks, x):
-    """The estimator variance v = (1 - <A>^2)/s^2, its tangent gradient,
-    the slope magnitude s and its tangent gradient at each row of x.
+def _pair_values(pairs, axes):
+    """(<A>, n1 . D n2) (2, ...) at unit pairs (..., 2, 3) of (n1, n2), for
+    the axis blocks axes = (T, D) (2, 3, 3)."""
+    return np.einsum("...i,aij,...j->a...", pairs[..., 0, :], axes, pairs[..., 1, :])
 
-    The gradient B x of n1 . M n2 has the part (n1 . M n2) n_i along each
-    vector n_i, so that of a function f(<A>, s) is r x, with
-    r = f_<A> <A> + f_s s; the tangent gradient is its gradient less r x.
-    """
-    x, (e, s), grad, _ = _figure_jets(blocks, x)
-    v = (1.0 - e * e) / s ** 2
-    v_e, v_s = -2 * e / s ** 2, -2 * v / s
-    v_grad = v_e[:, None] * grad[0] + v_s[:, None] * grad[1] - (v_e * e + v_s * s)[:, None] * x
-    return v, v_grad, s, grad[1] - s[:, None] * x
+
+def _figures(pairs, axes):
+    """The estimator variance v = (1 - <A>^2)/s^2 and the slope magnitude
+    s = |n1 . D n2| at unit pairs (..., 2, 3)."""
+    e, d = _pair_values(pairs, axes)
+    s = np.maximum(np.abs(d), 1e-12)
+    return (1.0 - e * e) / s ** 2, s
 
 
 def _scalarized(blocks, weight):
@@ -239,59 +248,87 @@ def _scalarized(blocks, weight):
     return fun
 
 
-_PUSH_STEPS = 60
-# the push ends when the minimizer's variance is this close to the cap, or
-# when the bracket on log w is this narrow
-_PUSH_TOL = 1e-10
-_BRACKET_TOL = 1e-12
-# log w grows by at most _WEIGHT_STRIDE per step while no w above the cap
-# is known
-_WEIGHT_STRIDE = 3.0
+def _family(axes, tau):
+    """K(tau) = cos tau T + sin tau D (..., 3, 3) at the angles tau (...,)
+    for the axis blocks axes = (T, D)."""
+    tau = np.asarray(tau)[..., None, None]
+    return np.cos(tau) * axes[0] + np.sin(tau) * axes[1]
 
 
-def _push_slope(blocks, x, cap):
+def _singular_pairs(k):
+    """The three singular pairs (n1, n2) of each matrix of k (..., 3, 3), as
+    unit pairs (..., 3, 2, 3), the largest singular value first."""
+    u, _, vt = np.linalg.svd(k)
+    return np.stack([u.swapaxes(-1, -2), vt], axis=-2)
+
+
+def _on_branch(pairs, last):
+    """The index, among pairs (3, 2, 3), of the pair whose n1 overlaps most
+    with that of the pair last (2, 3)."""
+    return np.argmax(np.abs(pairs[:, 0] @ last[0]))
+
+
+def _branch_push(axes, x, cap):
     """The largest slope whose estimator variance v stays within ``cap``,
-    searched from the minimizer x (1, 2, 3), and whether it converged.
+    searched from the minimizer x (2, 3), and whether it converged.
 
-    The largest slope of all, the top singular value of D at its
-    singular vectors, is taken if its variance is within the cap.
-    Otherwise v + w/s is minimized with w chosen so that the minimizer's
-    variance reaches the cap. w is found by Newton steps on log w, kept
-    inside a bracket and bisected when a step leaves it. The derivative
-    dv/dw = grad v . H^-1 grad s / s^2 comes from the projected Hessian
-    P H P and the tangent gradients at the minimizer (implicit
-    differentiation of its stationarity condition on the spheres).
-    Returns the minimizer at the cap, or else that of the largest w whose
-    variance stays under it.
+    The largest slope of all, the top singular value of D at its singular
+    vectors, is taken if its variance is within the cap. Otherwise the
+    push follows the minimizers of v + w/s as the weight w grows from
+    ``PENALTY_WEIGHT``. Each is a singular pair of K(tau) for an angle tau
+    that runs monotonically from the minimizer's own, tau0, to -sigma pi/2,
+    with sigma the sign of the slope n1 . D n2. At each angle the branch is
+    the singular pair whose n1 overlaps most with that of the last pair
+    under the cap. If the branch crosses the cap by -sigma pi/2, the angle
+    at which v reaches it is bracketed and found by secant steps, bisected
+    when a step leaves the bracket. Returns the pair at the cap, or that of
+    the last angle under it when the bracket closes; the push has not
+    converged if the branch does not cross the cap.
     """
-    u, _, vt = np.linalg.svd(blocks[1, :3, 3:])
-    top = np.stack([u[:, 0], vt[0]])[None]
-    if _figures(blocks, top)[0][0] <= cap:
-        return top, True
-    log_w, low, high = np.log(PENALTY_WEIGHT), -np.inf, np.inf
-    converged = True
-    best = x, converged
-    for _ in range(_PUSH_STEPS):
-        v, v_g, s, s_g = (q[0] for q in _figures(blocks, x))
-        gap = v - cap
-        if abs(gap) <= _PUSH_TOL:
-            return x, converged
+    top = _singular_pairs(axes[1])
+    top_variance = _figures(top, axes)[0]
+    if top_variance[0] <= cap:
+        return top[0], True
+    e, d = _pair_values(x, axes)
+    sigma = 1.0 if d >= 0 else -1.0
+    # the bracket: the angles of the last pair under the cap and of the
+    # first over it, in either order
+    under = np.arctan2(-sigma * (2 * (1 - e * e) / abs(d) + PENALTY_WEIGHT), -2 * e)
+    under_gap = _figures(x, axes)[0] - cap
+    # the pairs of K(-sigma pi/2) = -sigma D are those of D
+    over = -sigma * np.pi / 2
+    over_gap = top_variance[_on_branch(top, x)] - cap
+    if over_gap <= 0:
+        return x, False
+    # the first secant step is taken across the bracket, and later ones
+    # from the last two angles
+    (t0, g0), (t1, g1) = (over, over_gap), (under, under_gap)
+    for _ in range(_ROOT_STEPS):
+        tau = t1 - g1 * (t1 - t0) / (g1 - g0) if g1 != g0 else over
+        if not min(under, over) < tau < max(under, over):
+            tau = (under + over) / 2
+        pairs = _singular_pairs(_family(axes, tau))
+        pair = pairs[_on_branch(pairs, x)]
+        gap = _figures(pair, axes)[0] - cap
+        if abs(gap) <= _CAP_TOL:
+            return pair, True
         if gap < 0:
-            low, best = log_w, (x, converged)
+            under, x = tau, pair
         else:
-            high = log_w
-        if high - low <= _BRACKET_TOL:
-            return best
-        weight = np.exp(log_w)
-        hess = bordered_hessian(_scalarized(blocks, weight)(x)[2][0], tangent_projector(x)[0])
-        dv = weight * v_g @ np.linalg.solve(hess, s_g) / s ** 2
-        step = log_w - gap / dv if dv > 0 else np.nan
-        if np.isinf(high):
-            log_w = min(step if step > low else np.inf, low + _WEIGHT_STRIDE)
-        else:
-            log_w = step if low < step < high else (low + high) / 2
-        x, (converged,), _ = sphere_newton(_scalarized(blocks, np.exp(log_w)), x)
-    return best
+            over = tau
+        if abs(over - under) <= _ANGLE_TOL:
+            return x, True
+        (t0, g0), (t1, g1) = (t1, g1), (tau, gap)
+    return x, False
+
+
+def _signed(n) -> np.ndarray:
+    """The Bloch vector n or -n, whichever has the first of (n_z, -n_x, -n_y)
+    larger than ``_SIGN_TOL`` in magnitude positive; n itself if none is."""
+    for c in (n[2], -n[0], -n[1]):
+        if abs(c) > _SIGN_TOL:
+            return n if c > 0 else -n
+    return n
 
 
 def general_axis_search(phi12: float, theta_star: float = 0.0
@@ -301,42 +338,44 @@ def general_axis_search(phi12: float, theta_star: float = 0.0
     The contract: minimize the penalized objective (estimator variance
     plus ``PENALTY_WEIGHT / |slope|``) over the two Bloch vectors n1 and
     n2, then take the largest slope whose estimator variance stays within
-    ``VARIANCE_TOLERANCE`` of that minimum. The objective is evaluated on
-    a fixed 72 x 72 grid of axis pairs, and a damped Newton run on the
-    product of the two unit spheres (``sphere_newton``) starts from the
-    best pair, the earlier pair on a tie. The slope push takes the top
-    singular value of D if its variance is within the cap; otherwise it
-    minimizes v + w/|slope| from the minimum, with the weight w raised
-    until the minimizer's estimator variance v reaches the cap. The push
-    is accepted if it converged within the cap at a larger slope. Every
-    Newton step uses the exact tangent gradient and Hessian of
-    <A> = n1 . T n2 and d<A>/dtheta = n1 . D n2 on the axis blocks of the
-    correlation matrices, which are bilinear, so their Hessians are
-    constant; no scipy solver runs. The axes are reported as polar angles
-    with beta in [0, pi] and alpha in (-pi, pi], and their figures come
-    from the same correlation matrices by the rules of :func:`sense`,
-    which raise :class:`DerivativeVanishesError` on a zero slope.
+    ``VARIANCE_TOLERANCE`` of that minimum. <A> = n1 . T n2 and the slope
+    n1 . D n2 are bilinear in the axis blocks T and D of the correlation
+    matrices, so every stationary point of a function of the two is a
+    singular pair of K(tau) = cos tau T + sin tau D for some angle tau.
+    The objective is evaluated on the 192 singular pairs of K at the 64
+    angles k pi/64, and a damped Newton run on the product of the two unit
+    spheres (``sphere_newton``) starts from the best pair, the earlier pair
+    on a tie; each step uses the exact tangent gradient and Hessian. The
+    slope push (:func:`_branch_push`) is a root-find in tau along the
+    family, which runs no Newton solver; it is accepted if it converged
+    within the cap at a larger slope. No scipy solver runs. Each reported
+    Bloch vector is signed so that the first of (n_z, -n_x, -n_y) beyond
+    1e-12 is positive, and reported as polar angles with beta in [0, pi]
+    and alpha in (-pi, pi]. The figures come from the same correlation
+    matrices by the rules of :func:`sense`, which raise
+    :class:`DerivativeVanishesError` on a zero slope.
     """
     corr = _correlations(weighted_graph_state(phi12), theta_star)
     blocks = _axis_blocks(corr)
-    correlation, slope = blocks[:, :3, 3:]
-    grid = _penalized(_GRID @ correlation @ _GRID.T, _GRID @ slope @ _GRID.T)
+    axes = blocks[:, :3, 3:]
+    pairs = _singular_pairs(_family(axes, _SCAN_ANGLES)).reshape(-1, 2, 3)
     # np.argmin keeps the earlier pair on a tie
-    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    start = pairs[np.argmin(_penalized(*_pair_values(pairs, axes)))]
     objective = _scalarized(blocks, PENALTY_WEIGHT)
-    x, _, _ = sphere_newton(objective, np.stack([_GRID[i], _GRID[j]])[None])
+    x, _, _ = sphere_newton(objective, start[None])
     value = objective(x, derivatives=False)
     if not np.isfinite(value[0]):
         raise SearchError(f"search diverged; objective {value[0]!r}")
 
     # push the slope as far as the variance tolerance allows
-    variance, _, slope, _ = _figures(blocks, x)
-    cap = variance[0] + VARIANCE_TOLERANCE
-    pushed, converged = _push_slope(blocks, x, cap)
-    pushed_variance, _, pushed_slope, _ = _figures(blocks, pushed)
-    if converged and pushed_variance[0] <= cap + 1e-9 and pushed_slope[0] > slope[0]:
+    x = x[0]
+    variance, slope = _figures(x, axes)
+    cap = variance + VARIANCE_TOLERANCE
+    pushed, converged = _branch_push(axes, x, cap)
+    pushed_variance, pushed_slope = _figures(pushed, axes)
+    if converged and pushed_variance <= cap + 1e-9 and pushed_slope > slope:
         x = pushed
 
-    obs = general_axis_observable(*_axis_angles(x[0, 0]), *_axis_angles(x[0, 1]))
+    obs = general_axis_observable(*_axis_angles(_signed(x[0])), *_axis_angles(_signed(x[1])))
     a, b = obs.coefficients
     return obs, _sensing_result(*(float(a @ m @ b) for m in corr))

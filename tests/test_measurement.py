@@ -205,6 +205,28 @@ class TestCountValidation:
         counts.flat[1] -= 1
         make(counts, 10.0)
 
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_fractional_count_rejected(self, make, shape):
+        # the int64 cast would store 1 for 1.7 and 2 for 2.9
+        counts = np.ones(shape)
+        counts.flat[0] = 1.7
+        with pytest.raises(ValueError, match="counts must be whole numbers, got 1.7"):
+            make(counts, 10.0)
+        with pytest.raises(ValueError, match="counts must be whole numbers, got 2.9"):
+            make(np.full(shape, 2.9), 10.0)
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            make(np.full(shape, 0.5, dtype=np.float32), 10.0)
+
+    def test_fractional_counts_in_a_list_rejected(self):
+        with pytest.raises(ValueError, match="counts must be whole numbers, got 1.7"):
+            BinnedCounts([[1.7, 2, 3, 4], [1, 2, 3, 4]])
+
+    @pytest.mark.parametrize("make, shape", HOLDERS[1:])
+    def test_whole_float_counts_accepted(self, make, shape):
+        held = make(np.full(shape, 2.0), 10.0)
+        assert held.counts.dtype == np.int64 and (held.counts == 2).all()
+        assert held.total == 2 * np.prod(shape)
+
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
     @pytest.mark.parametrize("make, shape", HOLDERS)
     def test_duration_finite_and_non_negative(self, make, shape, duration):

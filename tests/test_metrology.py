@@ -341,16 +341,60 @@ class TestGeneralAxisSearch:
         general_axis_search(phi12, theta_star)
         assert runs[0].shape == (1,) and runs[0].all()
 
-    def test_no_worse_than_polar_angle_search(self):
-        # every 4th case of the 452 pinned ones
-        failures = []
-        for phi12, theta_star, variance, slope in GENERAL_SEARCH_ESTIMATES[::4]:
-            _, res = general_axis_search(phi12, theta_star)
-            if (res.estimator_variance > variance + 1e-9
-                    or res.derivative_magnitude < slope - 1e-6):
-                failures.append((phi12, theta_star, res.estimator_variance,
-                                 res.derivative_magnitude))
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        """The search's result at each of the 452 pinned cases."""
+        return [(case, general_axis_search(*case[:2])) for case in GENERAL_SEARCH_ESTIMATES]
+
+    @pytest.mark.parametrize("phi12, theta_star", [(1.3, 0.4), (2.2, -1.1), (0.9, 2.5),
+                                                   (2.9733, 1.9)])
+    def test_push_runs_no_newton(self, monkeypatch, phi12, theta_star):
+        # the slope push is a root-find along the singular pairs; the one
+        # Newton run is the minimization's
+        ends = []
+
+        def spy(fun, x):
+            result = sphere_newton(fun, x)
+            ends.append(result[0][0])
+            return result
+
+        monkeypatch.setattr(metrology, "sphere_newton", spy)
+        _, res = general_axis_search(phi12, theta_star)
+        assert len(ends) == 1
+        axes = metrology._correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
+        _, minimum_slope = metrology._figures(ends[0], axes)
+        assert res.derivative_magnitude > minimum_slope + 1e-6
+
+    def test_no_worse_than_polar_angle_search(self, pinned):
+        failures = [(phi12, theta_star, res.estimator_variance, res.derivative_magnitude)
+                    for (phi12, theta_star, variance, slope), (_, res) in pinned
+                    if res.estimator_variance > variance + 1e-9
+                    or res.derivative_magnitude < slope - 1e-6]
         assert not failures
+
+    def test_optimum_is_a_singular_pair_of_the_family(self, pinned):
+        # every stationary point of a function of <A> = n1 . T n2 and the
+        # slope n1 . D n2 has K n2 || n1 and K^T n1 || n2 for some
+        # K = cos tau T + sin tau D. The residual of both is
+        # cos tau a + sin tau b, whose least norm over tau is the smaller
+        # singular value of the 6 x 2 matrix (a, b)
+        worst = 0.0
+        for (phi12, theta_star, _, _), (obs, _) in pinned:
+            axes = metrology._correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
+            n1, n2 = obs.coefficients[:, 1:]
+            residuals = np.array([np.concatenate([m @ n2 - (n1 @ m @ n2) * n1,
+                                                  m.T @ n1 - (n1 @ m @ n2) * n2])
+                                  for m in axes])
+            worst = max(worst, np.linalg.svd(residuals.T, compute_uv=False)[-1])
+        assert worst <= 1e-8
+
+    def test_reported_vectors_obey_the_sign_rule(self, pinned):
+        # the first of (n_z, -n_x, -n_y) beyond 1e-12 is positive: the
+        # upper hemisphere, then the half of the equator with n_x < 0
+        for _, (obs, _) in pinned:
+            for x, y, z in obs.coefficients[:, 1:]:
+                lead = next(c for c in (z, -x, -y) if abs(c) > 1e-12)
+                assert lead > 0, obs.label
 
     # (phi12, theta_star, slope, variance cap) of the L-BFGS-B search with
     # the SLSQP slope push, where the push stopped short of the largest
