@@ -1,14 +1,13 @@
 """The package's one Newton solver, and deferred access to
 ``scipy.optimize`` kept as tracer seams.
 
-:func:`sphere_newton` minimizes over products of unit spheres: the
-Cholesky parameters of tomography on one sphere in R^16, and the two
-Bloch vectors of the general-axis search on two spheres in R^3. Its
-Newton step factors the bordered tangent system P H P + (I - P)
-(:func:`bordered_hessian`) by Cholesky and solves it. A row that is not
-positive definite there takes the step from the eigenvalues of P H P by
-magnitude instead, and the other rows of its batch keep their Cholesky
-steps.
+:func:`sphere_newton` minimizes over products of unit spheres. Its one
+caller is the tomography fit, on a sphere in R^16 (the general-axis
+search runs no Newton solver). Its Newton step factors the bordered
+tangent system P H P + (I - P) (:func:`bordered_hessian`) by Cholesky
+and solves it. A row that is not positive definite there takes the step
+from the eigenvalues of P H P by magnitude instead, and the other rows
+of its batch keep their Cholesky steps.
 
 No ``wgstate`` code calls a scipy solver. The five bindings
 ``measurement.minimize``, ``tomography.minimize``, ``metrology.minimize``,

@@ -15,17 +15,20 @@ figures at the phase ``theta_star``, with the exact slope; the two-point
 slope of a sensing run, from counts at theta* +- h, is
 ``stats.bootstrap_sensing``'s. As both figures are bilinear in the Bloch
 vectors (a, b) of a general-axis product, every stationary point of a
-function of the two is a singular pair of cos tau T + sin tau D for one
-angle tau; :func:`general_axis_search` searches on that family.
+function of the two is a singular pair of K(tau) = cos tau T + sin tau D
+for one angle tau; :func:`general_axis_search` scans that family at 33
+angles in [0, pi/2], which the state's reflection symmetry
+P K(tau) Q = K(pi - tau) makes enough, and root-finds tau from there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import LazyOptimizer, sphere_newton
+from ._optimize import LazyOptimizer
 from .measurement import Observable, _axis_angles, general_axis_observable, pauli_observable
 from .optics import rotation_gate
 from .qmath import I2, X, Z, PureState2Q, as_density, pauli_correlations, tensor
@@ -161,13 +164,16 @@ PENALTY_WEIGHT = 0.02
 VARIANCE_TOLERANCE = 1e-4
 
 
-# the start scan: the singular pairs of K(tau) = cos tau T + sin tau D at
-# tau = k pi/64 for k = 0 ... 63; K(tau + pi) = -K(tau) has the same pairs
-# up to sign, so these angles cover the whole family
-_SCAN_ANGLES = np.arange(64) * np.pi / 64
-# the slope push ends when the variance on the branch is this close to the
-# cap, or when the bracket on tau is this narrow; unconverged after
-# _ROOT_STEPS angles
+# the start scan: (cos tau, sin tau) at tau = k pi/64 for k = 0 ... 32.
+# K(tau + pi) = -K(tau) has the pairs of K(tau) up to sign, and the state's
+# reflection symmetry P K(tau) Q = K(pi - tau) maps each pair at pi - tau
+# to one at tau with the same slope, so these angles cover the family
+_SCAN = np.array([[math.cos(k * math.pi / 64), math.sin(k * math.pi / 64)] for k in range(33)])
+# the minimum's root-find ends when the fixed-point gap is this small, and
+# the slope push when the variance on the branch is this close to the cap;
+# either ends when its step or bracket on tau is narrower than _ANGLE_TOL,
+# and after _ROOT_STEPS angles (the push then unconverged)
+_GAP_TOL = 1e-15
 _CAP_TOL = 1e-11
 _ANGLE_TOL = 1e-14
 _ROOT_STEPS = 100
@@ -176,101 +182,86 @@ _ROOT_STEPS = 100
 _SIGN_TOL = 1e-12
 
 
-def _axis_blocks(corr) -> np.ndarray:
-    """6 x 6 matrices B = [[0, M], [M^T, 0]] of the 3 x 3 axis blocks
-    M = T[1:, 1:], D[1:, 1:] of the correlation matrices corr = (T, D), so that
-    <A> = n1 . T n2 and d<A>/dtheta = n1 . D n2 for the product
-    observable A = (n1 . sigma) (x) (n2 . sigma): both are x . B x / 2 at
-    x = (n1, n2), with gradient B x."""
-    blocks = np.zeros((2, 6, 6))
-    blocks[:, :3, 3:] = corr[:, 1:, 1:]
-    blocks[:, 3:, :3] = blocks[:, :3, 3:].transpose(0, 2, 1)
-    return blocks
-
-
 def _penalized(exp_val, deriv):
     """var/s^2 + PENALTY_WEIGHT/|s| with var = 1 - <A>^2; elementwise."""
     slope = np.maximum(np.abs(deriv), 1e-12)
     return (1.0 - exp_val ** 2) / slope ** 2 + PENALTY_WEIGHT / slope
 
 
-def _figure_jets(blocks, x):
-    """<A> = n1 . T n2 and s = |n1 . D n2| at rows x = (n1, n2) (m, 2, 3),
-    each vector read at unit norm, for the blocks of _axis_blocks.
-    Returns the unit rows (m, 6), the values (2, m), their gradients B x
-    (2, m, 6) and the sign of n1 . D n2; the Hessians are the constant
-    blocks, that of s times the sign."""
-    x = x.reshape(-1, 2, 3)
-    x = (x / np.sqrt(np.einsum("mki,mki->mk", x, x))[..., None]).reshape(-1, 6)
-    grad = x @ blocks
-    value = np.einsum("mi,ami->am", x[:, :3], grad[..., :3])
-    # d|S| = sign(S) dS
-    sign = np.where(value[1] < 0, -1.0, 1.0)
-    value[1] = np.maximum(sign * value[1], 1e-12)
-    grad[1] *= sign[:, None]
-    return x, value, grad, sign
+def _variance(e, d):
+    """The estimator variance (1 - e^2)/s^2 at <A> = e and slope d, with
+    s = |d| floored at 1e-12."""
+    return (1.0 - e * e) / max(abs(d), 1e-12) ** 2
 
 
-def _pair_values(pairs, axes):
-    """(<A>, n1 . D n2) (2, ...) at unit pairs (..., 2, 3) of (n1, n2), for
-    the axis blocks axes = (T, D) (2, 3, 3)."""
-    return np.einsum("...i,aij,...j->a...", pairs[..., 0, :], axes, pairs[..., 1, :])
+def _stationary_angle(e, d):
+    """The angle tau at which a pair with <A> = e and slope d, s = |d| of
+    sign sigma, is a stationary point of v + PENALTY_WEIGHT/s if it is a
+    singular pair of K(tau): the objective's gradient is
+    (-2e grad <A> - sigma (2 (1 - e^2)/s + PENALTY_WEIGHT) grad d)/s^2."""
+    s = max(abs(d), 1e-12)
+    sigma = 1.0 if d >= 0 else -1.0
+    return math.atan2(-sigma * (2 * (1 - e * e) / s + PENALTY_WEIGHT), -2 * e)
 
 
-def _figures(pairs, axes):
-    """The estimator variance v = (1 - <A>^2)/s^2 and the slope magnitude
-    s = |n1 . D n2| at unit pairs (..., 2, 3)."""
-    e, d = _pair_values(pairs, axes)
-    s = np.maximum(np.abs(d), 1e-12)
-    return (1.0 - e * e) / s ** 2, s
+def _pair(axes, u, vt, i):
+    """Singular pair i (m1, m2) = (u[:, i], vt[i]) of an SVD, as
+    (m1, m2, <A>, slope) with <A> = m1 . T m2 and the slope m1 . D m2 for
+    the axis blocks axes = (T, D)."""
+    m1, m2 = u[:, i], vt[i]
+    e, d = (axes @ m2 @ m1).tolist()
+    return m1, m2, e, d
 
 
-def _scalarized(blocks, weight):
-    """v + weight/s as a ``sphere_newton`` objective over rows (n1, n2);
-    weight = PENALTY_WEIGHT gives the penalized objective."""
-    def fun(x, rows=None, derivatives=True):
-        x, (e, s), grads, sign = _figure_jets(blocks, x)
-        u = 1.0 - e * e
-        value = u / s ** 2 + weight / s
-        if not derivatives:
-            return value
-        # first and second partial derivatives in (<A>, s)
-        first = np.array([-2 * e, -(2 * u / s + weight)]) / s ** 2
-        second = np.array([[-2 * s, 4 * e], [4 * e, 6 * u / s + 2 * weight]]) / s ** 3
-        r = first[0] * e + first[1] * s
-        jac = grads.transpose(1, 0, 2)
-        # with the spheres' curvature term -r I
-        hess = (first[0][:, None, None] * blocks[0] + (first[1] * sign)[:, None, None] * blocks[1]
-                + jac.transpose(0, 2, 1) @ second.transpose(2, 0, 1) @ jac
-                - r[:, None, None] * np.eye(6))
-        return (value, first[0][:, None] * grads[0] + first[1][:, None] * grads[1] - r[:, None] * x,
-                hess)
-    return fun
+def _pair_at(axes, tau, n1):
+    """The singular pair of K(tau) = cos tau T + sin tau D whose first
+    vector overlaps most with n1 in magnitude, as :func:`_pair` gives it:
+    one SVD of a 3 x 3 matrix."""
+    u, _, vt = np.linalg.svd(math.cos(tau) * axes[0] + math.sin(tau) * axes[1])
+    return _pair(axes, u, vt, np.argmax(np.abs(n1 @ u)))
 
 
-def _family(axes, tau):
-    """K(tau) = cos tau T + sin tau D (..., 3, 3) at the angles tau (...,)
-    for the axis blocks axes = (T, D)."""
-    tau = np.asarray(tau)[..., None, None]
-    return np.cos(tau) * axes[0] + np.sin(tau) * axes[1]
+def _fixed_point_gap(tau, pair):
+    """The angle of :func:`_stationary_angle` at pair (n1, n2, <A>, slope),
+    less tau, wrapped to (-pi/2, pi/2]: K(tau + pi) = -K(tau) has the same
+    pairs."""
+    return math.pi / 2 - (math.pi / 2 - _stationary_angle(*pair[2:]) + tau) % math.pi
 
 
-def _singular_pairs(k):
-    """The three singular pairs (n1, n2) of each matrix of k (..., 3, 3), as
-    unit pairs (..., 3, 2, 3), the largest singular value first."""
-    u, _, vt = np.linalg.svd(k)
-    return np.stack([u.swapaxes(-1, -2), vt], axis=-2)
+def _penalized_minimum(axes, tau, pair):
+    """The minimum of v + PENALTY_WEIGHT/s on the branch of pair, a singular
+    pair (n1, n2, <A>, slope) of K(tau): the pair of K at a root of the
+    fixed-point gap h (:func:`_fixed_point_gap`), where it is stationary.
 
-
-def _on_branch(pairs, last):
-    """The index, among pairs (3, 2, 3), of the pair whose n1 overlaps most
-    with that of the pair last (2, 3)."""
-    return np.argmax(np.abs(pairs[:, 0] @ last[0]))
+    The first step is that of the fixed-point iteration, tau + h, and later
+    ones are secant steps through the last two angles. At each angle the
+    branch is the singular pair whose n1 overlaps most with the last one.
+    The root-find ends when |h| is within ``_GAP_TOL``, when a step is
+    within ``_ANGLE_TOL``, or when two steps in a row do not lower the
+    least |h| so far: there h is at its round-off, which reaches 1e-10
+    where singular values of K lie close. Returns the pair of least |h|
+    and its angle.
+    """
+    gap = _fixed_point_gap(tau, pair)
+    best, least, step, stalls = (pair, tau), abs(gap), gap, 0
+    for _ in range(_ROOT_STEPS):
+        if least <= _GAP_TOL or abs(step) <= _ANGLE_TOL or stalls == 2:
+            break
+        tau += step
+        pair = _pair_at(axes, tau, pair[0])
+        last, gap = gap, _fixed_point_gap(tau, pair)
+        if abs(gap) < least:
+            best, least, stalls = (pair, tau), abs(gap), 0
+        else:
+            stalls += 1
+        step = step * gap / (last - gap) if gap != last else 0.0
+    return best
 
 
 def _branch_push(axes, x, cap):
     """The largest slope whose estimator variance v stays within ``cap``,
-    searched from the minimizer x (2, 3), and whether it converged.
+    searched from the minimizer x = (n1, n2, <A>, slope), and whether it
+    converged.
 
     The largest slope of all, the top singular value of D at its singular
     vectors, is taken if its variance is within the cap. Otherwise the
@@ -285,19 +276,19 @@ def _branch_push(axes, x, cap):
     the last angle under it when the bracket closes; the push has not
     converged if the branch does not cross the cap.
     """
-    top = _singular_pairs(axes[1])
-    top_variance = _figures(top, axes)[0]
-    if top_variance[0] <= cap:
-        return top[0], True
-    e, d = _pair_values(x, axes)
+    u, _, vt = np.linalg.svd(axes[1])
+    top = _pair(axes, u, vt, 0)
+    if _variance(*top[2:]) <= cap:
+        return top, True
+    e, d = x[2:]
     sigma = 1.0 if d >= 0 else -1.0
     # the bracket: the angles of the last pair under the cap and of the
     # first over it, in either order
-    under = np.arctan2(-sigma * (2 * (1 - e * e) / abs(d) + PENALTY_WEIGHT), -2 * e)
-    under_gap = _figures(x, axes)[0] - cap
+    under = _stationary_angle(e, d)
+    under_gap = _variance(e, d) - cap
     # the pairs of K(-sigma pi/2) = -sigma D are those of D
-    over = -sigma * np.pi / 2
-    over_gap = top_variance[_on_branch(top, x)] - cap
+    over = -sigma * math.pi / 2
+    over_gap = _variance(*_pair(axes, u, vt, np.argmax(np.abs(x[0] @ u)))[2:]) - cap
     if over_gap <= 0:
         return x, False
     # the first secant step is taken across the bracket, and later ones
@@ -307,9 +298,8 @@ def _branch_push(axes, x, cap):
         tau = t1 - g1 * (t1 - t0) / (g1 - g0) if g1 != g0 else over
         if not min(under, over) < tau < max(under, over):
             tau = (under + over) / 2
-        pairs = _singular_pairs(_family(axes, tau))
-        pair = pairs[_on_branch(pairs, x)]
-        gap = _figures(pair, axes)[0] - cap
+        pair = _pair_at(axes, tau, x[0])
+        gap = _variance(*pair[2:]) - cap
         if abs(gap) <= _CAP_TOL:
             return pair, True
         if gap < 0:
@@ -342,38 +332,41 @@ def general_axis_search(phi12: float, theta_star: float = 0.0
     n1 . D n2 are bilinear in the axis blocks T and D of the correlation
     matrices, so every stationary point of a function of the two is a
     singular pair of K(tau) = cos tau T + sin tau D for some angle tau.
-    The objective is evaluated on the 192 singular pairs of K at the 64
-    angles k pi/64, and a damped Newton run on the product of the two unit
-    spheres (``sphere_newton``) starts from the best pair, the earlier pair
-    on a tie; each step uses the exact tangent gradient and Hessian. The
-    slope push (:func:`_branch_push`) is a root-find in tau along the
-    family, which runs no Newton solver; it is accepted if it converged
-    within the cap at a larger slope. No scipy solver runs. Each reported
-    Bloch vector is signed so that the first of (n_z, -n_x, -n_y) beyond
-    1e-12 is positive, and reported as polar angles with beta in [0, pi]
-    and alpha in (-pi, pi]. The figures come from the same correlation
-    matrices by the rules of :func:`sense`, which raise
+
+    The objective is evaluated on the 99 singular pairs of K at the 33
+    angles k pi/64 in [0, pi/2], the earlier pair kept on a tie. The state
+    has a reflection symmetry: P T Q = -T and P D Q = D for the
+    reflections P = diag(1, 1, -1) and
+    Q = [[-cos phi12, -sin phi12, 0], [-sin phi12, cos phi12, 0], [0, 0, -1]]
+    at theta* = 0 (conjugated by the encoding's rotations elsewhere), so
+    P K(tau) Q = K(pi - tau). Each pair at pi - tau is thus a pair at tau
+    reflected, with the same slope and -<A>, and with K(tau + pi) = -K(tau)
+    these angles cover the whole family. From the best pair a secant
+    root-find in tau (:func:`_penalized_minimum`) follows its branch to the
+    angle where the pair is stationary. The slope push
+    (:func:`_branch_push`) is a root-find in tau along the same family; it
+    is accepted if it converged within the cap at a larger slope. Each
+    angle costs one SVD of a 3 x 3 matrix; no Newton or scipy solver runs.
+    Each reported Bloch vector is signed so that the first of (n_z, -n_x,
+    -n_y) beyond 1e-12 is positive, and reported as polar angles with beta
+    in [0, pi] and alpha in (-pi, pi]. The figures come from the same
+    correlation matrices by the rules of :func:`sense`, which raise
     :class:`DerivativeVanishesError` on a zero slope.
     """
     corr = _correlations(weighted_graph_state(phi12), theta_star)
-    blocks = _axis_blocks(corr)
-    axes = blocks[:, :3, 3:]
-    pairs = _singular_pairs(_family(axes, _SCAN_ANGLES)).reshape(-1, 2, 3)
+    axes = np.ascontiguousarray(corr[:, 1:, 1:])
+    u, _, vt = np.linalg.svd((_SCAN @ axes.reshape(2, 9)).reshape(-1, 3, 3))
+    # <A> and the slope of pair i at angle k: the diagonal of U^T T V, U^T D V
+    e, d = np.diagonal(u.swapaxes(1, 2) @ axes[:, None] @ vt.swapaxes(1, 2), axis1=2, axis2=3)
     # np.argmin keeps the earlier pair on a tie
-    start = pairs[np.argmin(_penalized(*_pair_values(pairs, axes)))]
-    objective = _scalarized(blocks, PENALTY_WEIGHT)
-    x, _, _ = sphere_newton(objective, start[None])
-    value = objective(x, derivatives=False)
-    if not np.isfinite(value[0]):
-        raise SearchError(f"search diverged; objective {value[0]!r}")
+    k, i = divmod(int(np.argmin(_penalized(e, d))), 3)
+    x, _ = _penalized_minimum(axes, k * math.pi / 64, _pair(axes, u[k], vt[k], i))
 
     # push the slope as far as the variance tolerance allows
-    x = x[0]
-    variance, slope = _figures(x, axes)
+    variance, slope = _variance(*x[2:]), abs(x[3])
     cap = variance + VARIANCE_TOLERANCE
     pushed, converged = _branch_push(axes, x, cap)
-    pushed_variance, pushed_slope = _figures(pushed, axes)
-    if converged and pushed_variance <= cap + 1e-9 and pushed_slope > slope:
+    if converged and _variance(*pushed[2:]) <= cap + 1e-9 and abs(pushed[3]) > slope:
         x = pushed
 
     obs = general_axis_observable(*_axis_angles(_signed(x[0])), *_axis_angles(_signed(x[1])))

@@ -247,8 +247,8 @@ class _Likelihood:
     needs the floor, below which its term is constant.
     """
 
-    # Q_k stacked for t -> (Q_k t)_k, and flattened for sum_k w_k Q_k
-    q_columns = _Q.reshape(-1, 16).T
+    # Q_k stacked, C-contiguous, for t -> (Q_k t)_k; flattened for sum_k w_k Q_k
+    q_columns = np.ascontiguousarray(_Q.reshape(-1, 16).T)
     q_rows = _Q.reshape(64, 256)
 
     def __init__(self, counts: np.ndarray, likelihood: str):

@@ -227,6 +227,31 @@ class TestCountValidation:
         assert held.counts.dtype == np.int64 and (held.counts == 2).all()
         assert held.total == 2 * np.prod(shape)
 
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    @pytest.mark.parametrize("kind, value", [("bool", True), ("str", "2"), ("complex", 2 + 0j),
+                                             ("None", None)])
+    def test_non_number_counts_rejected(self, make, shape, kind, value):
+        # an int64 cast would read True as 1 and "2" as 2
+        with pytest.raises(ValueError, match="counts must be integers or real floats"):
+            make(np.full(shape, value), 10.0)
+        mixed = np.ones(shape, dtype=object)
+        mixed.flat[-1] = value
+        with pytest.raises(ValueError, match="counts must be integers or real floats"):
+            make(mixed, 10.0)
+
+    def test_strings_and_booleans_in_a_list_rejected(self):
+        with pytest.raises(ValueError, match="counts must be integers or real floats"):
+            BinnedCounts([["1", "2", "3", "4"], [True, 2, 3, 4]], 1.0)
+        with pytest.raises(ValueError, match="counts must be integers or real floats, got True"):
+            BinnedCounts(np.array([[1, 2, 3, 4], [True, 2, 3, 4]], dtype=object), 1.0)
+
+    @pytest.mark.parametrize("make, shape", HOLDERS[1:])
+    def test_numpy_scalars_in_an_object_array_accepted(self, make, shape):
+        counts = np.ones(shape, dtype=object)
+        counts.flat[0], counts.flat[1] = np.int64(3), np.float64(2.0)
+        held = make(counts, 10.0)
+        assert held.counts.dtype == np.int64 and held.counts.flat[0] == 3
+
     @pytest.mark.parametrize("duration", [float("nan"), float("inf"), -float("inf"), -1.0])
     @pytest.mark.parametrize("make, shape", HOLDERS)
     def test_duration_finite_and_non_negative(self, make, shape, duration):

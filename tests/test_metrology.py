@@ -6,8 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wgstate import metrology
-from wgstate._optimize import sphere_newton
+from wgstate import _optimize, metrology
 from wgstate.measurement import (_axis_angles, general_axis_observable,
                                  outcome_probabilities, pauli_observable)
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
@@ -301,6 +300,34 @@ class TestGeneralAxisSearch:
         assert res_a == res_b
 
 
+    @staticmethod
+    def spy_minima(monkeypatch):
+        """Record the (pair, angle) that each root-find for the penalized
+        minimum returns; the pair is (n1, n2, <A>, slope)."""
+        minima = []
+        root_find = metrology._penalized_minimum
+
+        def spy(*args):
+            minima.append(root_find(*args))
+            return minima[-1]
+
+        monkeypatch.setattr(metrology, "_penalized_minimum", spy)
+        return minima
+
+    @staticmethod
+    def fixed_point_gap(phi12, theta_star, pair, tau):
+        """|h| at the root-find's angle tau, and the bound it must meet: 1e-12,
+        or 1e-11 where the pair's singular value lies within 1e-6 of another
+        of K(tau) and round-off in that near-degenerate pair moves h. The
+        pair must be a singular pair of K(tau) to 1e-12."""
+        axes = metrology._correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
+        k = np.cos(tau) * axes[0] + np.sin(tau) * axes[1]
+        n1, n2 = pair[:2]
+        value = n1 @ k @ n2
+        assert max(np.abs(k @ n2 - value * n1).max(), np.abs(k.T @ n1 - value * n2).max()) <= 1e-12
+        spacing = np.sort(np.abs(np.linalg.svd(k, compute_uv=False) - abs(value)))[1]
+        return abs(metrology._fixed_point_gap(tau, pair)), 1e-12 if spacing >= 1e-6 else 1e-11
+
     # (phi12, penalized objective) of the former L-BFGS-B run at theta* = 0;
     # from the best grid pair alone, Newton in (beta, alpha) polar angles
     # ended on the beta1 = 0 pole, 2.9e-5 and 9.6e-6 above it
@@ -309,17 +336,13 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, objective", LBFGS_NEAR_PI)
     def test_penalized_minimum_no_worse_than_lbfgs(self, monkeypatch, phi12, objective):
-        minima = []
-
-        def spy(fun, x):
-            result = sphere_newton(fun, x)
-            ends = result[0]
-            minima.append(fun(ends.reshape(len(ends), -1), None, derivatives=False).min())
-            return result
-
-        monkeypatch.setattr(metrology, "sphere_newton", spy)
+        minima = self.spy_minima(monkeypatch)
         general_axis_search(phi12)
-        assert minima[0] <= objective * (1 + 1e-9)
+        (n1, n2, _, _), _ = minima[0]
+        e, d = (n1 @ m @ n2 for m in metrology._correlations(weighted_graph_state(phi12),
+                                                              0.0)[:, 1:, 1:])
+        assert np.linalg.norm(n1) == pytest.approx(1) and np.linalg.norm(n2) == pytest.approx(1)
+        assert (1 - e * e) / d ** 2 + metrology.PENALTY_WEIGHT / abs(d) <= objective * (1 + 1e-9)
 
     # (phi12, theta_star) where one of the four starts did not converge in
     # 50 iterations of Newton in (beta, alpha) polar angles: it crawled
@@ -329,41 +352,105 @@ class TestGeneralAxisSearch:
 
     @pytest.mark.parametrize("phi12, theta_star", POLE_CRAWLS)
     def test_every_start_converges(self, monkeypatch, phi12, theta_star):
-        # the search makes one start, from the best grid pair
-        runs = []
-
-        def spy(fun, x):
-            result = sphere_newton(fun, x)
-            runs.append(result[1])
-            return result
-
-        monkeypatch.setattr(metrology, "sphere_newton", spy)
+        # the search makes one root-find, from the best scan pair, and it
+        # ends at a fixed point of the gap
+        minima = self.spy_minima(monkeypatch)
         general_axis_search(phi12, theta_star)
-        assert runs[0].shape == (1,) and runs[0].all()
+        assert len(minima) == 1
+        gap, bound = self.fixed_point_gap(phi12, theta_star, *minima[0])
+        assert gap <= bound
+
+    # (phi12, theta_star, estimator variance of the Newton search) where the
+    # first secant step of the root-find raises |h|; a root-find that ended
+    # there reported a variance 2.8e-5 higher
+    SECANT_OVERSHOOTS = [(5.79729008378022, -0.3079239093263455, 0.8520411523713637)]
+
+    @pytest.mark.parametrize("phi12, theta_star, variance", SECANT_OVERSHOOTS)
+    def test_root_find_goes_on_past_an_overshoot(self, phi12, theta_star, variance):
+        _, res = general_axis_search(phi12, theta_star)
+        assert res.estimator_variance <= variance + 1e-10
 
     @pytest.fixture(scope="class")
     def pinned(self):
         """The search's result at each of the 452 pinned cases."""
         return [(case, general_axis_search(*case[:2])) for case in GENERAL_SEARCH_ESTIMATES]
 
+    @pytest.fixture
+    def no_newton(self, monkeypatch):
+        """sphere_newton, which the tomography fit runs, raises if called."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search called sphere_newton")
+
+        monkeypatch.setattr(_optimize, "sphere_newton", refuse)
+        assert not hasattr(metrology, "sphere_newton")
+
     @pytest.mark.parametrize("phi12, theta_star", [(1.3, 0.4), (2.2, -1.1), (0.9, 2.5),
                                                    (2.9733, 1.9)])
-    def test_push_runs_no_newton(self, monkeypatch, phi12, theta_star):
-        # the slope push is a root-find along the singular pairs; the one
-        # Newton run is the minimization's
-        ends = []
-
-        def spy(fun, x):
-            result = sphere_newton(fun, x)
-            ends.append(result[0][0])
-            return result
-
-        monkeypatch.setattr(metrology, "sphere_newton", spy)
+    def test_push_runs_no_newton(self, monkeypatch, no_newton, phi12, theta_star):
+        # the slope push is a root-find along the singular pairs, from the
+        # minimum that the root-find on the fixed-point gap returns
+        minima = self.spy_minima(monkeypatch)
         _, res = general_axis_search(phi12, theta_star)
-        assert len(ends) == 1
+        assert len(minima) == 1
+        assert res.derivative_magnitude > abs(minima[0][0][3]) + 1e-6
+
+    def test_search_never_calls_sphere_newton(self, no_newton):
+        for phi12 in (0.0, np.pi / 8, np.pi / 2, 3.0574, np.pi, 4.0):
+            for theta_star in (0.0, 0.7, -2.1):
+                general_axis_search(phi12, theta_star)
+
+    def test_pinned_minima_are_fixed_points(self, monkeypatch):
+        # the root-find's minimum at each of the 452 pinned cases is a
+        # singular pair of K(tau) whose stationary angle is tau
+        minima = self.spy_minima(monkeypatch)
+        failures = []
+        for phi12, theta_star, _, _ in GENERAL_SEARCH_ESTIMATES:
+            general_axis_search(phi12, theta_star)
+            gap, bound = self.fixed_point_gap(phi12, theta_star, *minima[-1])
+            if gap > bound:
+                failures.append((phi12, theta_star, gap))
+        assert len(minima) == len(GENERAL_SEARCH_ESTIMATES) and not failures
+
+    def test_scan_start_is_the_best_pair_of_the_whole_family(self, monkeypatch):
+        # the scan over [0, pi/2] finds the least penalized objective among
+        # the singular pairs of K at all 64 angles k pi/64 in [0, pi)
+        starts = []
+        monkeypatch.setattr(metrology, "_penalized_minimum",
+                            lambda axes, tau, pair: starts.append(pair) or (pair, tau))
+        angles = np.arange(64) * np.pi / 64
+        failures = []
+        for phi12, theta_star, _, _ in GENERAL_SEARCH_ESTIMATES:
+            general_axis_search(phi12, theta_star)
+            axes = metrology._correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
+            u, _, vt = np.linalg.svd(np.cos(angles)[:, None, None] * axes[0]
+                                     + np.sin(angles)[:, None, None] * axes[1])
+            best = metrology._penalized(*np.einsum("kji,ajl,kil->aki", u, axes, vt)).min()
+            start = metrology._penalized(*starts[-1][2:])
+            if start > best * (1 + 1e-12):
+                failures.append((phi12, theta_star, start - best))
+        assert not failures
+
+    @settings(max_examples=200, deadline=None)
+    @given(phi12=st.floats(0, 2 * np.pi), theta_star=st.floats(-np.pi, np.pi),
+           tau=st.floats(0, np.pi))
+    def test_reflection_symmetry(self, phi12, theta_star, tau):
+        # P T Q = -T and P D Q = D at theta* = 0, so P K(tau) Q = K(pi - tau):
+        # the scan over [0, pi/2] sees every figure of [pi/2, pi)
+        c, s = np.cos(phi12), np.sin(phi12)
+        p, q = np.diag([1.0, 1.0, -1.0]), np.array([[-c, -s, 0], [-s, c, 0], [0, 0, -1]])
+        t, d = metrology._correlations(weighted_graph_state(phi12), 0.0)[:, 1:, 1:]
+        assert np.abs(p @ t @ q + t).max() <= 1e-14 and np.abs(p @ d @ q - d).max() <= 1e-14
+        # at any phase the singular values of K(tau) and K(pi - tau) agree,
+        # and so do |<A>| and |slope| of each pair set apart from the others
         axes = metrology._correlations(weighted_graph_state(phi12), theta_star)[:, 1:, 1:]
-        _, minimum_slope = metrology._figures(ends[0], axes)
-        assert res.derivative_magnitude > minimum_slope + 1e-6
+        figures = []
+        for angle in (tau, np.pi - tau):
+            u, sv, vt = np.linalg.svd(np.cos(angle) * axes[0] + np.sin(angle) * axes[1])
+            figures.append((sv, np.abs(np.einsum("ji,ajk,ik->ai", u, axes, vt))))
+        (sv, values), (sv_mirror, values_mirror) = figures
+        assert np.abs(sv - sv_mirror).max() <= 1e-13
+        apart = (np.abs(sv[:, None] - sv) + np.diag([np.inf] * 3)).min(axis=1) >= 1e-3
+        assert np.abs(values - values_mirror)[:, apart].max(initial=0.0) <= 1e-12
 
     def test_no_worse_than_polar_angle_search(self, pinned):
         failures = [(phi12, theta_star, res.estimator_variance, res.derivative_magnitude)
@@ -396,6 +483,19 @@ class TestGeneralAxisSearch:
                 lead = next(c for c in (z, -x, -y) if abs(c) > 1e-12)
                 assert lead > 0, obs.label
 
+    @pytest.mark.parametrize("phi12, theta_star", [(0.0, 0.0), (1.91, 0.0), (2.2, -1.1)])
+    def test_no_derivative_free_or_finite_difference_solver(self, monkeypatch, no_newton,
+                                                            phi12, theta_star):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search called a scipy solver")
+
+        monkeypatch.setattr(metrology, "minimize", refuse)
+        monkeypatch.setattr(metrology, "differential_evolution", refuse)
+        minima = self.spy_minima(monkeypatch)
+        _, res = general_axis_search(phi12, theta_star)
+        # one root-find from the best scan pair, to a finite minimum
+        assert len(minima) == 1 and np.isfinite(res.estimator_variance)
+
     # (phi12, theta_star, slope, variance cap) of the L-BFGS-B search with
     # the SLSQP slope push, where the push stopped short of the largest
     # slope under the cap
@@ -413,96 +513,6 @@ class TestGeneralAxisSearch:
         _, res = general_axis_search(phi12, theta_star)
         assert res.derivative_magnitude >= slope - 1e-5
         assert res.estimator_variance <= cap + 1e-9
-
-
-class TestSearchGradient:
-    """The general-axis search runs damped Newton on the exact tangent
-    gradients and Hessians of the two unit spheres, and no scipy solver."""
-
-    @staticmethod
-    def points():
-        """Rows (n1, n2) of unit vectors, and the same with n1 mirrored."""
-        rng = np.random.default_rng(21)
-        points = [rng.normal(size=(2, 3)) for _ in range(4)]
-        points.append(np.array([[1e-3, 0.0, 1.0], [0.5, -0.4, 0.2]]))   # n1 next to the z axis
-        points = [p / np.linalg.norm(p, axis=1, keepdims=True) for p in points]
-        # A(-n1, n2) = -A: the mirrored first axis flips the slope's sign
-        return np.array([p.ravel() for p in points]
-                        + [np.concatenate([-p[0], p[1]]) for p in points])
-
-    def test_points_cover_both_slope_signs(self):
-        corr = metrology._correlations(weighted_graph_state(1.3), 0.4)
-        slope_block = metrology._axis_blocks(corr)[1]
-        points = self.points()
-        assert np.allclose(np.linalg.norm(points.reshape(-1, 2, 3), axis=2), 1.0)
-        signs = {np.sign(p @ slope_block @ p) for p in points}
-        assert signs == {-1.0, 1.0}
-
-    @staticmethod
-    def tangent_basis(x):
-        """(6, 4) orthonormal basis of the tangent space at x = (n1, n2)."""
-        basis = np.zeros((6, 4))
-        for i in range(2):
-            basis[3 * i:3 * i + 3, 2 * i:2 * i + 2] = np.linalg.svd(x[None, 3 * i:3 * i + 3])[2][1:].T
-        return basis
-
-    def test_matches_central_differences(self):
-        corr = metrology._correlations(weighted_graph_state(1.3), 0.4)
-        blocks = metrology._axis_blocks(corr)
-        h = 1e-6
-        # the Newton objective v + w/s, at the penalty weight and a push weight
-        for weight in (metrology.PENALTY_WEIGHT, 0.7):
-            fun = metrology._scalarized(blocks, weight)
-            for x in self.points():
-                _, grad, hess = fun(x[None])
-                grad, hess = grad[0], hess[0]
-                # the gradient is tangent: no part along either vector
-                normal = grad.reshape(2, 3) @ x.reshape(2, 3).T
-                assert np.abs(np.diag(normal)).max() <= 1e-12 * np.linalg.norm(grad)
-                basis = self.tangent_basis(x)
-
-                # f along the retraction t -> x + basis t, each vector
-                # normalised (the objective reads its rows at unit norm),
-                # and its gradient in t: grad f at the retracted point,
-                # scaled on each vector by the derivative 1/|z_i| of the
-                # normalisation
-                def pulled_back(t):
-                    z = x + basis @ t
-                    value, g, _ = fun(z[None])
-                    norms = np.repeat(np.linalg.norm(z.reshape(2, 3), axis=1), 3)
-                    return value[0], basis.T @ (g[0] / norms)
-
-                up = [pulled_back(h * e) for e in np.eye(4)]
-                down = [pulled_back(-h * e) for e in np.eye(4)]
-                central_grad = np.array([(u[0] - d[0]) / (2 * h) for u, d in zip(up, down)])
-                central_hess = np.array([(u[1] - d[1]) / (2 * h) for u, d in zip(up, down)])
-                # the retraction is of second order, so the Hessian of f
-                # along it is the Riemannian Hessian P H P
-                tangent_grad, tangent_hess = basis.T @ grad, basis.T @ hess @ basis
-                assert np.linalg.norm(tangent_grad - central_grad) <= 1e-6 * np.linalg.norm(
-                    central_grad)
-                assert np.linalg.norm(tangent_hess - central_hess) <= 1e-6 * np.linalg.norm(
-                    central_hess)
-
-    @pytest.mark.parametrize("phi12, theta_star", [(0.0, 0.0), (1.91, 0.0), (2.2, -1.1)])
-    def test_no_derivative_free_or_finite_difference_solver(self, monkeypatch,
-                                                            phi12, theta_star):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the search called a scipy solver")
-
-        runs = []
-
-        def spy(fun, x):
-            runs.append(fun(x.reshape(len(x), -1), np.arange(len(x))))
-            return sphere_newton(fun, x)
-
-        monkeypatch.setattr(metrology, "minimize", refuse)
-        monkeypatch.setattr(metrology, "differential_evolution", refuse)
-        monkeypatch.setattr(metrology, "sphere_newton", spy)
-        general_axis_search(phi12, theta_star)
-        # the first run from the best grid pair; every run gets Hessians
-        assert runs and runs[0][0].shape == (1,)
-        assert all(hess.shape == (len(value), 6, 6) for value, _, hess in runs)
 
 
 def test_limits():
