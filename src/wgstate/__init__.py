@@ -33,9 +33,8 @@ from .stats import (BinnedCounts, BootstrapResult, CosineFitError,
                     bootstrap_expectation, bootstrap_sensing, cosine_fit,
                     visibility)
 from .tomography import (ReconstructionError, ReconstructionReport,
-                         TomographyDataset, TomographySetting, mle_reconstruct,
-                         monte_carlo_report, read_dataset_csv,
-                         simulate_tomography, tomography_settings,
-                         write_dataset_csv)
+                         TomographyDataset, TomographySetting, dataset_csv,
+                         mle_reconstruct, monte_carlo_report, read_dataset_csv,
+                         simulate_tomography, tomography_settings)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,13 +13,15 @@ failures (optimizers, fits, a fringe fit that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
-byte-reproducible; a JSON manifest listing parameters up front and
-sha256 digests of the outputs is written alongside them.
+byte-reproducible. Each output is written once from memory, then a JSON
+manifest of the parameters and the outputs' sha256 digests. A failed run leaves
+no file of its own, so if a manifest exists, its outputs exist and match it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -43,9 +45,8 @@ from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        weighted_graph_state)
 from .stats import (BinnedCounts, CosineFitError, DegenerateDataError,
                     bootstrap_sensing, cosine_fit, visibility)
-from .tomography import (ReconstructionError, monte_carlo_report,
-                         read_dataset_csv, simulate_tomography,
-                         write_dataset_csv)
+from .tomography import (ReconstructionError, dataset_csv, monte_carlo_report,
+                         read_dataset_csv, simulate_tomography)
 
 SCHEMA_VERSION = 1
 
@@ -85,17 +86,10 @@ def _matrix_pairs(matrix) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix)]
 
 
-def _write_json(path, payload) -> None:
-    # one encode and one write; json.dump writes each chunk separately
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+def _json_bytes(payload) -> bytes:
+    """The one JSON encoding of every output and manifest, with the schema version."""
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _outputs(args) -> list:
@@ -110,19 +104,40 @@ def _manifest_path(args) -> str:
     return args.manifest or _outputs(args)[0] + ".manifest.json"
 
 
-def _write_manifest(args) -> None:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
+def _emit(args, outputs: dict) -> None:
+    """Write the outputs ({path: bytes}), then the manifest of their digests,
+    each under a temporary name moved into place with os.replace, once any old
+    manifest is removed. A failure removes every file written so far and re-raises."""
     manifest = {
-        "schema_version": SCHEMA_VERSION,
         "command": args.command,
-        "parameters": params,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "outputs": {os.path.basename(p): _sha256(p) for p in _outputs(args)},
+        "outputs": {os.path.basename(p): hashlib.sha256(data).hexdigest()
+                    for p, data in outputs.items()},
     }
     if not args.no_timestamp:
         manifest["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(_manifest_path(args), manifest)
+    path = _manifest_path(args)
+    files = {**outputs, path: _json_bytes(manifest)}
+    suffix = f".{os.urandom(4).hex()}.tmp"
+    written = []
+    try:
+        if os.path.lexists(path):
+            os.remove(path)
+        for path, data in files.items():
+            with open(path + suffix, "xb") as fh:   # open's own mode: 0o666 less the umask
+                written.append(path + suffix)
+                fh.write(data)
+            os.replace(path + suffix, path)
+            written.append(path)
+    except BaseException as exc:
+        for name in written:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _parse_observable(spec: str) -> Observable:
@@ -164,7 +179,7 @@ def _observable_waveplates(obs: Observable) -> dict:
 
 # ----------------------------------------------------------------- state
 
-def _cmd_state(args) -> int:
+def _cmd_state(args) -> tuple[dict, str]:
     if args.varphi_prime is not None and not args.pipeline:
         raise ValueError("--varphi-prime applies only with --pipeline")
     if args.pipeline:
@@ -176,7 +191,6 @@ def _cmd_state(args) -> int:
         result = simulate_generation(cfg)
         state = result.state
         payload = {
-            "schema_version": SCHEMA_VERSION,
             "phi12": args.phi12,
             "method": "pipeline",
             "postselect_probability": result.postselect_probability,
@@ -184,30 +198,25 @@ def _cmd_state(args) -> int:
         }
     else:
         state = weighted_graph_state(args.phi12)
-        payload = {"schema_version": SCHEMA_VERSION, "phi12": args.phi12,
-                   "method": "direct"}
+        payload = {"phi12": args.phi12, "method": "direct"}
     if args.noise:
         p, sigma = args.noise
         rho = apply_noise(state, NoiseModel(depolarizing_p=p, phase_jitter_sigma=sigma))
         payload["density_matrix"] = _matrix_pairs(rho.matrix)
         payload["noise"] = {"depolarizing_p": p, "phase_jitter_sigma": sigma}
-        payload["fidelity_to_ideal"] = fidelity(rho, weighted_graph_state(args.phi12))
-        payload["concurrence"] = concurrence(rho)
     else:
+        rho = state.density()
         payload["amplitudes"] = _complex_pairs(state.amplitudes)
-        payload["fidelity_to_ideal"] = fidelity(state.density(),
-                                                weighted_graph_state(args.phi12))
-        payload["concurrence"] = concurrence(state.density())
-    _write_json(args.out, payload)
-    _write_manifest(args)
-    print(f"state(phi12={args.phi12:.4f}): fidelity to ideal "
-          f"{payload['fidelity_to_ideal']:.2f}, concurrence {payload['concurrence']:.2f}")
-    return 0
+    payload["fidelity_to_ideal"] = fidelity(rho, weighted_graph_state(args.phi12))
+    payload["concurrence"] = concurrence(rho)
+    return {args.out: _json_bytes(payload)}, (
+        f"state(phi12={args.phi12:.4f}): fidelity to ideal "
+        f"{payload['fidelity_to_ideal']:.2f}, concurrence {payload['concurrence']:.2f}")
 
 
 # ------------------------------------------------------------------- qfi
 
-def _cmd_qfi(args) -> int:
+def _cmd_qfi(args) -> tuple[dict, str]:
     if args.grid is not None:
         if args.grid < 2:
             raise ValueError("--grid needs at least two points")
@@ -219,20 +228,16 @@ def _cmd_qfi(args) -> int:
     for w in weights:
         fq = qfi_closed_form(w)
         lines.append(f"{float(w)!r},{fq!r},{1.0 / fq!r},{sql!r},{hl!r}")
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_manifest(args)
-    print(f"qfi: wrote {len(weights)} rows to {args.out}")
-    return 0
+    return ({args.out: ("\n".join(lines) + "\n").encode()},
+            f"qfi: wrote {len(weights)} rows to {args.out}")
 
 
 # -------------------------------------------------------------- optimize
 
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> tuple[dict, str]:
     search = pauli_search if args.kind == "pauli" else general_axis_search
     obs, result = search(args.phi12, args.theta_star)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "kind": args.kind,
         "phi12": args.phi12,
         "observable": _observable_payload(obs),
@@ -243,12 +248,9 @@ def _cmd_optimize(args) -> int:
         "qcrb": 1.0 / qfi_closed_form(args.phi12),
         "waveplates": _observable_waveplates(obs),
     }
-    _write_json(args.out, payload)
-    _write_manifest(args)
-    print(f"optimize[{args.kind}] phi12={args.phi12:.4f}: "
-          f"(Dtheta)^2={result.estimator_variance:.2f}, "
-          f"|d<A>|={result.derivative_magnitude:.2f}")
-    return 0
+    return {args.out: _json_bytes(payload)}, (
+        f"optimize[{args.kind}] phi12={args.phi12:.4f}: "
+        f"(Dtheta)^2={result.estimator_variance:.2f}, |d<A>|={result.derivative_magnitude:.2f}")
 
 
 # ----------------------------------------------------------------- sense
@@ -262,7 +264,7 @@ def _simulate_bins(state_amps, obs, theta, rate, duration, n_bins, rng):
     return BinnedCounts(rng.poisson(rate * duration * probs, size=(n_bins, 4)), duration)
 
 
-def _cmd_sense(args) -> int:
+def _cmd_sense(args) -> tuple[dict, str]:
     if args.bins < 2:
         raise ValueError("--bins must be at least 2")
     if args.replicates < 100:
@@ -293,7 +295,6 @@ def _cmd_sense(args) -> int:
 
     ideal = sense(state, obs, args.theta_star)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "phi12": args.phi12,
         "observable": _observable_payload(obs),
         "theta_star": args.theta_star,
@@ -307,23 +308,21 @@ def _cmd_sense(args) -> int:
             "estimator_variance": ideal.estimator_variance,
         },
     }
+    # the shortest text that reads back as the same float: 10.0 is "10"
+    duration = np.format_float_positional(args.duration, trim="-")
+    csv_text = "setting,bin_index,n_pp,n_pm,n_mp,n_mm,duration\n" + "".join(
+        f"{name},{i},{pp},{pm},{mp},{mm},{duration}\n"
+        for name in bins for i, (pp, pm, mp, mm) in enumerate(bins[name].counts))
     json_path, csv_path = _outputs(args)
-    _write_json(json_path, payload)
-    with open(csv_path, "w") as fh:
-        fh.write("setting,bin_index,n_pp,n_pm,n_mp,n_mm,duration\n")
-        for name in ("center", "plus", "minus"):
-            for i, (pp, pm, mp, mm) in enumerate(bins[name].counts):
-                fh.write(f"{name},{i},{pp},{pm},{mp},{mm},{bins[name].duration:g}\n")
-    _write_manifest(args)
     ratio = boot.estimator_variance
-    print(f"sense phi12={args.phi12:.4f} {obs.label}: (Dtheta)^2 = "
-          f"{ratio.mean:.2f} [{ratio.ci_low:.2f}, {ratio.ci_high:.2f}]")
-    return 0
+    return {json_path: _json_bytes(payload), csv_path: csv_text.encode()}, (
+        f"sense phi12={args.phi12:.4f} {obs.label}: (Dtheta)^2 = "
+        f"{ratio.mean:.2f} [{ratio.ci_low:.2f}, {ratio.ci_high:.2f}]")
 
 
 # ------------------------------------------------------------------ tomo
 
-def _cmd_tomo_simulate(args) -> int:
+def _cmd_tomo_simulate(args) -> tuple[dict, str]:
     state = weighted_graph_state(args.phi12)
     if args.noise:
         p, sigma = args.noise
@@ -331,13 +330,11 @@ def _cmd_tomo_simulate(args) -> int:
                                               phase_jitter_sigma=sigma))
     dataset = simulate_tomography(state, args.rate, args.duration,
                                   seed=args.seed, poisson=args.poisson)
-    write_dataset_csv(args.out, dataset)
-    _write_manifest(args)
-    print(f"tomo simulate phi12={args.phi12:.4f}: total counts {dataset.total}")
-    return 0
+    return ({args.out: dataset_csv(dataset).encode()},
+            f"tomo simulate phi12={args.phi12:.4f}: total counts {dataset.total}")
 
 
-def _cmd_tomo_reconstruct(args) -> int:
+def _cmd_tomo_reconstruct(args) -> tuple[dict, str]:
     if args.mc < 2:
         raise ValueError("--mc must be at least 2")
     dataset = read_dataset_csv(args.infile)
@@ -345,7 +342,6 @@ def _cmd_tomo_reconstruct(args) -> int:
     report = monte_carlo_report(dataset, target, n=args.mc, seed=args.seed,
                                 likelihood=args.likelihood)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "phi12": args.phi12,
         "mc_samples": report.mc_samples,
         "likelihood": args.likelihood,
@@ -357,17 +353,15 @@ def _cmd_tomo_reconstruct(args) -> int:
         "point_fidelity": report.point_fidelity,
         "point_concurrence": report.point_concurrence,
     }
-    _write_json(args.out, payload)
-    _write_manifest(args)
-    print(f"tomo reconstruct: fidelity {report.fidelity_to_target:.2f} "
-          f"+/- {report.fidelity_stdev:.2f}, concurrence {report.concurrence:.2f} "
-          f"+/- {report.concurrence_stdev:.2f}")
-    return 0
+    return {args.out: _json_bytes(payload)}, (
+        f"tomo reconstruct: fidelity {report.fidelity_to_target:.2f} "
+        f"+/- {report.fidelity_stdev:.2f}, concurrence {report.concurrence:.2f} "
+        f"+/- {report.concurrence_stdev:.2f}")
 
 
 # ---------------------------------------------------------------- fringe
 
-def _cmd_fringe(args) -> int:
+def _cmd_fringe(args) -> tuple[dict, str]:
     if args.steps < 4:
         raise ValueError("--steps must be at least 4")
     if not 0 <= args.contrast <= 1:
@@ -395,13 +389,10 @@ def _cmd_fringe(args) -> int:
             f"--varphi-range {start:g} {stop:g}")
     vis = visibility(float(counts.max()), float(counts.min()))
 
-    json_path, csv_path = _outputs(args)
-    with open(csv_path, "w") as fh:
-        fh.write("step,varphi,counts,normalized\n")
-        for i, (v, c, n) in enumerate(zip(varphis, counts, normalized)):
-            fh.write(f"{i},{float(v)!r},{float(c)!r},{float(n)!r}\n")
+    csv_text = "step,varphi,counts,normalized\n" + "".join(
+        f"{i},{float(v)!r},{float(c)!r},{float(n)!r}\n"
+        for i, (v, c, n) in enumerate(zip(varphis, counts, normalized)))
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "steps": args.steps, "rate": args.rate, "duration": args.duration,
         "contrast": args.contrast, "exact": bool(args.exact),
         "varphi_range": [start, stop],
@@ -409,10 +400,9 @@ def _cmd_fringe(args) -> int:
                 "residual": fit.residual},
         "visibility": vis,
     }
-    _write_json(json_path, payload)
-    _write_manifest(args)
-    print(f"fringe: visibility {vis:.2f}, fitted amplitude {abs(fit.a):.2f}")
-    return 0
+    json_path, csv_path = _outputs(args)
+    return {json_path: _json_bytes(payload), csv_path: csv_text.encode()}, (
+        f"fringe: visibility {vis:.2f}, fitted amplitude {abs(fit.a):.2f}")
 
 
 # ---------------------------------------------------------------- parser
@@ -549,13 +539,14 @@ def main(argv=None) -> int:
     files = _outputs(args) + ([args.infile] if hasattr(args, "infile") else [])
     if os.path.abspath(manifest) in map(os.path.abspath, files):
         parser.error(f"manifest path {manifest} names an input or output of the command")
-    # the outputs are written first, so a manifest that cannot be written would orphan them
+    # a manifest path known to be unwritable is refused before any computing starts
     if args.manifest and not os.path.isdir(os.path.dirname(manifest) or "."):
         parser.error(f"manifest path {manifest} is in a directory that does not exist")
     if os.path.isdir(manifest):
         parser.error(f"manifest path {manifest} is a directory")
     try:
-        return args.func(args)
+        outputs, summary = args.func(args)
+        _emit(args, outputs)
     except (DegenerateDataError, DegeneratePostselectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DEGENERATE_EXIT
@@ -569,6 +560,8 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: input too large: {exc}", file=sys.stderr)
         return _USAGE_EXIT
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

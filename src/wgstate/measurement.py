@@ -140,22 +140,27 @@ def outcome_probabilities(state, obs: Observable) -> np.ndarray:
 def checked_counts(counts, shape: tuple) -> np.ndarray:
     """Outcome-pair counts as a read-only int64 copy of ``shape``; raises
     ValueError for counts that are not integers or real floats (bool, str,
-    complex, None), any other shape, a count that is not a whole number
-    (2.0 is one, 1.7 is not), a negative count, or counts that int64
-    cannot hold: one of 2**63 or more, or a total of 2**63 or more."""
+    complex, None), any other shape, a count that is not finite or not a
+    whole number (2.0 is one, 1.7 is not), a negative count, or counts that
+    int64 cannot hold: one of 2**63 or more, or a total of 2**63 or more."""
     given = np.asarray(counts)
+    kind = given.dtype.kind
     odd = [x for x in given.flat if isinstance(x, bool) or not isinstance(
-        x, (int, float, np.integer, np.floating))] if given.dtype.kind == "O" else []
-    if odd or given.dtype.kind not in "iufO":
+        x, (int, float, np.integer, np.floating))] if kind == "O" else []
+    if odd or kind not in "iufO":
         raise ValueError("counts must be integers or real floats, got "
                          + (repr(odd[0]) if odd else f"dtype {given.dtype}"))
-    try:
-        c = np.array(counts, dtype=np.int64)
-    except OverflowError:
-        raise ValueError("a count lies outside int64: counts must be below 2**63") from None
+    # the cast wraps or warns out of range: check first, exactly, on Python numbers
+    values = given.ravel().tolist() if kind != "i" else []
+    nonfinite = [x for x in values if not -np.inf < x < np.inf]
+    if nonfinite:
+        raise ValueError(f"counts must be finite, got {float(nonfinite[0])!r}")
+    if values and (min(values) < -2 ** 63 or max(values) >= 2 ** 63):
+        raise ValueError("a count lies outside int64: counts must be below 2**63")
+    c = np.array(given, dtype=np.int64)
     if c.shape != shape:
         raise ValueError(f"counts must have shape {shape}, got {c.shape}")
-    if given.dtype.kind == "f" and (c != given).any():
+    if kind in "fO" and (c != given).any():
         raise ValueError(f"counts must be whole numbers, got {float(given[c != given][0])!r}")
     if (c < 0).any():
         raise ValueError("counts must be non-negative")

@@ -19,6 +19,7 @@ whose outcomes partition unity.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -404,20 +405,22 @@ CSV_FIELDS = ["setting_index", "projector_label", "h1", "q1", "h2", "q2",
               "counts", "duration"]
 
 
-def write_dataset_csv(path, data: TomographyDataset) -> None:
-    """Serialize a dataset; the counts column packs the four outcome
-    counts as ``n_pp;n_pm;n_mp;n_mm``."""
-    settings = tomography_settings()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for idx, (s, counts, duration) in enumerate(zip(settings, data.counts, data.durations)):
-            writer.writerow([idx, s.label, f"{s.h1:g}", f"{s.q1:g}", f"{s.h2:g}", f"{s.q2:g}",
-                             ";".join(map(str, counts)), f"{duration:g}"])
+def dataset_csv(data: TomographyDataset) -> str:
+    """A dataset as CSV text: the counts column packs ``n_pp;n_pm;n_mp;n_mm``,
+    and a duration is the shortest text that reads back as the same float."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(CSV_FIELDS)
+    for idx, (s, counts, duration) in enumerate(zip(tomography_settings(), data.counts,
+                                                    data.durations)):
+        writer.writerow([idx, s.label, f"{s.h1:g}", f"{s.q1:g}", f"{s.h2:g}", f"{s.q2:g}",
+                         ";".join(map(str, counts)),
+                         np.format_float_positional(duration, trim="-")])
+    return text.getvalue()
 
 
 def read_dataset_csv(path) -> TomographyDataset:
-    """Read a dataset written by :func:`write_dataset_csv`."""
+    """Read a dataset in the format of :func:`dataset_csv`."""
     settings = tomography_settings()
     rows = {}
     with open(path, newline="") as fh:

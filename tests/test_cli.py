@@ -1,4 +1,7 @@
+import errno
+import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from wgstate.cli import _observable_waveplates, main
 from wgstate.measurement import pauli_observable, solve_projector_batch
 from wgstate.stategen import weighted_graph_state
-from wgstate.tomography import TomographyDataset, simulate_tomography, write_dataset_csv
+from wgstate.tomography import TomographyDataset, dataset_csv, simulate_tomography
 from make_goldens import GOLDEN_DIR, run_all
 
 
@@ -184,6 +187,15 @@ class TestSenseCommand:
             b = (tmp_path / "r2" / f"run{suffix}").read_bytes()
             assert a == b, suffix
 
+    def test_csv_duration_reads_back_as_given(self, tmp_path, monkeypatch):
+        # "%g" wrote 0.123457 in the CSV and 0.1234567 in the JSON
+        assert run(tmp_path, monkeypatch,
+                   ["sense", "--phi12", "1", "--observable", "ZY", "--duration", "0.1234567",
+                    "--replicates", "100", "--out", "run", "--no-timestamp"]) == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"0.1234567"}
+        assert load_json(tmp_path / "run.json")["duration"] == 0.1234567
+
 
 class TestTomoCommand:
     def test_simulate_then_reconstruct(self, tmp_path, monkeypatch):
@@ -238,7 +250,7 @@ class TestTomoCommand:
         counts = data.counts.copy()
         counts[:4] = 0
         counts[2, 0] = 1
-        write_dataset_csv(tmp_path / "d.csv", TomographyDataset(counts))
+        (tmp_path / "d.csv").write_text(dataset_csv(TomographyDataset(counts)), newline="")
         rc, err = command_error(["tomo", "reconstruct", "--in", "d.csv", "--phi12", "1.0",
                                  "--mc", "20", "--seed", "3", "--out", "r.json",
                                  "--no-timestamp"], capsys)
@@ -557,7 +569,8 @@ class TestBadInputs:
         # the manifest would record the digest of a file it replaced
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
-        write_dataset_csv("d.csv", simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0))
+        Path("d.csv").write_text(
+            dataset_csv(simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0)), newline="")
         for name in ("a.json", "run.json", "run.csv", "f.csv", "r.json.manifest.json"):
             (tmp_path / name).write_text("before\n")
         before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
@@ -580,7 +593,7 @@ class TestBadInputs:
     ])
     def test_manifest_that_cannot_be_written_exits_two(self, tmp_path, monkeypatch,
                                                        capsys, argv, manifest, message):
-        # the outputs come first, so they would be left without a manifest
+        # refused before the command computes anything, naming the manifest path
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         code, line = usage_error(argv + ["--manifest", manifest, "--no-timestamp"], capsys)
@@ -751,3 +764,109 @@ class TestObservableSpecParsing:
         assert run(tmp_path, monkeypatch,
                    ["sense", "--phi12", "0", "--observable", "XYZ",
                     "--out", "bad", "--no-timestamp"]) == 2
+
+
+SENSE = ["sense", "--phi12", "1", "--observable", "ZY", "--bins", "2", "--replicates", "100"]
+
+
+def files_under(path):
+    return sorted(str(p.relative_to(path)) for p in path.rglob("*"))
+
+
+def manifest_vouches(manifest_path):
+    """True unless the manifest lists an output that is missing or whose
+    bytes do not match its digest."""
+    if not manifest_path.exists():
+        return True
+    return all((manifest_path.parent / name).is_file()
+               and hashlib.sha256((manifest_path.parent / name).read_bytes()).hexdigest() == digest
+               for name, digest in load_json(manifest_path)["outputs"].items())
+
+
+class TestWritingOutputs:
+    """Each output is written once from memory under a temporary name and
+    moved into place, the manifest last; a failed run leaves no file of its
+    own behind."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["state", "--phi12", "1", "--out", "s.json"], ["s.json"]),
+        (SENSE + ["--out", "run"], ["run.csv", "run.json"]),
+        (["fringe", "--steps", "8", "--out", "f"], ["f.csv", "f.json"]),
+    ])
+    def test_outputs_and_manifest_get_the_mode_of_a_new_file(self, tmp_path, monkeypatch,
+                                                             argv, names):
+        # temporary files are made with mode 0600; outputs must not keep it
+        monkeypatch.chdir(tmp_path)
+        old = os.umask(0o027)
+        try:
+            with open("reference", "w"):
+                pass
+            assert main(argv + ["--manifest", "m.json", "--no-timestamp"]) == 0
+        finally:
+            os.umask(old)
+        mode = os.stat("reference").st_mode & 0o777
+        assert mode == 0o640
+        assert files_under(tmp_path) == sorted(names + ["m.json", "reference"])
+        assert {os.stat(n).st_mode & 0o777 for n in names + ["m.json"]} == {mode}
+
+    @pytest.mark.parametrize("argv", [
+        ["state", "--phi12", "1", "--out", "s.json"],
+        SENSE + ["--out", "run"],
+        ["tomo", "simulate", "--phi12", "1", "--out", "t.csv"],
+    ])
+    def test_manifest_directory_removed_while_computing_leaves_nothing(
+            self, tmp_path, monkeypatch, capsys, argv):
+        # the directory passes the check in main, then goes before the files are written
+        monkeypatch.chdir(tmp_path)
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        real = weighted_graph_state
+
+        def remove_then_build(*args, **kwargs):
+            if sub.exists():
+                sub.rmdir()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("wgstate.cli.weighted_graph_state", remove_then_build)
+        rc, err = command_error(argv + ["--manifest", "sub/m.json", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert "No such file or directory: 'sub/m.json'" in err
+        assert files_under(tmp_path) == []
+
+    def test_directory_in_place_of_the_csv_leaves_no_json(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.csv").mkdir()
+        rc, err = command_error(SENSE + ["--out", "run", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err == "error: [Errno 21] Is a directory: 'run.csv'\n"
+        assert files_under(tmp_path) == ["run.csv"]
+
+    def test_rerun_to_the_same_paths_replaces_every_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for seed in ("1", "2"):
+            assert main(SENSE + ["--seed", seed, "--out", "run", "--no-timestamp"]) == 0
+        assert load_json(tmp_path / "run.json.manifest.json")["seed"] == 2
+        assert manifest_vouches(tmp_path / "run.json.manifest.json")
+        assert files_under(tmp_path) == ["run.csv", "run.json", "run.json.manifest.json"]
+
+    @pytest.mark.parametrize("failure", ["disk full", "directory"])
+    def test_rerun_failing_midway_leaves_no_false_manifest(self, tmp_path, monkeypatch,
+                                                           capsys, failure):
+        monkeypatch.chdir(tmp_path)
+        assert main(SENSE + ["--seed", "1", "--out", "run", "--no-timestamp"]) == 0
+        if failure == "directory":
+            (tmp_path / "run.csv").unlink()
+            (tmp_path / "run.csv").mkdir()
+        else:
+            # the CSV, or its temporary file, cannot be written: the disk is full
+            def full_for_csv(file, *args, **kwargs):
+                if "run.csv" in os.fspath(file):
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return open(file, *args, **kwargs)
+
+            monkeypatch.setattr("wgstate.cli.open", full_for_csv, raising=False)
+        capsys.readouterr()
+        rc, _ = command_error(SENSE + ["--seed", "2", "--out", "run", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert manifest_vouches(tmp_path / "run.json.manifest.json")
+        assert not [name for name in files_under(tmp_path) if name.endswith(".tmp")]

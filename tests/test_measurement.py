@@ -194,6 +194,39 @@ class TestCountValidation:
         with pytest.raises(ValueError, match=r"outside int64: counts must be below 2\*\*63"):
             make(counts, 10.0)
 
+    # the range is checked before the int64 cast: a uint64 would wrap to a
+    # negative count, a float would warn "invalid value encountered in cast"
+    @pytest.mark.parametrize("dtype, count", [(np.uint64, 2 ** 63), (np.uint64, 2 ** 64 - 1),
+                                              (np.float64, 1e19), (np.float64, -1e19),
+                                              (np.float32, 2.0 ** 63)])
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_count_outside_int64_rejected_for_every_dtype(self, make, shape, dtype, count):
+        counts = np.ones(shape, dtype=dtype)
+        counts.flat[-1] = count
+        with pytest.raises(ValueError, match=r"outside int64: counts must be below 2\*\*63"):
+            make(counts, 10.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, object])
+    @pytest.mark.parametrize("make, shape", HOLDERS)
+    def test_non_finite_count_rejected(self, make, shape, dtype, value):
+        counts = np.ones(shape, dtype=dtype)
+        counts.flat[0] = value
+        with pytest.raises(ValueError, match=f"counts must be finite, got {value!r}"):
+            make(counts, 10.0)
+
+    def test_largest_int64_count_accepted_from_uint64(self):
+        counts = np.zeros(4, dtype=np.uint64)
+        counts[-1] = 2 ** 63 - 1
+        assert checked_counts(counts, (4,))[-1] == 2 ** 63 - 1
+
+    def test_fractional_count_in_an_object_array_rejected(self):
+        # the int64 cast of a Python float truncates it, as int() does
+        counts = np.ones(4, dtype=object)
+        counts[0] = 1.7
+        with pytest.raises(ValueError, match="counts must be whole numbers, got 1.7"):
+            checked_counts(counts, (4,))
+
     @pytest.mark.parametrize("make, shape", HOLDERS)
     def test_total_past_int64_rejected(self, make, shape):
         # two counts of 2**62 total 2**63, which an int64 sum wraps to -2**63;

@@ -13,9 +13,9 @@ from wgstate.qmath import (POLARIZATION_KETS, DensityMatrix, PureState2Q, as_den
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
 from wgstate.stats import DegenerateDataError
 from wgstate.tomography import (ReconstructionReport, TomographyDataset,
-                                mle_reconstruct, monte_carlo_report,
+                                dataset_csv, mle_reconstruct, monte_carlo_report,
                                 read_dataset_csv, simulate_tomography,
-                                tomography_settings, write_dataset_csv)
+                                tomography_settings)
 
 LIKELIHOODS = ("gaussian", "poisson")
 # maximum-likelihood estimates of the former L-BFGS-B fit on Poisson data
@@ -497,10 +497,18 @@ class TestCsvRoundTrip:
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0,
                                    seed=19, poisson=True)
         path = tmp_path / "dataset.csv"
-        write_dataset_csv(path, data)
+        path.write_text(dataset_csv(data), newline="")
         loaded = read_dataset_csv(path)
         assert np.array_equal(loaded.counts, data.counts)
         assert np.array_equal(loaded.durations, data.durations)
+
+    # "%g" kept six significant digits and wrote 1e-07 as "1e-07"
+    @pytest.mark.parametrize("duration", [10.1234567, 1e-7])
+    def test_durations_round_trip_exactly(self, tmp_path, duration):
+        data = TomographyDataset(np.ones((16, 4), dtype=int), duration)
+        path = tmp_path / "dataset.csv"
+        path.write_text(dataset_csv(data), newline="")
+        assert np.array_equal(read_dataset_csv(path).durations, data.durations)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -511,7 +519,7 @@ class TestCsvRoundTrip:
     def test_duplicate_setting_rejected(self, tmp_path):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
         path = tmp_path / "dup.csv"
-        write_dataset_csv(path, data)
+        path.write_text(dataset_csv(data), newline="")
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines + [lines[3]]) + "\n")
         with pytest.raises(ValueError, match="twice"):
@@ -520,7 +528,7 @@ class TestCsvRoundTrip:
     def test_zero_duration_without_counts_round_trips(self, tmp_path):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 0.0)
         path = tmp_path / "idle.csv"
-        write_dataset_csv(path, data)
+        path.write_text(dataset_csv(data), newline="")
         loaded = read_dataset_csv(path)
         assert loaded.total == 0
         assert np.array_equal(loaded.durations, np.zeros(16))
@@ -530,7 +538,7 @@ class TestCsvRoundTrip:
     def test_bad_duration_rejected(self, tmp_path, duration):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
         path = tmp_path / "bad_duration.csv"
-        write_dataset_csv(path, data)
+        path.write_text(dataset_csv(data), newline="")
         lines = path.read_text().splitlines()
         lines[4] = lines[4].rsplit(",", 1)[0] + "," + duration
         path.write_text("\n".join(lines) + "\n")
@@ -540,7 +548,7 @@ class TestCsvRoundTrip:
     def test_truncated_csv_rejected(self, tmp_path):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
         path = tmp_path / "short.csv"
-        write_dataset_csv(path, data)
+        path.write_text(dataset_csv(data), newline="")
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:10]) + "\n")
         with pytest.raises(ValueError):
