@@ -13,10 +13,7 @@ __version__ = "0.1.0"
 
 from .qmath import (DensityMatrix, NonPhysicalStateError, PureState2Q,
                     concurrence, expectation, fidelity, tensor, trace_distance)
-from .optics import (EulerAngles, RotationAxis, WaveplateKind, WaveplateTriple,
-                     euler_to_waveplates, euler_unitary, phase_aligned_distance,
-                     rotation_gate, rotation_waveplates, to_lab_angle,
-                     waveplate_jones, waveplate_jones_lab)
+from .optics import WaveplateKind, rotation_gate, waveplate_jones
 from .stategen import (DegeneratePostselectionError, GenerationConfig,
                        GenerationResult, NoiseModel, apply_noise,
                        canonical_config, mzi_phase_condition,

@@ -1,13 +1,13 @@
 """The package's one Newton solver, and deferred access to
 ``scipy.optimize`` kept as tracer seams.
 
-:func:`sphere_newton` minimizes over products of unit spheres. Its one
-caller is the tomography fit, on a sphere in R^16 (the general-axis
-search runs no Newton solver). Its Newton step factors the bordered
-tangent system P H P + (I - P) (:func:`bordered_hessian`) by Cholesky
-and solves it. A row that is not positive definite there takes the step
-from the eigenvalues of P H P by magnitude instead, and the other rows
-of its batch keep their Cholesky steps.
+:func:`sphere_newton` minimizes over the unit sphere. Its one caller is
+the tomography fit, on the sphere in R^16 (the general-axis search runs
+no Newton solver). Its Newton step factors the bordered tangent system
+P H P + (I - P) (:func:`bordered_hessian`), with P = I - x x^T, by
+Cholesky and solves it. A row that is not positive definite there takes
+the step from the eigenvalues of P H P by magnitude instead, and the
+other rows of its batch keep their Cholesky steps.
 
 No ``wgstate`` code calls a scipy solver. The five bindings
 ``measurement.minimize``, ``tomography.minimize``, ``metrology.minimize``,
@@ -20,7 +20,6 @@ only when called, so no command loads it.
 
 from __future__ import annotations
 
-import functools
 import importlib
 
 import numpy as np
@@ -38,22 +37,10 @@ _DECREMENT_TOL = 1e-12
 _EIGEN_FLOOR = 1e-12
 
 
-@functools.cache
-def _normal_blocks(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """I and the block-diagonal mask of k spheres in R^d, built once."""
-    sphere = np.arange(k * d) // d
-    identity, blocks = np.eye(k * d), sphere[:, None] == sphere
-    identity.flags.writeable = blocks.flags.writeable = False
-    return identity, blocks
-
-
 def tangent_projector(x):
-    """I - blockdiag(x_i x_i^T) at rows x (m, k, d) on k unit spheres: the
-    projectors (m, k d, k d) onto their tangent spaces."""
-    m, k, d = x.shape
-    flat = x.reshape(m, k * d)
-    identity, blocks = _normal_blocks(k, d)
-    return identity - flat[:, :, None] * flat[:, None, :] * blocks
+    """I - x x^T at unit rows x (m, d): the projectors (m, d, d) onto
+    their tangent spaces."""
+    return np.eye(x.shape[1]) - x[:, :, None] * x[:, None, :]
 
 
 def bordered_hessian(hess, proj):
@@ -62,12 +49,6 @@ def bordered_hessian(hess, proj):
     tangent vectors, and it is positive definite where P H P is on the
     tangent spaces, so a solve with it is the tangent Newton step."""
     return proj @ hess @ proj + np.eye(proj.shape[-1]) - proj
-
-
-def _cholesky_step(grad, hess, proj):
-    """-(P H P)^-1 g on the tangent spaces: :func:`_bordered_step` of the
-    bordered system built from hess and proj."""
-    return _bordered_step(grad, bordered_hessian(hess, proj))
 
 
 def _bordered_step(grad, bordered):
@@ -114,41 +95,38 @@ def _newton_step(grad, hess, proj):
 
 
 def sphere_newton(fun, x):
-    """Damped Newton minimization from each row of x (m, k, d), a point on
-    the product of k unit spheres in R^d.
+    """Damped Newton minimization from each row of x (m, d), a point on
+    the unit sphere in R^d.
 
-    ``fun(rows, index, derivatives=True)`` takes points flattened to
-    (m', k d) and their row numbers ``index`` in x. It returns the values
-    (m',) and, with ``derivatives``, the tangent gradients (m', k d) and
-    the Hessians (m', k d, k d) with the spheres' curvature term. The line
-    search calls it without derivatives at points off the spheres, so it
-    must read each block of a row at unit norm.
+    ``fun(rows, index, derivatives=True)`` takes points (m', d) and their
+    row numbers ``index`` in x. It returns the values (m',) and, with
+    ``derivatives``, the tangent gradients (m', d) and the Hessians
+    (m', d, d) with the sphere's curvature term. The line search calls it
+    without derivatives at points off the sphere, so it must read each
+    row at unit norm.
 
-    Each step solves P H P s = -g in the tangent space (P projects out the
-    normal x_i of every sphere): by a Cholesky factorization of the
+    Each step solves P H P s = -g in the tangent space (P = I - x x^T
+    projects out the normal x): by a Cholesky factorization of the
     bordered system P H P + (I - P) where a row is positive definite
     there, and otherwise with the eigenvalues of P H P taken by magnitude
-    and floored (:func:`_newton_step`). It backtracks to
-    the Armijo condition and retracts onto the spheres by normalizing each
-    block (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-    Manifolds, 2008, ch. 6). Every row stops on its own Newton decrement.
-    Returns the final rows (m, k, d), which rows converged, and the final
-    gradients of the rows that did not: those whose line search stalled,
-    or that reached the iteration cap.
+    and floored (:func:`_newton_step`). It backtracks to the Armijo
+    condition and retracts onto the sphere by normalizing (Absil, Mahony
+    & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+    ch. 6). Every row stops on its own Newton decrement. Returns the
+    final rows (m, d), which rows converged, and the final gradients of
+    the rows that did not: those whose line search stalled, or that
+    reached the iteration cap.
     """
     x = np.array(x, dtype=float)
-    m, k, d = x.shape
+    m, d = x.shape
     active = np.arange(m)
     converged = np.ones(m, dtype=bool)
-    final_grad = np.empty((m, k * d))
+    final_grad = np.empty((m, d))
     for _ in range(_NEWTON_MAX_ITER):
         xa = x[active]
-        flat = xa.reshape(len(active), k * d)
-        f, grad, hess = fun(flat, active)
-        proj = tangent_projector(xa)
-        step = _newton_step(grad, hess, proj)
-        step -= (np.einsum("mkd,mkd->mk", step.reshape(xa.shape), xa)[..., None]
-                 * xa).reshape(flat.shape)
+        f, grad, hess = fun(xa, active)
+        step = _newton_step(grad, hess, tangent_projector(xa))
+        step -= np.einsum("mi,mi->m", step, xa)[:, None] * xa
         slope = np.einsum("mi,mi->m", grad, step)
         alpha = np.ones(len(active))
         last = -slope <= _DECREMENT_TOL * (1 + f)
@@ -157,13 +135,13 @@ def sphere_newton(fun, x):
         for _ in range(_MAX_HALVINGS):
             if not search.size:
                 break
-            trial = flat[search] + alpha[search, None] * step[search]
+            trial = xa[search] + alpha[search, None] * step[search]
             trial_f = fun(trial, active[search], derivatives=False)
             ok = trial_f <= f[search] + _ARMIJO * alpha[search] * slope[search]
             moved[search[ok]] = True
             search = search[~ok]
             alpha[search] /= 2
-        new = (flat + alpha[:, None] * step).reshape(xa.shape)[moved]
+        new = (xa + alpha[:, None] * step)[moved]
         x[active[moved]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
         converged[active[~moved]] = False
         final_grad[active[~moved]] = grad[~moved]
@@ -172,7 +150,7 @@ def sphere_newton(fun, x):
             break
     else:
         converged[active] = False
-        final_grad[active] = fun(x[active].reshape(len(active), k * d), active)[1]
+        final_grad[active] = fun(x[active], active)[1]
     return x, converged, final_grad[~converged]
 
 

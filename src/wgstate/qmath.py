@@ -51,13 +51,16 @@ class PureState2Q:
 
     ``amplitudes`` holds the four complex coefficients in the order
     |00>, |01>, |10>, |11> with photon 1 as the left factor. The input
-    is normalized on construction; a vector of zero norm is rejected.
+    is normalized on construction; a vector of zero norm, or with a
+    non-finite amplitude, is rejected.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(4)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if norm < 1e-12:
             raise ValueError("cannot normalize a zero-amplitude state")
@@ -78,9 +81,9 @@ class PureState2Q:
 class DensityMatrix:
     """Physical two-qubit density matrix.
 
-    Construction validates Hermiticity and unit trace to 1e-10 and
-    requires all eigenvalues >= -1e-10; anything else raises
-    :class:`NonPhysicalStateError`.
+    Construction requires finite entries, validates Hermiticity and unit
+    trace to 1e-10 and requires all eigenvalues >= -1e-10; anything else
+    raises :class:`NonPhysicalStateError`.
     """
 
     matrix: np.ndarray
@@ -89,6 +92,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise NonPhysicalStateError(f"expected a 4x4 matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise NonPhysicalStateError("matrix has a non-finite entry")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
             raise NonPhysicalStateError("matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > TRACE_ATOL or abs(np.trace(m).imag) > TRACE_ATOL:
@@ -100,15 +105,15 @@ class DensityMatrix:
 
 
 def as_density(state) -> np.ndarray:
-    """Return the 4x4 matrix of a PureState2Q, DensityMatrix or raw array."""
+    """Return the 4x4 matrix of a PureState2Q, DensityMatrix or raw array;
+    a raw array is checked as the state class of its shape checks it."""
     if isinstance(state, PureState2Q):
         return np.outer(state.amplitudes, state.amplitudes.conj())
     if isinstance(state, DensityMatrix):
         return state.matrix
     arr = np.asarray(state, dtype=complex)
     if arr.shape == (4,):
-        arr = arr / np.linalg.norm(arr)
-        return np.outer(arr, arr.conj())
+        return as_density(PureState2Q(arr))
     if arr.shape == (4, 4):
         return DensityMatrix(arr).matrix
     raise ValueError(f"cannot interpret shape {arr.shape} as a two-qubit state")
@@ -122,11 +127,6 @@ def tensor(a, b) -> np.ndarray:
 def is_hermitian(op, atol: float = HERMITICITY_ATOL) -> bool:
     op = np.asarray(op)
     return bool(np.max(np.abs(op - op.conj().T)) <= atol)
-
-
-def is_unitary(op, atol: float = HERMITICITY_ATOL) -> bool:
-    op = np.asarray(op)
-    return bool(np.max(np.abs(op.conj().T @ op - np.eye(op.shape[0]))) <= atol)
 
 
 def _states(rho) -> np.ndarray:

@@ -57,7 +57,7 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.depolarizing_p <= 1.0:
             raise ValueError("depolarizing_p must lie in [0, 1]")
-        if self.phase_jitter_sigma < 0.0:
+        if not self.phase_jitter_sigma >= 0.0:
             raise ValueError("phase_jitter_sigma must be >= 0")
 
 

@@ -321,9 +321,9 @@ def _fit(counts: np.ndarray, likelihood: str) -> np.ndarray:
     its final gradient is negligible on the scale of its flux.
     """
     nll = _Likelihood(counts, likelihood)
-    t, converged, grad = sphere_newton(nll, _start(nll)[:, None])
+    t, converged, grad = sphere_newton(nll, _start(nll))
     _accept_unconverged(grad, nll.flux[~converged])
-    return t[:, 0]
+    return t
 
 
 def _accept_unconverged(grad: np.ndarray, flux: np.ndarray) -> None:

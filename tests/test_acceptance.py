@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from wgstate.cli import main
-from wgstate.measurement import outcome_probabilities, pauli_observable
+from wgstate.measurement import (analyzer_overlap, axis_state, outcome_probabilities,
+                                 pauli_observable, solve_projector_batch)
 from wgstate.metrology import (general_axis_search, limits, pauli_search,
                                qfi_closed_form, qfi_numeric)
-from wgstate.optics import (EulerAngles, RotationAxis, euler_to_waveplates,
-                            euler_unitary, phase_aligned_distance,
-                            rotation_gate, rotation_waveplates)
+from wgstate.optics import WaveplateKind, waveplate_jones
 from wgstate.qmath import concurrence, fidelity
 from wgstate.stategen import canonical_config, simulate_generation, weighted_graph_state
 from wgstate.stats import BinnedCounts, bootstrap_expectation, cosine_fit
@@ -145,23 +144,26 @@ def test_criterion_5_generation_equivalence():
 
 
 def test_criterion_6_waveplate_algebra():
+    # the CLI's lab waveplate angles, put back through the Jones matrices at
+    # internal angle pi/2 - lab: QWP then HWP sends each state to |H>
     rng = np.random.default_rng(2024)
-    worst_rotation = 0.0
-    for axis in (RotationAxis.X, RotationAxis.Y, RotationAxis.Z):
-        for theta in rng.uniform(-2 * np.pi, 2 * np.pi, 100):
-            composed = rotation_waveplates(axis, theta).compose()
-            worst_rotation = max(worst_rotation, phase_aligned_distance(
-                composed, rotation_gate(axis.value, theta)))
-    worst_rotation = max(worst_rotation, phase_aligned_distance(
-        rotation_waveplates(RotationAxis.IDENTITY).compose(), np.eye(2)))
-    worst_euler = 0.0
-    for _ in range(100):
-        euler = EulerAngles(*rng.uniform(-np.pi, np.pi, 3))
-        worst_euler = max(worst_euler, phase_aligned_distance(
-            euler_to_waveplates(euler).compose(), euler_unitary(euler)))
-    report(6, worst_rotation < 1e-10 and worst_euler < 1e-10,
-           f"axis rotations ({worst_rotation:.2e}) and Euler round-trips "
-           f"({worst_euler:.2e}) reproduced up to a global phase")
+    betas = [*rng.uniform(0.0, np.pi, 300), 0.0, np.pi, np.pi / 2]
+    alphas = [*rng.uniform(-np.pi, np.pi, 300), 0.0, 0.0, np.pi / 2]
+    outcomes = [*rng.choice(["+", "-"], 300).tolist(), "+", "+", "+"]
+    settings = solve_projector_batch(betas, alphas, outcomes)
+    kets = axis_state(betas, alphas, outcomes).T
+    worst_miss = worst_overlap = 0.0
+    for s, ket in zip(settings, kets):
+        out = (waveplate_jones(WaveplateKind.HWP, np.pi / 2 - np.radians(s.hwp_deg))
+               @ waveplate_jones(WaveplateKind.QWP, np.pi / 2 - np.radians(s.qwp_deg)) @ ket)
+        transmission = abs(out[0]) ** 2
+        worst_miss = max(worst_miss, 1.0 - transmission)
+        worst_overlap = max(worst_overlap,
+                            abs(analyzer_overlap(s.hwp_deg, s.qwp_deg, ket) - transmission))
+    report(6, worst_miss <= 1e-10 and worst_overlap <= 1e-10,
+           f"{len(settings)} solved analyzers send their states to |H> through the "
+           f"Jones matrices (worst miss {worst_miss:.2e}); analyzer_overlap agrees "
+           f"to {worst_overlap:.2e}")
 
 
 def test_criterion_7_tomography_self_consistency():

@@ -12,13 +12,18 @@ from wgstate.measurement import (analyzer_overlap, axis_state,
                                  general_axis_observable, outcome_probabilities,
                                  pauli_observable, simulate_counts, solve_projector_batch,
                                  solve_projector_waveplates, WaveplateSolverError)
-from wgstate.optics import WaveplateKind, waveplate_jones_lab
+from wgstate.optics import WaveplateKind, waveplate_jones
 from wgstate.qmath import (PAULIS, POLARIZATION_KETS, PureState2Q, as_density, expectation,
                            tensor)
 from wgstate.stategen import (GenerationConfig, NoiseModel, apply_noise, simulate_generation,
                               weighted_graph_state)
 from wgstate.stats import BinnedCounts
 from wgstate.tomography import TomographyDataset, tomography_settings
+
+
+def waveplate_jones_lab(kind, lab_angle):
+    """Jones operator of a plate mounted at ``lab_angle`` (radians, lab frame)."""
+    return waveplate_jones(kind, np.pi / 2 - lab_angle)
 
 
 class TestPauliObservable:

@@ -4,8 +4,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wgstate.qmath import (PAULI_PRODUCTS, DensityMatrix, NonPhysicalStateError,
-                           PureState2Q, I2, X, Y, Z, concurrence, expectation, fidelity,
-                           pauli_correlations, tensor, trace_distance)
+                           PureState2Q, I2, X, Y, Z, as_density, concurrence, expectation,
+                           fidelity, pauli_correlations, tensor, trace_distance)
 from wgstate.stategen import weighted_graph_state
 
 
@@ -41,6 +41,25 @@ class TestStates:
     def test_zero_state_rejected(self):
         with pytest.raises(ValueError):
             PureState2Q(np.zeros(4, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PureState2Q([bad, 1, 1, 1])
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [0, 0, 0, 0]])
+    def test_raw_amplitudes_checked_like_a_pure_state(self, amplitudes):
+        with pytest.raises(ValueError):
+            as_density(np.array(amplitudes, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_density_matrix_rejected(self, bad):
+        with pytest.raises(NonPhysicalStateError, match="non-finite"):
+            DensityMatrix(np.full((4, 4), bad))
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 3] = rho[3, 0] = bad
+        with pytest.raises(NonPhysicalStateError, match="non-finite"):
+            DensityMatrix(rho)
 
     def test_density_matrix_validation(self):
         good = np.eye(4) / 4

@@ -163,3 +163,8 @@ class TestNoise:
             NoiseModel(depolarizing_p=1.5)
         with pytest.raises(ValueError):
             NoiseModel(phase_jitter_sigma=-0.1)
+        # nan < 0 is false, so a sign test alone lets nan through
+        with pytest.raises(ValueError, match="phase_jitter_sigma"):
+            NoiseModel(phase_jitter_sigma=np.nan)
+        with pytest.raises(ValueError, match="depolarizing_p"):
+            NoiseModel(depolarizing_p=np.nan)
