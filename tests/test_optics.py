@@ -3,8 +3,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from wgstate.optics import WaveplateKind, waveplate_jones, wrap_angle, wrap_interval
-from wgstate.qmath import KET_D, KET_H, KET_V
+from wgstate.optics import (WaveplateKind, rotation_gate, waveplate_jones, wrap_angle,
+                            wrap_interval)
+from wgstate.qmath import KET_D, KET_H, KET_L, KET_V, PAULIS
+
+
+def exp_generator(sigma, theta):
+    """exp(-i theta sigma / 2), built from the eigenvectors of sigma."""
+    vals, vecs = np.linalg.eigh(sigma)
+    return vecs @ np.diag(np.exp(-0.5j * theta * vals)) @ vecs.conj().T
 
 
 class TestWaveplateJones:
@@ -25,6 +32,38 @@ class TestWaveplateJones:
             for angle in np.linspace(-np.pi, np.pi, 41):
                 jones = waveplate_jones(kind, angle)
                 assert np.abs(jones.conj().T @ jones - np.eye(2)).max() <= 1e-12
+
+    def test_two_quarter_wave_plates_make_a_half_wave_plate(self):
+        for angle in np.linspace(-np.pi, np.pi, 41):
+            qwp = waveplate_jones(WaveplateKind.QWP, angle)
+            hwp = waveplate_jones(WaveplateKind.HWP, angle)
+            assert np.abs(qwp @ qwp - hwp).max() <= 1e-12
+
+
+class TestRotationGate:
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_matches_matrix_exponential(self, axis):
+        rng = np.random.default_rng(13)
+        for theta in rng.uniform(-2 * np.pi, 2 * np.pi, size=25):
+            expected = exp_generator(PAULIS[axis.upper()], theta)
+            assert np.abs(rotation_gate(axis, theta) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("axis", ["x", "y", "z"])
+    def test_commutes_with_generator(self, axis):
+        sigma = PAULIS[axis.upper()]
+        for theta in np.linspace(-np.pi, np.pi, 9):
+            gate = rotation_gate(axis, theta)
+            assert np.abs(gate @ sigma - sigma @ gate).max() <= 1e-12
+
+    def test_full_turn_is_minus_identity(self):
+        for axis in "xyz":
+            assert np.abs(rotation_gate(axis, 2 * np.pi) + np.eye(2)).max() <= 1e-12
+
+    def test_quarter_turns_take_h_to_d_and_l(self):
+        to_d = rotation_gate("y", np.pi / 2) @ KET_H
+        to_l = rotation_gate("x", -np.pi / 2) @ KET_H
+        assert abs(np.vdot(KET_D, to_d)) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(KET_L, to_l)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestWrapInterval:
