@@ -98,12 +98,13 @@ def sphere_newton(fun, x):
     """Damped Newton minimization from each row of x (m, d), a point on
     the unit sphere in R^d.
 
-    ``fun(rows, index, derivatives=True)`` takes points (m', d) and their
-    row numbers ``index`` in x. It returns the values (m',) and, with
-    ``derivatives``, the tangent gradients (m', d) and the Hessians
-    (m', d, d) with the sphere's curvature term. The line search calls it
-    without derivatives at points off the sphere, so it must read each
-    row at unit norm.
+    ``fun(rows, index)`` takes unit points (m', d) and their row numbers
+    ``index`` in x. It returns the values (m',) and a tuple of terms,
+    arrays stacked by row. ``fun.derivatives(terms)`` returns the
+    gradients (m', d) and the Hessians (m', d, d) of the rows of
+    ``terms``, which may be a subset of the rows of several evaluations.
+    Each trial point is evaluated once, and derivatives are formed only
+    for the rows whose step is taken.
 
     Each step solves P H P s = -g in the tangent space (P = I - x x^T
     projects out the normal x): by a Cholesky factorization of the
@@ -122,35 +123,45 @@ def sphere_newton(fun, x):
     active = np.arange(m)
     converged = np.ones(m, dtype=bool)
     final_grad = np.empty((m, d))
+    f, terms = fun(x, active)
+    grad, hess = fun.derivatives(terms)
     for _ in range(_NEWTON_MAX_ITER):
         xa = x[active]
-        f, grad, hess = fun(xa, active)
         step = _newton_step(grad, hess, tangent_projector(xa))
         step -= np.einsum("mi,mi->m", step, xa)[:, None] * xa
         slope = np.einsum("mi,mi->m", grad, step)
-        alpha = np.ones(len(active))
         last = -slope <= _DECREMENT_TOL * (1 + f)
-        moved = last.copy()
+        new = xa[last] + step[last]
+        x[active[last]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
+        # (rows of the active set, their values, their terms) of each
+        # halving that some row passes
+        passed = []
         search = np.flatnonzero(~last)
+        alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             if not search.size:
                 break
-            trial = xa[search] + alpha[search, None] * step[search]
-            trial_f = fun(trial, active[search], derivatives=False)
-            ok = trial_f <= f[search] + _ARMIJO * alpha[search] * slope[search]
-            moved[search[ok]] = True
+            trial = xa[search] + alpha * step[search]
+            trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
+            trial_f, terms = fun(trial, active[search])
+            ok = trial_f <= f[search] + _ARMIJO * alpha * slope[search]
+            x[active[search[ok]]] = trial[ok]
+            if ok.all():
+                passed.append((search, trial_f, *terms))
+            elif ok.any():
+                passed.append([a[ok] for a in (search, trial_f, *terms)])
             search = search[~ok]
-            alpha[search] /= 2
-        new = (xa + alpha[:, None] * step)[moved]
-        x[active[moved]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
-        converged[active[~moved]] = False
-        final_grad[active[~moved]] = grad[~moved]
-        active = active[moved & ~last]
-        if not active.size:
+            alpha /= 2
+        converged[active[search]] = False
+        final_grad[active[search]] = grad[search]
+        if not passed:
             break
+        taken, f, *terms = passed[0] if len(passed) == 1 else map(np.concatenate, zip(*passed))
+        active = active[taken]
+        grad, hess = fun.derivatives(terms)
     else:
         converged[active] = False
-        final_grad[active] = fun(x[active], active)[1]
+        final_grad[active] = grad
     return x, converged, final_grad[~converged]
 
 

@@ -255,16 +255,16 @@ class _Likelihood:
     def __init__(self, counts: np.ndarray, likelihood: str):
         if likelihood not in _LIKELIHOODS:
             raise ValueError(f"unknown likelihood {likelihood!r}")
-        self.terms, self.floor = _LIKELIHOODS[likelihood]
+        self.phi, self.floor = _LIKELIHOODS[likelihood]
         self.flux = _rectilinear_flux(counts)
         if (self.flux <= 0).any():
             raise DegenerateDataError("rectilinear settings recorded no counts")
         self.ratios = counts.reshape(len(counts), 64) / self.flux[:, None]
         self.observed = self.ratios > 0
 
-    def __call__(self, t: np.ndarray, rows: np.ndarray, derivatives: bool = True):
-        """f at parameter rows t of the datasets ``rows``; with
-        ``derivatives``, (f, gradient, Hessian)."""
+    def __call__(self, t: np.ndarray, rows: np.ndarray):
+        """f at parameter rows t of the datasets ``rows``, and the terms
+        from which :meth:`derivatives` forms the gradient and the Hessian."""
         flux, ratios, observed = self.flux[rows], self.ratios[rows], self.observed[rows]
         m = len(t)
         s = np.einsum("mi,mi->m", t, t)
@@ -273,10 +273,15 @@ class _Likelihood:
         # an outcome without counts takes any positive stand-in, and its
         # term is linear in p with the slope phi'(., 0)
         clamped = observed & (p <= self.floor)
-        value, d1, d2 = self.terms(np.where(observed, np.maximum(p, self.floor), 1.0), ratios)
+        value, d1, d2 = self.phi(np.where(observed, np.maximum(p, self.floor), 1.0), ratios)
         f = flux * np.where(observed, value, d1 * p).sum(axis=1)
-        if not derivatives:
-            return f
+        return f, (flux, t, s, qt, p, clamped, d1, d2)
+
+    def derivatives(self, terms):
+        """The gradient and the Hessian of the rows of ``terms``, a subset
+        of the rows of one or more evaluations, each term stacked by row."""
+        flux, t, s, qt, p, clamped, d1, d2 = terms
+        m = len(t)
         # with u_k = Q_k t - p_k t, grad p_k = 2 u_k / s: the weights take
         # the factors 2/s and 4/s^2 of the gradient and of the Gauss-Newton
         # term, and a clamped outcome weighs nothing
@@ -290,7 +295,7 @@ class _Likelihood:
         gt = grad[:, :, None] * t[:, None, :]
         hess = (np.swapaxes(u * w2[..., None], 1, 2) @ u
                 + b - 2 * (gt + np.swapaxes(gt, 1, 2)) / s[:, None, None])
-        return f, grad, hess
+        return grad, hess
 
 
 def _start(nll: _Likelihood) -> np.ndarray:

@@ -128,14 +128,28 @@ def test_cholesky_step_equals_eigenvalue_step():
 RAYLEIGH = np.diag([1.0, 2.0, 3.0, 4.0])
 
 
-def rayleigh(rows, index, derivatives=True):
-    s = np.einsum("mi,mi->m", rows, rows)
-    ax = rows @ RAYLEIGH
-    f = np.einsum("mi,mi->m", ax, rows) / s
-    if not derivatives:
-        return f
-    grad = 2 * (ax - f[:, None] * rows) / np.sqrt(s)[:, None]
-    return f, grad, 2 * (RAYLEIGH - f[:, None, None] * np.eye(4))
+class Rayleigh:
+    """The objective with its Euclidean gradient and Hessian."""
+
+    def __call__(self, rows, index):
+        s = np.einsum("mi,mi->m", rows, rows)
+        ax = rows @ RAYLEIGH
+        return np.einsum("mi,mi->m", ax, rows) / s, (rows, s, ax)
+
+    def derivatives(self, terms):
+        rows, s, ax = terms
+        f = np.einsum("mi,mi->m", ax, rows) / s
+        grad = 2 * (ax - f[:, None] * rows) / s[:, None]
+        gx = grad[:, :, None] * rows[:, None, :]
+        hess = 2 * (RAYLEIGH - f[:, None, None] * np.eye(4)) - 2 * (gx + np.swapaxes(gx, 1, 2))
+        return grad, hess / s[:, None, None]
+
+
+rayleigh = Rayleigh()
+
+
+def rayleigh_derivatives(rows):
+    return rayleigh.derivatives(rayleigh(rows, None)[1])
 
 
 def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch):
@@ -144,7 +158,7 @@ def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch
                        [0.3, 1.0, 0.2, 0.1]])    # near a saddle
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     proj = _optimize.tangent_projector(starts)
-    _f, grad, hess = rayleigh(starts, np.arange(3))
+    grad, hess = rayleigh_derivatives(starts)
     with pytest.raises(np.linalg.LinAlgError):
         cholesky_step(grad, hess, proj)
     fallbacks = []
@@ -161,7 +175,7 @@ def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch
         alone, (done,), _ = _optimize.sphere_newton(rayleigh, start[None])
         assert done
         assert np.abs(row - alone[0]).max() <= 1e-10
-        assert rayleigh(row[None], None, derivatives=False)[0] == pytest.approx(1.0, abs=1e-14)
+        assert rayleigh(row[None], None)[0][0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_definite_rows_keep_their_cholesky_steps_beside_an_indefinite_one():
@@ -172,7 +186,7 @@ def test_definite_rows_keep_their_cholesky_steps_beside_an_indefinite_one():
                        [0.9, 0.3, 0.2, 0.1]])
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
     proj = _optimize.tangent_projector(starts)
-    _f, grad, hess = rayleigh(starts, np.arange(3))
+    grad, hess = rayleigh_derivatives(starts)
     step = _optimize._newton_step(grad, hess, proj)
     for i in (0, 2):
         alone = cholesky_step(grad[i:i + 1], hess[i:i + 1], proj[i:i + 1])

@@ -200,6 +200,12 @@ class TestMLE:
         assert isinstance(rho, DensityMatrix)
 
 
+def evaluate(nll, t, rows):
+    """(f, gradient, Hessian) of a likelihood at parameter rows t."""
+    f, terms = nll(t, rows)
+    return (f, *nll.derivatives(terms))
+
+
 class TestGradient:
     """The fit's exact gradient and Hessian against central differences."""
 
@@ -215,9 +221,9 @@ class TestGradient:
                   + [tomography._cholesky_params(near_pure[None])[0]])
         h = 1e-6
         for t in points:
-            _f, grad, hess = nll(t[None], rows)
-            shifted = [(nll((t + h * e)[None], rows), nll((t - h * e)[None], rows))
-                       for e in np.eye(16)]
+            _f, grad, hess = evaluate(nll, t[None], rows)
+            shifted = [(evaluate(nll, (t + h * e)[None], rows),
+                        evaluate(nll, (t - h * e)[None], rows)) for e in np.eye(16)]
             central = np.array([(up[0][0] - down[0][0]) / (2 * h) for up, down in shifted])
             assert np.linalg.norm(grad[0] - central) <= 1e-5 * np.linalg.norm(central)
             central = np.array([(up[1][0] - down[1][0]) / (2 * h) for up, down in shifted])
@@ -233,9 +239,9 @@ class TestGradient:
         nll_class = tomography._Likelihood
 
         class Counting(nll_class):
-            def __call__(self, t, rows, derivatives=True):
-                evaluations.append(derivatives)
-                return super().__call__(t, rows, derivatives)
+            def derivatives(self, terms):
+                evaluations.append(True)
+                return super().derivatives(terms)
 
         monkeypatch.setattr(tomography, "_Likelihood", Counting)
         t = tomography._fit(data.counts[None], "gaussian")
@@ -244,7 +250,7 @@ class TestGradient:
         assert 3 <= evaluations.count(True) <= 20
         # a second-order minimum on the unit sphere: no tangent gradient,
         # and the projected Hessian has no negative curvature
-        _f, grad, hess = nll_class(data.counts[None], "gaussian")(t, np.array([0]))
+        _f, grad, hess = evaluate(nll_class(data.counts[None], "gaussian"), t, np.array([0]))
         proj = np.eye(16) - np.outer(t[0], t[0])
         assert np.linalg.norm(proj @ grad[0]) <= 1e-6
         curvature = np.linalg.eigvalsh(proj @ hess[0] @ proj)
@@ -326,9 +332,9 @@ class TestStart:
         evaluations = []
 
         class Counting(tomography._Likelihood):
-            def __call__(self, t, rows, derivatives=True):
-                evaluations.append(derivatives)
-                return super().__call__(t, rows, derivatives)
+            def derivatives(self, terms):
+                evaluations.append(True)
+                return super().derivatives(terms)
 
         monkeypatch.setattr(tomography, "_Likelihood", Counting)
         rng = np.random.default_rng(20261019)
@@ -402,10 +408,10 @@ class TestBatchedFit:
         t = rng.normal(size=(5, 16))
         t /= np.linalg.norm(t, axis=1, keepdims=True)
         rows = np.arange(5)
-        stacked = nll(t, rows), nll(t, rows, False), tomography._start(nll)
+        stacked = evaluate(nll, t, rows), nll(t, rows)[0], tomography._start(nll)
         for i in rows:
             alone = tomography._Likelihood(stack[i:i + 1], likelihood)
-            lone = alone(t[i:i + 1], rows[:1]), alone(t[i:i + 1], rows[:1], False)
+            lone = evaluate(alone, t[i:i + 1], rows[:1]), alone(t[i:i + 1], rows[:1])[0]
             for got, want in zip(stacked[0], lone[0]):
                 assert np.array_equal(got[i], want[0])
             assert np.array_equal(stacked[1][i], lone[1][0])
@@ -425,7 +431,7 @@ class TestBatchedFit:
                               tomography._rho_from_params(pinned)[0]) <= 1e-6
         nll = tomography._Likelihood(counts, case["likelihood"])
         rows = np.array([0])
-        assert nll(t, rows, False)[0] <= nll(pinned, rows, False)[0] + 1e-9 * nll.flux[0]
+        assert nll(t, rows)[0][0] <= nll(pinned, rows)[0][0] + 1e-9 * nll.flux[0]
 
 
 class TestMonteCarloReport:
