@@ -1,13 +1,17 @@
 """The package's one Newton solver, and deferred access to
 ``scipy.optimize`` kept as tracer seams.
 
-:func:`sphere_newton` minimizes over the unit sphere. Its one caller is
-the tomography fit, on the sphere in R^16 (the general-axis search runs
-no Newton solver). Its Newton step factors the bordered tangent system
-P H P + (I - P) (:func:`bordered_hessian`), with P = I - x x^T, by
-Cholesky and solves it. A row that is not positive definite there takes
-the step from the eigenvalues of P H P by magnitude instead, and the
-other rows of its batch keep their Cholesky steps.
+:func:`sphere_newton` minimizes a scale-invariant objective over the
+unit sphere. Its one caller is the tomography fit, on the sphere in
+R^16 (the general-axis search runs no Newton solver). Scale invariance
+gives H x = -g and g^T x = 0 at a unit point x, so the Newton step
+solves the bordered system B = H + x g^T + g x^T + x x^T, which equals
+P H P + x x^T for the tangent projector P = I - x x^T, by Cholesky. A
+row that is not positive definite there takes the step from the
+eigenvalues of P H P = B - x x^T by magnitude instead, and the other
+rows of its batch keep their Cholesky steps. The objective is evaluated
+once at each trial point, and its gradient and Hessian are formed only
+at the points where a step is taken.
 
 No ``wgstate`` code calls a scipy solver. The five bindings
 ``measurement.minimize``, ``tomography.minimize``, ``metrology.minimize``,
@@ -37,20 +41,6 @@ _DECREMENT_TOL = 1e-12
 _EIGEN_FLOOR = 1e-12
 
 
-def tangent_projector(x):
-    """I - x x^T at unit rows x (m, d): the projectors (m, d, d) onto
-    their tangent spaces."""
-    return np.eye(x.shape[1]) - x[:, :, None] * x[:, None, :]
-
-
-def bordered_hessian(hess, proj):
-    """P H P + (I - P) over leading axes: the Hessian on the tangent spaces,
-    with the identity on the normal directions. It maps tangent vectors to
-    tangent vectors, and it is positive definite where P H P is on the
-    tangent spaces, so a solve with it is the tangent Newton step."""
-    return proj @ hess @ proj + np.eye(proj.shape[-1]) - proj
-
-
 def _bordered_step(grad, bordered):
     """-(P H P)^-1 g from a solve with the bordered system. Raises
     LinAlgError unless every row is positive definite: the Cholesky
@@ -60,24 +50,30 @@ def _bordered_step(grad, bordered):
     return -np.linalg.solve(bordered, grad[..., None])[..., 0]
 
 
-def _eigen_step(grad, hess, proj):
+def _eigen_step(grad, projected):
     """-V |L|^-1 V^T g for P H P = V L V^T, with the eigenvalues L taken by
     magnitude and floored at _EIGEN_FLOOR of the largest: a descent step
     where P H P is indefinite or singular."""
-    lam, vecs = np.linalg.eigh(proj @ hess @ proj)
+    lam, vecs = np.linalg.eigh(projected)
     lam = np.abs(lam)
     lam = np.maximum(lam, _EIGEN_FLOOR * lam.max(axis=1, keepdims=True))
     return -np.einsum("mij,mj->mi", vecs, np.einsum("mji,mj->mi", vecs, grad) / lam)
 
 
-def _newton_step(grad, hess, proj):
-    """The tangent Newton step of each row: :func:`_bordered_step` where
-    every row is positive definite, and otherwise the solve with the
+def _newton_step(grad, hess, x):
+    """The tangent Newton step of each unit row x: :func:`_bordered_step`
+    where every row is positive definite, and otherwise the solve with the
     bordered system for each row that its own Cholesky factorization finds
     positive definite, and :func:`_eigen_step` for the others. A row thus
     takes the step it takes alone, whatever the other rows of its batch.
-    The bordered system is built once, for both paths."""
-    bordered = bordered_hessian(hess, proj)
+
+    The bordered system B = H + x v^T + v x^T with v = g + x / 2 is
+    H + x g^T + g x^T + x x^T. Where H x = -g and g^T x = 0 it maps tangent
+    vectors to tangent vectors and x to x, and it is positive definite
+    where P H P = B - x x^T is on the tangent space, so a solve with it is
+    the tangent Newton step."""
+    xv = x[:, :, None] * (grad + x / 2)[:, None, :]
+    bordered = hess + xv + np.swapaxes(xv, 1, 2)
     try:
         return _bordered_step(grad, bordered)
     except np.linalg.LinAlgError:
@@ -90,33 +86,38 @@ def _newton_step(grad, hess, proj):
             definite[i] = False
     step = np.empty_like(grad)
     step[definite] = -np.linalg.solve(bordered[definite], grad[definite, :, None])[..., 0]
-    step[~definite] = _eigen_step(grad[~definite], hess[~definite], proj[~definite])
+    normal = x[~definite]
+    step[~definite] = _eigen_step(grad[~definite], bordered[~definite]
+                                  - normal[:, :, None] * normal[:, None, :])
     return step
 
 
 def sphere_newton(fun, x):
-    """Damped Newton minimization from each row of x (m, d), a point on
-    the unit sphere in R^d.
+    """Damped Newton minimization of a scale-invariant objective from each
+    row of x (m, d), a point on the unit sphere in R^d.
 
     ``fun(rows, index)`` takes unit points (m', d) and their row numbers
     ``index`` in x. It returns the values (m',) and a tuple of terms,
     arrays stacked by row. ``fun.derivatives(terms)`` returns the
-    gradients (m', d) and the Hessians (m', d, d) of the rows of
+    Euclidean gradients (m', d) and Hessians (m', d, d) of the rows of
     ``terms``, which may be a subset of the rows of several evaluations.
-    Each trial point is evaluated once, and derivatives are formed only
-    for the rows whose step is taken.
+    The objective must not depend on the scale of its argument, so that
+    H x = -g and g^T x = 0 at unit x.
 
-    Each step solves P H P s = -g in the tangent space (P = I - x x^T
-    projects out the normal x): by a Cholesky factorization of the
-    bordered system P H P + (I - P) where a row is positive definite
-    there, and otherwise with the eigenvalues of P H P taken by magnitude
-    and floored (:func:`_newton_step`). It backtracks to the Armijo
-    condition and retracts onto the sphere by normalizing (Absil, Mahony
-    & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
-    ch. 6). Every row stops on its own Newton decrement. Returns the
-    final rows (m, d), which rows converged, and the final gradients of
-    the rows that did not: those whose line search stalled, or that
-    reached the iteration cap.
+    Each trial point is the retracted step (x + alpha s) / |x + alpha s|,
+    evaluated once; its value decides the Armijo test, halving alpha from
+    1 until it passes. The gradient and the Hessian are formed only for
+    the rows that pass, from the terms of their evaluation, in one call
+    per iteration, and carry into the next Newton step: a rejected trial
+    costs one value and no derivatives. Each step solves P H P s = -g in
+    the tangent space (P = I - x x^T projects out the normal x) by
+    :func:`_newton_step`. This is the Riemannian Newton method with the
+    normalizing retraction (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008, ch. 6). Every row stops on its
+    own Newton decrement, taking its last step in full without evaluating
+    it. Returns the final rows (m, d), which rows converged, and the
+    gradients at the last accepted points of the rows that did not: those
+    whose line search stalled, or that reached the iteration cap.
     """
     x = np.array(x, dtype=float)
     m, d = x.shape
@@ -127,7 +128,7 @@ def sphere_newton(fun, x):
     grad, hess = fun.derivatives(terms)
     for _ in range(_NEWTON_MAX_ITER):
         xa = x[active]
-        step = _newton_step(grad, hess, tangent_projector(xa))
+        step = _newton_step(grad, hess, xa)
         step -= np.einsum("mi,mi->m", step, xa)[:, None] * xa
         slope = np.einsum("mi,mi->m", grad, step)
         last = -slope <= _DECREMENT_TOL * (1 + f)

@@ -76,9 +76,13 @@ _TOMO_PLAN = [
 _ORTHOGONAL = {"H": "V", "V": "H", "D": "A", "A": "D", "L": "R", "R": "L"}
 
 
+# built once: the settings are frozen, and each call returns a new list of them
+_SETTINGS = tuple(TomographySetting(f"{s1}x{s2}", *angles) for s1, s2, *angles in _TOMO_PLAN)
+
+
 def tomography_settings() -> list[TomographySetting]:
     """The 16 projective settings used for two-photon state tomography."""
-    return [TomographySetting(f"{s1}x{s2}", *angles) for s1, s2, *angles in _TOMO_PLAN]
+    return list(_SETTINGS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +250,11 @@ class _Likelihood:
     An outcome without counts contributes phi(p, 0) = p / 2 (Gaussian)
     or p (Poisson), smooth down to p = 0; only an outcome with counts
     needs the floor, below which its term is constant.
+
+    A call returns f with the terms it was built from (t, s, Q_k t, p_k
+    and the per-outcome terms, stacked by row), and :meth:`derivatives`
+    forms the gradient and the Hessian of any rows of such terms, so a
+    rejected trial point costs one evaluation and no derivative work.
     """
 
     # Q_k stacked, C-contiguous, for t -> (Q_k t)_k; flattened for sum_k w_k Q_k
@@ -275,12 +284,12 @@ class _Likelihood:
         clamped = observed & (p <= self.floor)
         value, d1, d2 = self.phi(np.where(observed, np.maximum(p, self.floor), 1.0), ratios)
         f = flux * np.where(observed, value, d1 * p).sum(axis=1)
-        return f, (flux, t, s, qt, p, clamped, d1, d2)
+        return f, (t, s, qt, p, flux, clamped, d1, d2)
 
     def derivatives(self, terms):
         """The gradient and the Hessian of the rows of ``terms``, a subset
         of the rows of one or more evaluations, each term stacked by row."""
-        flux, t, s, qt, p, clamped, d1, d2 = terms
+        t, s, qt, p, flux, clamped, d1, d2 = terms
         m = len(t)
         # with u_k = Q_k t - p_k t, grad p_k = 2 u_k / s: the weights take
         # the factors 2/s and 4/s^2 of the gradient and of the Gauss-Newton
@@ -318,12 +327,15 @@ def _fit(counts: np.ndarray, likelihood: str) -> np.ndarray:
     (m, 16, 4) count stack, each fit started by :func:`_start` from the
     least-squares inversion of its outcome ratios.
 
-    The objective does not depend on the scale of t, so its gradient is
-    tangent to the unit sphere and the direction of t is an exact null
-    direction of its Hessian (H t = -grad f): ``sphere_newton`` runs on
-    it unchanged, with no curvature term to add. A dataset whose line
-    search stalls, or that reaches the iteration cap, is accepted only if
-    its final gradient is negligible on the scale of its flux.
+    The objective does not depend on the scale of t, so t^T g = 0 for its
+    gradient g, and differentiating that gives H t = -g for its Hessian
+    H. That is the premise of ``sphere_newton``'s bordered system, so the
+    likelihood's Euclidean derivatives serve it unchanged, with no
+    curvature term to add. Each trial point is evaluated once, and
+    derivatives are formed only for the datasets whose step is taken. A
+    dataset whose line search stalls, or that reaches the iteration cap,
+    is accepted only if the gradient at its last accepted point is
+    negligible on the scale of its flux.
     """
     nll = _Likelihood(counts, likelihood)
     t, converged, grad = sphere_newton(nll, _start(nll))
@@ -434,6 +446,10 @@ def read_dataset_csv(path) -> TomographyDataset:
         if missing:
             raise ValueError(f"malformed dataset CSV: missing columns {sorted(missing)}")
         for row in reader:
+            # a short row reads None for its missing fields, and a long one
+            # keeps its extra fields under the key None
+            if None in row or None in row.values():
+                raise ValueError(f"malformed dataset CSV row: {row!r}")
             try:
                 idx = int(row["setting_index"])
                 counts = [int(c) for c in row["counts"].split(";")]

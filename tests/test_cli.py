@@ -11,7 +11,7 @@ from wgstate.cli import _observable_waveplates, main
 from wgstate.measurement import pauli_observable, solve_projector_batch
 from wgstate.stategen import weighted_graph_state
 from wgstate.tomography import TomographyDataset, dataset_csv, simulate_tomography
-from make_goldens import GOLDEN_DIR, run_all
+from make_goldens import GOLDEN_DIR, changes, main_script, run_all
 
 
 def run(tmp_path, monkeypatch, argv):
@@ -34,6 +34,20 @@ class TestGoldenFiles:
         deviating = [name for name in names
                      if (tmp_path / name).read_bytes() != (GOLDEN_DIR / name).read_bytes()]
         assert not deviating, f"outputs deviate from goldens: {deviating}"
+
+
+    def test_diff_mode_finds_no_difference_and_writes_nothing(self, capsys):
+        before = {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()}
+        assert main_script(["--diff"]) == 0
+        assert capsys.readouterr().out == f"0 of {len(before)} goldens differ\n"
+        assert {p.name: p.read_bytes() for p in GOLDEN_DIR.iterdir()} == before
+
+    def test_diff_names_each_changed_value(self):
+        assert changes("r.json", '{"a": {"b": [1.0, 2.0]}, "c.d": "s", "e": 1}',
+                       '{"a": {"b": [1.0, 2.5]}, "c.d": "t", "e": 1}') == [
+            "$.a.b[1]: 2.0 -> 2.5  |delta| 0.5", """$["c.d"]: 's' -> 't'"""]
+        assert changes("q.csv", "phi,F\n0.0,1.0\n1.0,2.0\n", "phi,F\n0.0,1.25\n1.0,2.0\n") == [
+            "[1].F: 1.0 -> 1.25  |delta| 0.25"]
 
 
 class TestStateCommand:
@@ -227,6 +241,19 @@ class TestTomoCommand:
         (tmp_path / "bad.csv").write_text("nope\n1\n")
         assert main(["tomo", "reconstruct", "--in", "bad.csv", "--phi12", "0",
                      "--out", "r.json", "--no-timestamp"]) == 2
+
+    # the short row ended in a traceback with exit 1
+    @pytest.mark.parametrize("row", ["0,VxV,45", "0,VxV,45,0,45,0,1;2;3;4,10,7"],
+                             ids=["short", "long"])
+    def test_ragged_csv_row_exits_two(self, tmp_path, monkeypatch, capsys, row):
+        monkeypatch.chdir(tmp_path)
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0)
+        lines = dataset_csv(data).splitlines()
+        (tmp_path / "ragged.csv").write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        assert main(["tomo", "reconstruct", "--in", "ragged.csv", "--phi12", "1",
+                     "--out", "r.json", "--no-timestamp"]) == 2
+        assert "malformed dataset CSV row" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
     def test_sparse_data_with_empty_resamples(self, tmp_path, monkeypatch):
         # ~2 counts per setting and one rectilinear transmitted count: some

@@ -103,24 +103,34 @@ def tangent(proj, v):
     return np.einsum("mij,mj->mi", proj, v)
 
 
-def cholesky_step(grad, hess, proj):
-    return _optimize._bordered_step(grad, _optimize.bordered_hessian(hess, proj))
+def projector(x):
+    """I - x x^T: the projectors onto the tangent spaces of unit rows x."""
+    return np.eye(x.shape[1]) - x[:, :, None] * x[:, None, :]
+
+
+def cholesky_step(grad, hess, x):
+    """The Cholesky step on the bordered system written as P H P + (I - P)."""
+    proj = projector(x)
+    return _optimize._bordered_step(grad, proj @ hess @ proj + np.eye(x.shape[1]) - proj)
 
 
 def test_cholesky_step_equals_eigenvalue_step():
-    # P H P is positive definite on the tangent spaces where H >= I
+    # the Hessian of a scale-invariant objective at unit x, H x = -g:
+    # P H P = P A P is positive definite on the tangent spaces where A >= I
     rng = np.random.default_rng(6)
     x = rng.normal(size=(7, 16))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    proj = _optimize.tangent_projector(x)
+    proj = projector(x)
     a = rng.normal(size=(7, 16, 16))
-    hess = a @ np.swapaxes(a, 1, 2) + np.eye(16)
     grad = tangent(proj, rng.normal(size=(7, 16)))
-    cholesky = cholesky_step(grad, hess, proj)
-    eigen = _optimize._eigen_step(grad, hess, proj)
+    xg = x[:, :, None] * grad[:, None, :]
+    hess = proj @ (a @ np.swapaxes(a, 1, 2) + np.eye(16)) @ proj - xg - np.swapaxes(xg, 1, 2)
+    step = _optimize._newton_step(grad, hess, x)
+    eigen = _optimize._eigen_step(grad, proj @ hess @ proj)
     # sphere_newton projects each step onto the tangent space
-    assert np.abs(tangent(proj, cholesky) - tangent(proj, eigen)).max() <= 1e-12
-    assert np.abs(cholesky - tangent(proj, cholesky)).max() <= 1e-12
+    assert np.abs(tangent(proj, step) - tangent(proj, eigen)).max() <= 1e-12
+    assert np.abs(step - tangent(proj, step)).max() <= 1e-12
+    assert np.abs(step - cholesky_step(grad, hess, x)).max() <= 1e-12
 
 
 # f(x) = x^T A x / x^T x on the unit sphere in R^4: its minimum is 1, at +-e1,
@@ -157,10 +167,9 @@ def test_indefinite_row_falls_back_and_every_row_reaches_its_minimum(monkeypatch
                        [0.05, 0.1, 0.2, 1.0],    # near the maximum
                        [0.3, 1.0, 0.2, 0.1]])    # near a saddle
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    proj = _optimize.tangent_projector(starts)
     grad, hess = rayleigh_derivatives(starts)
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky_step(grad, hess, proj)
+        cholesky_step(grad, hess, starts)
     fallbacks = []
     eigen_step = _optimize._eigen_step
 
@@ -185,12 +194,66 @@ def test_definite_rows_keep_their_cholesky_steps_beside_an_indefinite_one():
                        [0.05, 0.1, 0.2, 1.0],
                        [0.9, 0.3, 0.2, 0.1]])
     starts /= np.linalg.norm(starts, axis=1, keepdims=True)
-    proj = _optimize.tangent_projector(starts)
     grad, hess = rayleigh_derivatives(starts)
-    step = _optimize._newton_step(grad, hess, proj)
-    for i in (0, 2):
-        alone = cholesky_step(grad[i:i + 1], hess[i:i + 1], proj[i:i + 1])
+    step = _optimize._newton_step(grad, hess, starts)
+    for i in range(3):
+        alone = _optimize._newton_step(grad[i:i + 1], hess[i:i + 1], starts[i:i + 1])
         assert np.array_equal(step[i], alone[0])
+    for i in (0, 2):
+        oracle = cholesky_step(grad[i:i + 1], hess[i:i + 1], starts[i:i + 1])
+        assert np.abs(step[i] - oracle[0]).max() <= 1e-12
     with pytest.raises(np.linalg.LinAlgError):
-        cholesky_step(grad[1:2], hess[1:2], proj[1:2])
-    assert np.array_equal(step[1], _optimize._eigen_step(grad[1:2], hess[1:2], proj[1:2])[0])
+        cholesky_step(grad[1:2], hess[1:2], starts[1:2])
+    # the eigenvalue step of P H P, up to the normal component that
+    # sphere_newton projects out
+    proj = projector(starts[1:2])
+    eigen = _optimize._eigen_step(grad[1:2], proj @ hess[1:2] @ proj)
+    assert np.abs(tangent(proj, step[1:2] - eigen)).max() <= 1e-12
+
+
+STARTS = np.array([[1.0, 0.2, 0.1, 0.3],     # near the minimum
+                   [0.05, 0.1, 0.2, 1.0],    # near the maximum
+                   [0.3, 1.0, 0.2, 0.1]])    # near a saddle
+STARTS /= np.linalg.norm(STARTS, axis=1, keepdims=True)
+
+
+class Stalling(Rayleigh):
+    """Every trial of row ``stalled`` fails the Armijo test; each
+    derivative call is logged by its points."""
+
+    def __init__(self, stalled=-1):
+        self.stalled, self.evaluations, self.derived = stalled, 0, []
+
+    def __call__(self, rows, index):
+        f, terms = super().__call__(rows, index)
+        self.evaluations += 1
+        if self.evaluations > 1:
+            f = np.where(index == self.stalled, np.inf, f)
+        return f, terms
+
+    def derivatives(self, terms):
+        self.derived.append(terms[0].copy())
+        return super().derivatives(terms)
+
+
+def test_stalled_row_ends_unconverged_with_the_gradient_at_its_last_point():
+    objective = Stalling(1)
+    x, converged, final_grad = _optimize.sphere_newton(objective, STARTS)
+    assert converged.tolist() == [True, False, True]
+    assert np.array_equal(x[1], STARTS[1])
+    assert np.array_equal(final_grad, rayleigh_derivatives(STARTS)[0][1:2])
+    # its 40 halvings were value-only: beside the other two rows, it
+    # took derivatives once, at its start
+    others = Stalling()
+    alone, _, _ = _optimize.sphere_newton(others, STARTS[[0, 2]])
+    assert np.abs(x[[0, 2]] - alone).max() <= 1e-10
+    assert (len(np.concatenate(objective.derived))
+            == len(np.concatenate(others.derived)) + 1)
+
+
+def test_rows_at_the_iteration_cap_end_unconverged_with_their_last_gradients(monkeypatch):
+    monkeypatch.setattr(_optimize, "_NEWTON_MAX_ITER", 2)
+    x, converged, final_grad = _optimize.sphere_newton(rayleigh, STARTS)
+    assert not converged.any()
+    assert not (x == STARTS).all(axis=1).any()
+    assert np.array_equal(final_grad, rayleigh_derivatives(x)[0])

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgstate.tomography as tomography
+from wgstate import _optimize
 from wgstate.qmath import (POLARIZATION_KETS, DensityMatrix, PureState2Q, as_density,
                            concurrence, fidelity, tensor, trace_distance)
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
@@ -229,6 +230,22 @@ class TestGradient:
             central = np.array([(up[1][0] - down[1][0]) / (2 * h) for up, down in shifted])
             assert np.linalg.norm(hess[0] - central) <= 1e-5 * np.linalg.norm(central)
 
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    def test_scale_invariance_borders_the_newton_system(self, likelihood):
+        # the premise of sphere_newton's bordered system: H t = -g and
+        # g^T t = 0 at unit t
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
+        nll = tomography._Likelihood(data.counts[None], likelihood)
+        rng = np.random.default_rng(8)
+        near_pure = (1 - 1e-3) * as_density(weighted_graph_state(2.0)) + 1e-3 * np.eye(4) / 4
+        points = ([rng.normal(size=16) for _ in range(3)]
+                  + [tomography._cholesky_params(near_pure[None])[0]])
+        for t in points:
+            t = t / np.linalg.norm(t)
+            _f, grad, hess = evaluate(nll, t[None], np.array([0]))
+            assert np.linalg.norm(hess[0] @ t + grad[0]) <= 1e-13 * np.linalg.norm(hess[0])
+            assert abs(grad[0] @ t) <= 1e-13 * np.linalg.norm(grad[0])
+
     def test_fit_runs_newton_on_the_hessian(self, monkeypatch):
         def no_scipy(*args, **kwargs):
             raise AssertionError("the fit called a scipy optimizer")
@@ -434,6 +451,97 @@ class TestBatchedFit:
         assert nll(t, rows)[0][0] <= nll(pinned, rows)[0][0] + 1e-9 * nll.flux[0]
 
 
+@pytest.fixture
+def fit_log(monkeypatch):
+    """The fit's calls in order: ("value", points) for each evaluation of
+    its likelihood, ("derivatives", points) for each derivative call, and
+    ("step", points) for the points each Newton step is taken from."""
+    log = []
+
+    class Logging(tomography._Likelihood):
+        def __call__(self, t, rows):
+            log.append(("value", t.copy()))
+            return super().__call__(t, rows)
+
+        def derivatives(self, terms):
+            log.append(("derivatives", terms[0].copy()))
+            return super().derivatives(terms)
+
+    newton_step = _optimize._newton_step
+
+    def logged_step(grad, hess, x):
+        log.append(("step", x.copy()))
+        return newton_step(grad, hess, x)
+
+    monkeypatch.setattr(tomography, "_Likelihood", Logging)
+    monkeypatch.setattr(_optimize, "_newton_step", logged_step)
+    return log
+
+
+def logged_points(log, kind):
+    """The rows of every logged call of one kind, as sorted bytes."""
+    return sorted(row.tobytes() for k, rows in log if k == kind for row in rows)
+
+
+class TestNewtonLoop:
+    """sphere_newton's line search and its rare exits, on the fit."""
+
+    @pytest.mark.parametrize("likelihood", LIKELIHOODS)
+    def test_rejected_full_step_beside_passing_rows(self, fit_log, likelihood):
+        stack = stacked_counts([(1.0, 0.1, 15.0, 1), (2.0, 0.0, 3.0, 2)])
+        t = tomography._fit(stack, likelihood)
+        log = list(fit_log)
+        # the evaluations of each iteration, up to its derivative call
+        iterations, calls = [], []
+        for kind, rows in log:
+            if kind == "value":
+                calls.append(len(rows))
+            elif kind == "derivatives":
+                iterations.append(calls)
+                calls = []
+        # an iteration whose full step fails for one row and passes for the other
+        assert any(len(calls) >= 2 and calls[1] < calls[0] for calls in iterations)
+        # derivatives are formed exactly at the points a step is taken
+        # from, so at no rejected trial
+        derived = logged_points(log, "derivatives")
+        assert derived == logged_points(log, "step")
+        assert set(logged_points(log, "value")) - set(derived)
+        for i, counts in enumerate(stack):
+            alone = tomography._fit(counts[None], likelihood)
+            assert np.array_equal(t[i], alone[0])
+
+    def test_fit_whose_full_steps_pass_makes_no_value_only_call(self, fit_log):
+        # every full step of this fit passes the Armijo test, so each
+        # evaluation is at a point a step is taken from
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
+        tomography._fit(data.counts[None], "gaussian")
+        values = [rows for kind, rows in fit_log if kind == "value"]
+        derived = [rows for kind, rows in fit_log if kind == "derivatives"]
+        assert len(values) == len(derived) >= 3
+        assert all(np.array_equal(a, b) for a, b in zip(values, derived))
+
+    @pytest.mark.parametrize("limit, value", [("_NEWTON_MAX_ITER", 2), ("_MAX_HALVINGS", 0)],
+                             ids=["iteration cap", "stalled line search"])
+    def test_unconverged_fit_with_a_large_gradient_raises(self, monkeypatch, limit, value):
+        monkeypatch.setattr(_optimize, limit, value)
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
+        with pytest.raises(tomography.ReconstructionError, match="did not converge"):
+            tomography._fit(data.counts[None], "gaussian")
+
+    def test_unconverged_fit_with_a_negligible_gradient_is_accepted(self, monkeypatch):
+        # this fit converges at its 9th iteration; at the 8th its gradient
+        # is ~1e-8, far below 1e-4 of its flux
+        data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
+        converged = tomography._fit(data.counts[None], "gaussian")
+        monkeypatch.setattr(_optimize, "_NEWTON_MAX_ITER", 8)
+        nll = tomography._Likelihood(data.counts[None], "gaussian")
+        _t, (done,), _grad = _optimize.sphere_newton(nll, tomography._start(nll))
+        assert not done
+        capped = tomography._fit(data.counts[None], "gaussian")
+        assert trace_distance(tomography._rho_from_params(capped)[0],
+                              tomography._rho_from_params(converged)[0]) <= 1e-9
+
+
 class TestMonteCarloReport:
     def test_default_sample_count(self):
         import inspect
@@ -521,6 +629,25 @@ class TestCsvRoundTrip:
         path.write_text("setting_index,projector_label\n0,HxH\n")
         with pytest.raises(ValueError):
             read_dataset_csv(path)
+
+    # a short row raised AttributeError, and a long one was read
+    @pytest.mark.parametrize("edit", [lambda line: line.rsplit(",", 5)[0],
+                                      lambda line: line + ",7"], ids=["short", "long"])
+    def test_row_with_a_wrong_field_count_rejected(self, tmp_path, edit):
+        data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
+        path = tmp_path / "ragged.csv"
+        lines = dataset_csv(data).splitlines()
+        lines[1] = edit(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="malformed dataset CSV row"):
+            read_dataset_csv(path)
+
+    def test_settings_are_built_once(self):
+        first, second = tomography_settings(), tomography_settings()
+        assert first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        first.clear()
+        assert len(tomography_settings()) == 16
 
     def test_duplicate_setting_rejected(self, tmp_path):
         data = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0)
