@@ -97,10 +97,12 @@ def sphere_newton(fun, x):
     row of x (m, d), a point on the unit sphere in R^d.
 
     ``fun(rows, index)`` takes unit points (m', d) and their row numbers
-    ``index`` in x. It returns the values (m',) and a tuple of terms,
-    arrays stacked by row. ``fun.derivatives(terms)`` returns the
-    Euclidean gradients (m', d) and Hessians (m', d, d) of the rows of
-    ``terms``, which may be a subset of the rows of several evaluations.
+    ``index`` in x. It returns the values (m',) and a tuple of terms:
+    new arrays stacked by row, which the solver may overwrite row by row.
+    ``fun.derivatives(terms)`` returns the Euclidean gradients (m', d) and
+    Hessians (m', d, d) of the rows of ``terms``, assembled from the
+    evaluations of one iteration: the full step's, with the rows that pass
+    at a halving written over it.
     The objective must not depend on the scale of its argument, so that
     H x = -g and g^T x = 0 at unit x.
 
@@ -134,31 +136,37 @@ def sphere_newton(fun, x):
         last = -slope <= _DECREMENT_TOL * (1 + f)
         new = xa[last] + step[last]
         x[active[last]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
-        # (rows of the active set, their values, their terms) of each
-        # halving that some row passes
-        passed = []
-        search = np.flatnonzero(~last)
+        # the full step's evaluation holds the value and the terms of every
+        # row that searches, and a row that passes at a halving writes its own
+        rows = np.flatnonzero(~last)
+        pending = np.arange(len(rows))   # positions in rows still searching
         alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            if not search.size:
+        for halving in range(_MAX_HALVINGS):
+            if not pending.size:
                 break
+            search = rows[pending]
             trial = xa[search] + alpha * step[search]
             trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_f, terms = fun(trial, active[search])
+            trial_f, trial_terms = fun(trial, active[search])
             ok = trial_f <= f[search] + _ARMIJO * alpha * slope[search]
             x[active[search[ok]]] = trial[ok]
-            if ok.all():
-                passed.append((search, trial_f, *terms))
-            elif ok.any():
-                passed.append([a[ok] for a in (search, trial_f, *terms)])
-            search = search[~ok]
+            if not halving:
+                f_new, terms = trial_f, trial_terms
+            else:
+                for kept, fresh in zip((f_new, *terms), (trial_f, *trial_terms)):
+                    kept[pending[ok]] = fresh[ok]
+            pending = pending[~ok]
             alpha /= 2
-        converged[active[search]] = False
-        final_grad[active[search]] = grad[search]
-        if not passed:
+        stalled = rows[pending]
+        converged[active[stalled]] = False
+        final_grad[active[stalled]] = grad[stalled]
+        moved = np.ones(len(rows), dtype=bool)
+        moved[pending] = False
+        if not moved.any():
             break
-        taken, f, *terms = passed[0] if len(passed) == 1 else map(np.concatenate, zip(*passed))
-        active = active[taken]
+        if pending.size:
+            f_new, *terms = [a[moved] for a in (f_new, *terms)]
+        active, f = active[rows[moved]], f_new
         grad, hess = fun.derivatives(terms)
     else:
         converged[active] = False

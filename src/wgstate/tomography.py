@@ -287,8 +287,8 @@ class _Likelihood:
         return f, (t, s, qt, p, flux, clamped, d1, d2)
 
     def derivatives(self, terms):
-        """The gradient and the Hessian of the rows of ``terms``, a subset
-        of the rows of one or more evaluations, each term stacked by row."""
+        """The gradient and the Hessian of the rows of ``terms``, each term
+        stacked by row; its rows may come from several evaluations."""
         t, s, qt, p, flux, clamped, d1, d2 = terms
         m = len(t)
         # with u_k = Q_k t - p_k t, grad p_k = 2 u_k / s: the weights take

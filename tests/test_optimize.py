@@ -144,11 +144,11 @@ class Rayleigh:
     def __call__(self, rows, index):
         s = np.einsum("mi,mi->m", rows, rows)
         ax = rows @ RAYLEIGH
-        return np.einsum("mi,mi->m", ax, rows) / s, (rows, s, ax)
+        f = np.einsum("mi,mi->m", ax, rows) / s
+        return f, (rows, s, ax, f)
 
     def derivatives(self, terms):
-        rows, s, ax = terms
-        f = np.einsum("mi,mi->m", ax, rows) / s
+        rows, s, ax, f = terms
         grad = 2 * (ax - f[:, None] * rows) / s[:, None]
         gx = grad[:, :, None] * rows[:, None, :]
         hess = 2 * (RAYLEIGH - f[:, None, None] * np.eye(4)) - 2 * (gx + np.swapaxes(gx, 1, 2))
