@@ -16,11 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._optimize import LazyOptimizer
 from .optics import PHASE_CUT_TOL, canonical_phase, wrap_interval
 from .qmath import PAULI_PRODUCTS, as_density, pauli_correlations
 
-minimize = LazyOptimizer("minimize")
+# bench/spans.py's OPTIMIZERS rebinds this name and nothing calls it; ROADMAP item 5 deletes it
+minimize = None
 
 OUTCOME_PAIRS = ("++", "+-", "-+", "--")
 
@@ -182,6 +182,14 @@ def checked_durations(durations, shape: tuple = ()) -> np.ndarray:
     return d
 
 
+def _check_rate_and_duration(rate: float, duration: float) -> None:
+    """Raise ValueError unless a count rate and an acquisition time are
+    each finite and >= 0."""
+    for name, value in (("rate", rate), ("duration", duration)):
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarray:
     """Poisson-sample the four coincidence counts for one acquisition.
 
@@ -191,8 +199,7 @@ def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarra
     probs = np.asarray(probs, dtype=float)
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("outcome probabilities must sum to 1")
-    if rate < 0 or duration < 0:
-        raise ValueError("rate and duration must be >= 0")
+    _check_rate_and_duration(rate, duration)
     return checked_counts(np.random.default_rng(seed).poisson(rate * duration * probs), (4,))
 
 

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optimize import LazyOptimizer
 from .measurement import OUTCOME_PAIRS, checked_counts, checked_durations
 from .optics import canonical_phase
 
-least_squares = LazyOptimizer("least_squares")
+# bench/spans.py's OPTIMIZERS rebinds this name and nothing calls it; ROADMAP item 5 deletes it
+least_squares = None
 
 REDRAW_CAP = 100
 # level of the percentile intervals
@@ -233,6 +233,8 @@ def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
 
 def visibility(n_max: float, n_min: float) -> float:
     """Fringe contrast (N_max - N_min) / (N_max + N_min)."""
+    if not (np.isfinite(n_max) and np.isfinite(n_min)):
+        raise ValueError(f"counts must be finite, got n_max={n_max!r}, n_min={n_min!r}")
     if n_min < 0 or n_max < n_min:
         raise ValueError("need n_max >= n_min >= 0")
     if n_max <= 0:
@@ -289,8 +291,12 @@ def cosine_fit(xs, ys) -> FitResult:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if len(xs) < 4:
         raise ValueError("need at least four points to fit four parameters")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
 
     dx = xs[1] - xs[0]
+    if dx == 0:
+        raise ValueError("the first two xs must differ: their spacing sets the start frequency")
     detrended = ys - ys.mean()
     spectrum = np.fft.rfft(detrended)
     if np.abs(spectrum[1:]).max() > 0:

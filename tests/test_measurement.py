@@ -129,6 +129,12 @@ class TestOutcomeProbabilities:
             assert w @ probs == pytest.approx(expectation(obs.matrix(), state), abs=1e-10)
 
 
+# (rate, duration, the one a simulator must name in refusing them)
+BAD_RATES = [(float("nan"), 10.0, "rate"), (float("inf"), 10.0, "rate"), (-1.0, 10.0, "rate"),
+             (150.0, float("nan"), "duration"), (150.0, float("inf"), "duration"),
+             (150.0, -1.0, "duration")]
+
+
 class TestSimulateCounts:
     def test_zero_rate(self):
         counts = simulate_counts([0.25, 0.25, 0.25, 0.25], rate=0.0, duration=10.0, seed=1)
@@ -166,6 +172,11 @@ class TestSimulateCounts:
     def test_invalid_probs_rejected(self):
         with pytest.raises(ValueError):
             simulate_counts([0.5, 0.5, 0.5, 0.5], 100.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("rate, duration, named", BAD_RATES)
+    def test_non_finite_or_negative_rate_or_duration_refused(self, rate, duration, named):
+        with pytest.raises(ValueError, match=rf"^{named} must be finite and >= 0, got"):
+            simulate_counts([0.25] * 4, rate, duration, seed=0)
 
 
 def shape_id(shape):

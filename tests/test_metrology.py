@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wgstate import _optimize, metrology
+from wgstate import metrology, tomography
 from wgstate.measurement import (_axis_angles, general_axis_observable,
                                  outcome_probabilities, pauli_observable)
 from wgstate.metrology import (VARIANCE_TOLERANCE, DerivativeVanishesError,
@@ -381,7 +381,7 @@ class TestGeneralAxisSearch:
         def refuse(*args, **kwargs):
             raise AssertionError("the search called sphere_newton")
 
-        monkeypatch.setattr(_optimize, "sphere_newton", refuse)
+        monkeypatch.setattr(tomography, "sphere_newton", refuse)
         assert not hasattr(metrology, "sphere_newton")
 
     @pytest.mark.parametrize("phi12, theta_star", [(1.3, 0.4), (2.2, -1.1), (0.9, 2.5),
@@ -410,6 +410,23 @@ class TestGeneralAxisSearch:
             if gap > bound:
                 failures.append((phi12, theta_star, gap))
         assert len(minima) == len(GENERAL_SEARCH_ESTIMATES) and not failures
+
+    def test_converged_push_lies_within_the_cap(self, monkeypatch):
+        # so the search takes a converged push without testing its variance
+        pushes = []
+        branch_push = metrology._branch_push
+
+        def spy(axes, x, cap):
+            pushes.append((branch_push(axes, x, cap), cap))
+            return pushes[-1][0]
+
+        monkeypatch.setattr(metrology, "_branch_push", spy)
+        for phi12, theta_star, _, _ in GENERAL_SEARCH_ESTIMATES:
+            general_axis_search(phi12, theta_star)
+        converged = [(pair, cap) for (pair, done), cap in pushes if done]
+        assert len(pushes) == len(GENERAL_SEARCH_ESTIMATES) and converged
+        assert all(metrology._variance(*pair[2:]) <= cap + metrology._CAP_TOL
+                   for pair, cap in converged)
 
     def test_scan_start_is_the_best_pair_of_the_whole_family(self, monkeypatch):
         # the scan over [0, pi/2] finds the least penalized objective among

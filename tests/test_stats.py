@@ -370,6 +370,12 @@ class TestVisibility:
         with pytest.raises(ValueError):
             visibility(10, 20)
 
+    @pytest.mark.parametrize("n_max, n_min", [(float("nan"), 1.0), (10.0, float("nan")),
+                                              (float("inf"), 1.0), (float("inf"), float("inf"))])
+    def test_non_finite_counts_refused(self, n_max, n_min):
+        with pytest.raises(ValueError, match="^counts must be finite"):
+            visibility(n_max, n_min)
+
 
 class TestCosineFit:
     def test_exact_recovery(self):
@@ -424,6 +430,19 @@ class TestCosineFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             cosine_fit([0, 1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("where", ["xs", "ys"])
+    def test_non_finite_input_refused(self, where, value):
+        data = {"xs": np.arange(8.0), "ys": np.cos(np.arange(8.0))}
+        data[where][3] = value
+        with pytest.raises(ValueError, match="^xs and ys must be finite$"):
+            cosine_fit(data["xs"], data["ys"])
+
+    def test_repeated_first_x_refused(self):
+        # the first spacing sets the start frequency
+        with pytest.raises(ValueError, match="^the first two xs must differ"):
+            cosine_fit([0.0, 0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.0, 0.5, 1.0])
 
     def test_result_type(self):
         xs = np.arange(10, dtype=float)

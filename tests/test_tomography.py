@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wgstate.tomography as tomography
-from wgstate import _optimize
 from wgstate.qmath import (POLARIZATION_KETS, DensityMatrix, PureState2Q, as_density,
                            concurrence, fidelity, tensor, trace_distance)
 from wgstate.stategen import NoiseModel, apply_noise, weighted_graph_state
@@ -41,7 +40,24 @@ def brute_force_probs(state, setting):
     return np.array([np.real(ket.conj() @ rho @ ket) for ket in kets])
 
 
+# (rate, duration, the one a simulator must name in refusing them)
+BAD_RATES = [(float("nan"), 10.0, "rate"), (float("inf"), 10.0, "rate"), (-1.0, 10.0, "rate"),
+             (150.0, float("nan"), "duration"), (150.0, float("inf"), "duration"),
+             (150.0, -1.0, "duration")]
+
+
 class TestSimulateTomography:
+    @pytest.mark.parametrize("poisson", [False, True], ids=["exact", "poisson"])
+    @pytest.mark.parametrize("rate, duration, named", BAD_RATES)
+    def test_non_finite_or_negative_rate_or_duration_refused(self, poisson, rate, duration,
+                                                             named):
+        with pytest.raises(ValueError, match=rf"^{named} must be finite and >= 0, got"):
+            simulate_tomography(weighted_graph_state(1.0), rate, duration, poisson=poisson)
+
+    def test_exact_counts_past_int64_refused(self):
+        with pytest.raises(ValueError, match="outside int64"):
+            simulate_tomography(weighted_graph_state(1.0), 1e19, 10.0)
+
     def test_maximally_mixed_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4)
         data = simulate_tomography(rho, rate=100.0, duration=10.0)
@@ -467,14 +483,14 @@ def fit_log(monkeypatch):
             log.append(("derivatives", terms[0].copy()))
             return super().derivatives(terms)
 
-    newton_step = _optimize._newton_step
+    newton_step = tomography._newton_step
 
     def logged_step(grad, hess, x):
         log.append(("step", x.copy()))
         return newton_step(grad, hess, x)
 
     monkeypatch.setattr(tomography, "_Likelihood", Logging)
-    monkeypatch.setattr(_optimize, "_newton_step", logged_step)
+    monkeypatch.setattr(tomography, "_newton_step", logged_step)
     return log
 
 
@@ -523,7 +539,7 @@ class TestNewtonLoop:
     @pytest.mark.parametrize("limit, value", [("_NEWTON_MAX_ITER", 2), ("_MAX_HALVINGS", 0)],
                              ids=["iteration cap", "stalled line search"])
     def test_unconverged_fit_with_a_large_gradient_raises(self, monkeypatch, limit, value):
-        monkeypatch.setattr(_optimize, limit, value)
+        monkeypatch.setattr(tomography, limit, value)
         data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
         with pytest.raises(tomography.ReconstructionError, match="did not converge"):
             tomography._fit(data.counts[None], "gaussian")
@@ -533,9 +549,9 @@ class TestNewtonLoop:
         # is ~1e-8, far below 1e-4 of its flux
         data = simulate_tomography(weighted_graph_state(1.0), 150.0, 10.0, seed=4, poisson=True)
         converged = tomography._fit(data.counts[None], "gaussian")
-        monkeypatch.setattr(_optimize, "_NEWTON_MAX_ITER", 8)
+        monkeypatch.setattr(tomography, "_NEWTON_MAX_ITER", 8)
         nll = tomography._Likelihood(data.counts[None], "gaussian")
-        _t, (done,), _grad = _optimize.sphere_newton(nll, tomography._start(nll))
+        _t, (done,), _grad = tomography.sphere_newton(nll, tomography._start(nll))
         assert not done
         capped = tomography._fit(data.counts[None], "gaussian")
         assert trace_distance(tomography._rho_from_params(capped)[0],
