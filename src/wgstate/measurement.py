@@ -184,10 +184,12 @@ def checked_durations(durations, shape: tuple = ()) -> np.ndarray:
 
 def _check_rate_and_duration(rate: float, duration: float) -> None:
     """Raise ValueError unless a count rate and an acquisition time are
-    each finite and >= 0."""
-    for name, value in (("rate", rate), ("duration", duration)):
-        if not 0 <= value < np.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    each finite and >= 0, and so is their product, the mean total count."""
+    if not 0 <= rate < np.inf:
+        raise ValueError(f"rate must be finite and >= 0, got {float(rate)!r}")
+    checked_durations(duration)
+    if float(rate) * float(duration) == np.inf:
+        raise ValueError("rate * duration must be finite, got inf")
 
 
 def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarray:

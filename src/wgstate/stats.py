@@ -232,9 +232,10 @@ def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
 
 
 def visibility(n_max: float, n_min: float) -> float:
-    """Fringe contrast (N_max - N_min) / (N_max + N_min)."""
+    """Fringe contrast (N_max - N_min) / (N_max + N_min); raises
+    ValueError unless the counts are finite with N_max >= N_min >= 0."""
     if not (np.isfinite(n_max) and np.isfinite(n_min)):
-        raise ValueError(f"counts must be finite, got n_max={n_max!r}, n_min={n_min!r}")
+        raise ValueError(f"counts must be finite, got {float(n_max)!r} and {float(n_min)!r}")
     if n_min < 0 or n_max < n_min:
         raise ValueError("need n_max >= n_min >= 0")
     if n_max <= 0:
@@ -283,7 +284,8 @@ def cosine_fit(xs, ys) -> FitResult:
     there b is reported in [0, pi/dx]. Within half a Fourier bin, pi/(N dx),
     of the Nyquist frequency pi/dx the sine term nearly vanishes on the
     samples; there :class:`CosineFitError` is raised when the standard error
-    of its coefficient exceeds the range of the data.
+    of its coefficient exceeds the range of the data. Non-finite data, and
+    equal first two xs, raise ValueError.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)

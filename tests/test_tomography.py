@@ -43,7 +43,7 @@ def brute_force_probs(state, setting):
 # (rate, duration, the one a simulator must name in refusing them)
 BAD_RATES = [(float("nan"), 10.0, "rate"), (float("inf"), 10.0, "rate"), (-1.0, 10.0, "rate"),
              (150.0, float("nan"), "duration"), (150.0, float("inf"), "duration"),
-             (150.0, -1.0, "duration")]
+             (150.0, -1.0, "duration"), (1e300, 1e300, r"rate \* duration")]
 
 
 class TestSimulateTomography:
@@ -51,7 +51,7 @@ class TestSimulateTomography:
     @pytest.mark.parametrize("rate, duration, named", BAD_RATES)
     def test_non_finite_or_negative_rate_or_duration_refused(self, poisson, rate, duration,
                                                              named):
-        with pytest.raises(ValueError, match=rf"^{named} must be finite and >= 0, got"):
+        with pytest.raises(ValueError, match=rf"^{named} must be finite"):
             simulate_tomography(weighted_graph_state(1.0), rate, duration, poisson=poisson)
 
     def test_exact_counts_past_int64_refused(self):
