@@ -192,6 +192,20 @@ def _check_rate_and_duration(rate: float, duration: float) -> None:
         raise ValueError("rate * duration must be finite, got inf")
 
 
+# numpy's largest Poisson mean: ten standard deviations below the int64 limit
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
+
+def _poisson_counts(means: np.ndarray, rate: float, duration: float, seed: int) -> np.ndarray:
+    """Counts drawn from default_rng(seed) with the given means, each
+    rate * duration times a probability; raises ValueError naming
+    rate * duration where a mean is above numpy's limit."""
+    if means.max() > _POISSON_MEAN_MAX:
+        raise ValueError(f"rate * duration = {float(rate) * float(duration):g} gives a Poisson "
+                         f"mean of {means.max():g}, above numpy's limit of {_POISSON_MEAN_MAX:g}")
+    return np.random.default_rng(seed).poisson(means)
+
+
 def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarray:
     """Poisson-sample the four coincidence counts for one acquisition.
 
@@ -202,7 +216,7 @@ def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarra
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("outcome probabilities must sum to 1")
     _check_rate_and_duration(rate, duration)
-    return checked_counts(np.random.default_rng(seed).poisson(rate * duration * probs), (4,))
+    return checked_counts(_poisson_counts(rate * duration * probs, rate, duration, seed), (4,))
 
 
 @dataclass(frozen=True)

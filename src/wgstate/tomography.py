@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import _check_rate_and_duration, checked_counts, checked_durations
+from .measurement import (_check_rate_and_duration, _poisson_counts, checked_counts,
+                          checked_durations)
 from .qmath import (PAULI_PRODUCTS, POLARIZATION_KETS, DensityMatrix, PureState2Q, as_density,
                     concurrence, fidelity, tensor)
 from .stats import DegenerateDataError
@@ -161,7 +162,7 @@ def simulate_tomography(state, rate: float, duration: float, seed: int = 0,
     rho = as_density(state)
     probs = np.clip(np.real(np.einsum("ski,ij,skj->sk", _KETS.conj(), rho, _KETS)), 0, None)
     means = rate * duration * probs
-    counts = np.random.default_rng(seed).poisson(means) if poisson else np.rint(means)
+    counts = _poisson_counts(means, rate, duration, seed) if poisson else np.rint(means)
     return TomographyDataset(counts, duration)
 
 
@@ -409,70 +410,84 @@ def sphere_newton(fun, x):
 
     Each trial point is the retracted step (x + alpha s) / |x + alpha s|,
     evaluated once; its value decides the Armijo test, halving alpha from
-    1 until it passes. The gradient and the Hessian are formed only for
-    the rows that pass, from the terms of their evaluation, in one call
-    per iteration, and carry into the next Newton step: a rejected trial
-    costs one value and no derivatives. Each step solves P H P s = -g in
-    the tangent space (P = I - x x^T projects out the normal x) by
-    :func:`_newton_step`. This is the Riemannian Newton method with the
-    normalizing retraction (Absil, Mahony & Sepulchre, Optimization
-    Algorithms on Matrix Manifolds, 2008, ch. 6). Every row stops on its
-    own Newton decrement, taking its last step in full without evaluating
-    it. Returns the final rows (m, d), which rows converged, and the
-    gradients at the last accepted points of the rows that did not: those
-    whose line search stalled, or that reached the iteration cap.
+    1 until it passes. The full step is halving 0 of at most
+    _MAX_HALVINGS, so a row that fails them all stalls. The gradient and
+    the Hessian are formed only for the rows that pass, from the terms of
+    their evaluation, in one call per iteration, and carry into the next
+    Newton step: a rejected trial costs one value and no derivatives. Each
+    step solves P H P s = -g in the tangent space (P = I - x x^T projects
+    out the normal x) by :func:`_newton_step`. This is the Riemannian
+    Newton method with the normalizing retraction (Absil, Mahony &
+    Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008, ch. 6).
+    Every row stops on its own Newton decrement, taking its last step in
+    full without evaluating it.
+
+    The active rows are kept compacted: their points, values, steps,
+    slopes, gradients and row numbers shrink together when a row stops on
+    its decrement or stalls, and a row's result is written only when it
+    leaves the loop. Returns the final rows (m, d), which rows converged,
+    and the gradients at the last accepted points of the rows that did
+    not: those whose line search stalled, or that reached the iteration
+    cap.
     """
-    x = np.array(x, dtype=float)
-    m, d = x.shape
-    active = np.arange(m)
+    points = np.array(x, dtype=float)
+    m, d = points.shape
+    final = np.empty_like(points)
+    index = np.arange(m)   # the row numbers of the active points
     converged = np.ones(m, dtype=bool)
     final_grad = np.empty((m, d))
-    f, terms = fun(x, active)
+    f, terms = fun(points, index)
     grad, hess = fun.derivatives(terms)
     for _ in range(_NEWTON_MAX_ITER):
-        xa = x[active]
-        step = _newton_step(grad, hess, xa)
-        step -= np.einsum("mi,mi->m", step, xa)[:, None] * xa
+        step = _newton_step(grad, hess, points)
+        step -= np.einsum("mi,mi->m", step, points)[:, None] * points
         slope = np.einsum("mi,mi->m", grad, step)
         last = -slope <= _DECREMENT_TOL * (1 + f)
-        new = xa[last] + step[last]
-        x[active[last]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
-        # the full step's evaluation holds the value and the terms of every
-        # row that searches, and a row that passes at a halving writes its own
-        rows = np.flatnonzero(~last)
-        pending = np.arange(len(rows))   # positions in rows still searching
+        if last.any():
+            new = points[last] + step[last]
+            final[index[last]] = new / np.linalg.norm(new, axis=-1, keepdims=True)
+            keep = ~last
+            points, f, step, slope, grad, index = (
+                a[keep] for a in (points, f, step, slope, grad, index))
+        # the full step's evaluation holds the point, the value and the terms
+        # of every row, and a row that passes at a halving writes its own
+        pending = np.arange(len(f))   # the rows still searching
         alpha = 1.0
         for halving in range(_MAX_HALVINGS):
             if not pending.size:
                 break
-            search = rows[pending]
-            trial = xa[search] + alpha * step[search]
+            trial = points[pending] + alpha * step[pending]
             trial /= np.linalg.norm(trial, axis=-1, keepdims=True)
-            trial_f, trial_terms = fun(trial, active[search])
-            ok = trial_f <= f[search] + _ARMIJO * alpha * slope[search]
-            x[active[search[ok]]] = trial[ok]
+            trial_f, trial_terms = fun(trial, index[pending])
+            ok = trial_f <= f[pending] + _ARMIJO * alpha * slope[pending]
             if not halving:
-                f_new, terms = trial_f, trial_terms
+                new_points, f_new, terms = trial, trial_f, trial_terms
             else:
-                for kept, fresh in zip((f_new, *terms), (trial_f, *trial_terms)):
+                for kept, fresh in zip((new_points, f_new, *terms),
+                                       (trial, trial_f, *trial_terms)):
                     kept[pending[ok]] = fresh[ok]
             pending = pending[~ok]
             alpha /= 2
-        stalled = rows[pending]
-        converged[active[stalled]] = False
-        final_grad[active[stalled]] = grad[stalled]
-        moved = np.ones(len(rows), dtype=bool)
-        moved[pending] = False
-        if not moved.any():
-            break
         if pending.size:
-            f_new, *terms = [a[moved] for a in (f_new, *terms)]
-        active, f = active[rows[moved]], f_new
+            stalled = index[pending]
+            converged[stalled] = False
+            final_grad[stalled] = grad[pending]
+            final[stalled] = points[pending]
+            if pending.size == len(f):
+                break
+            keep = np.ones(len(f), dtype=bool)
+            keep[pending] = False
+            new_points, f_new, index, *terms = (
+                a[keep] for a in (new_points, f_new, index, *terms))
+        elif not len(f):   # every row took its last step
+            break
+        points, f = new_points, f_new
         grad, hess = fun.derivatives(terms)
     else:
-        converged[active] = False
-        final_grad[active] = grad
-    return x, converged, final_grad[~converged]
+        converged[index] = False
+        final_grad[index] = grad
+        final[index] = points
+    return final, converged, final_grad[~converged]
 
 
 
@@ -590,33 +605,53 @@ def dataset_csv(data: TomographyDataset) -> str:
     return text.getvalue()
 
 
+def _malformed_row(header: list, fields: list) -> ValueError:
+    """The error for a CSV row, which it shows keyed by the header: a short
+    row reads None for its missing fields, and a long one keeps its extra
+    fields under the key None."""
+    row = dict(zip(header, fields))
+    if len(fields) > len(header):
+        row[None] = fields[len(header):]
+    for name in header[len(fields):]:
+        row[name] = None
+    return ValueError(f"malformed dataset CSV row: {row!r}")
+
+
 def read_dataset_csv(path) -> TomographyDataset:
-    """Read a dataset in the format of :func:`dataset_csv`."""
+    """Read a dataset in the format of :func:`dataset_csv`. The first row
+    is the header: it names every column of ``CSV_FIELDS``, in any order
+    and beside any others (a name given twice is read from its last
+    column). Each later row holds one setting in as many fields as the
+    header has, in any order of settings; blank lines are skipped."""
     settings = tomography_settings()
     rows = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_FIELDS) - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        column = {name: i for i, name in enumerate(header)}
+        missing = set(CSV_FIELDS) - column.keys()
         if missing:
             raise ValueError(f"malformed dataset CSV: missing columns {sorted(missing)}")
-        for row in reader:
-            # a short row reads None for its missing fields, and a long one
-            # keeps its extra fields under the key None
-            if None in row or None in row.values():
-                raise ValueError(f"malformed dataset CSV row: {row!r}")
+        at_index, at_label, at_counts, at_duration = (
+            column[name] for name in ("setting_index", "projector_label", "counts", "duration"))
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(header):
+                raise _malformed_row(header, fields)
             try:
-                idx = int(row["setting_index"])
-                counts = [int(c) for c in row["counts"].split(";")]
-                duration = float(row["duration"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"malformed dataset CSV row: {row!r}") from exc
+                idx = int(fields[at_index])
+                counts = [int(c) for c in fields[at_counts].split(";")]
+                duration = float(fields[at_duration])
+            except ValueError as exc:
+                raise _malformed_row(header, fields) from exc
             if not 0 <= idx < 16 or len(counts) != 4:
-                raise ValueError(f"malformed dataset CSV row: {row!r}")
+                raise _malformed_row(header, fields)
             if idx in rows:
                 raise ValueError(f"malformed dataset CSV: setting {idx} appears twice")
-            if row["projector_label"] != settings[idx].label:
+            if fields[at_label] != settings[idx].label:
                 raise ValueError(
-                    f"row {idx} label {row['projector_label']!r} does not match "
+                    f"row {idx} label {fields[at_label]!r} does not match "
                     f"the standard plan ({settings[idx].label!r})")
             rows[idx] = counts, duration
     if len(rows) != 16:

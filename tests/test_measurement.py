@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from wgstate import measurement
 from wgstate.measurement import (analyzer_overlap, axis_state,
                                  checked_counts, checked_durations,
                                  general_axis_observable, outcome_probabilities,
@@ -177,6 +178,18 @@ class TestSimulateCounts:
     def test_non_finite_or_negative_rate_or_duration_refused(self, rate, duration, named):
         with pytest.raises(ValueError, match=rf"^{named} must be finite"):
             simulate_counts([0.25] * 4, rate, duration, seed=0)
+
+    # numpy's own error named neither the rate nor the duration
+    def test_poisson_mean_past_numpys_limit_refused(self):
+        with pytest.raises(ValueError, match=r"^rate \* duration = 1e\+19 gives a Poisson mean"):
+            simulate_counts([1, 0, 0, 0], 1e19, 1.0, seed=0)
+
+    # the rule is numpy's: its largest mean is drawn, the next float is refused
+    def test_poisson_limit_is_numpys(self):
+        limit = measurement._POISSON_MEAN_MAX
+        assert simulate_counts([1, 0, 0, 0], limit, 1.0, seed=0)[0] < 2 ** 63
+        with pytest.raises(ValueError, match=r"^rate \* duration"):
+            simulate_counts([1, 0, 0, 0], np.nextafter(limit, np.inf), 1.0, seed=0)
 
 
 def shape_id(shape):

@@ -236,6 +236,41 @@ def test_stalled_row_ends_unconverged_with_the_gradient_at_its_last_point():
             == len(np.concatenate(others.derived)) + 1)
 
 
+class Indexed(Stalling):
+    """Stalling, with the row numbers of each evaluation logged."""
+
+    def __init__(self, stalled=-1):
+        super().__init__(stalled)
+        self.calls = []
+
+    def __call__(self, rows, index):
+        self.calls.append(index.tolist())
+        return super().__call__(rows, index)
+
+
+def test_rows_that_stop_stall_and_search_in_one_iteration_match_their_lone_runs():
+    # in the first iteration row 0 stops on its decrement, row 1 stalls, and
+    # row 2 fails its full step, passes at the first halving and goes on
+    starts = np.array([[1.0, 1e-7, 0.0, 0.0],
+                       [0.3, 1.0, 0.2, 0.1],
+                       [-0.6354, 0.3135, 0.289, 0.6438]])
+    starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+    objective = Indexed(1)
+    x, converged, final_grad = tomography.sphere_newton(objective, starts)
+    assert objective.calls[:4] == [[0, 1, 2], [1, 2], [1, 2], [1]]
+    assert [len(points) for points in objective.derived[:2]] == [3, 1]
+    assert converged.tolist() == [True, False, True]
+    assert np.array_equal(x[1], starts[1])
+    assert np.array_equal(final_grad, rayleigh_derivatives(starts[1:2])[0])
+    lone = [Stalling(), Stalling(0), Stalling()]
+    for row, alone in enumerate(lone):
+        x_alone, converged_alone, _ = tomography.sphere_newton(alone, starts[row:row + 1])
+        assert np.array_equal(x[row], x_alone[0])
+        assert converged_alone[0] == converged[row]
+    # row 2 alone takes the derivatives of each of its iterations in the stack
+    assert [len(alone.derived) for alone in lone] == [1, 1, len(objective.derived)]
+
+
 def test_rows_at_the_iteration_cap_end_unconverged_with_their_last_gradients(monkeypatch):
     monkeypatch.setattr(tomography, "_NEWTON_MAX_ITER", 2)
     x, converged, final_grad = tomography.sphere_newton(rayleigh, STARTS)

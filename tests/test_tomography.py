@@ -58,6 +58,11 @@ class TestSimulateTomography:
         with pytest.raises(ValueError, match="outside int64"):
             simulate_tomography(weighted_graph_state(1.0), 1e19, 10.0)
 
+    # numpy's own error named neither the rate nor the duration
+    def test_poisson_mean_past_numpys_limit_refused(self):
+        with pytest.raises(ValueError, match=r"^rate \* duration = 1e\+20 gives a Poisson mean"):
+            simulate_tomography(weighted_graph_state(1.0), 1e19, 10.0, poisson=True)
+
     def test_maximally_mixed_uniform(self):
         rho = DensityMatrix(np.eye(4) / 4)
         data = simulate_tomography(rho, rate=100.0, duration=10.0)
@@ -639,6 +644,24 @@ class TestCsvRoundTrip:
         path = tmp_path / "dataset.csv"
         path.write_text(dataset_csv(data), newline="")
         assert np.array_equal(read_dataset_csv(path).durations, data.durations)
+
+    # layouts the reader accepts besides the writer's own: each line is split
+    # on commas, which no field of the writer holds
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [",".join(line.split(",")[::-1]) for line in lines],
+        lambda lines: [line + (",note" if i == 0 else f",n{i}") for i, line in enumerate(lines)],
+        lambda lines: lines[:3] + [""] + lines[3:] + [""],
+        lambda lines: [re.sub(r"^(\d+),(\w+),", r'\1,"\2",', line) for line in lines],
+    ], ids=["columns reordered", "extra column", "blank lines", "quoted label"])
+    def test_accepted_layouts_read_back(self, tmp_path, edit):
+        counts = simulate_tomography(weighted_graph_state(1.1), 150.0, 10.0,
+                                     seed=19, poisson=True).counts
+        data = TomographyDataset(counts, np.arange(1.0, 17.0))
+        path = tmp_path / "layout.csv"
+        path.write_text("\n".join(edit(dataset_csv(data).splitlines())) + "\n")
+        loaded = read_dataset_csv(path)
+        assert np.array_equal(loaded.counts, data.counts)
+        assert np.array_equal(loaded.durations, data.durations)
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
