@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors (including non-finite numbers,
-negative rates and durations, a --shift-deg of 0 or less, more than 2**53
-expected counts per bin, 2**53 or more pooled over a sensing run's bins,
---varphi-prime without --pipeline, a manifest path that names an input
-or output of the command, lies in a missing directory or is a
-directory, a tomography setting with counts but a duration of 0, a
-tomography count or a dataset total of 2**63 or more, files that cannot
-be read or written, and sizes too large to allocate), 3
-degenerate data (empty counts, vanishing post-selection), 4 numerical
-failures (optimizers, fits, a fringe fit that dips below zero counts).
+negative rates and durations, a --shift-deg of 0 or less or below
+2**-511 rad (8.55e-153 degrees), more than 2**53 expected counts per
+bin, 2**53 or more pooled over a sensing run's bins, --varphi-prime
+without --pipeline, a manifest path that names an input or output of the
+command, lies in a missing directory or is a directory, a tomography
+setting with counts but a duration of 0, a tomography count or a dataset
+total of 2**63 or more, files that cannot be read or written, and sizes
+too large to allocate), 3 degenerate data (empty counts, vanishing
+post-selection), 4 numerical failures (optimizers, fits, a fringe fit
+that dips below zero counts).
 Graph weights and phases are given in radians; physical waveplate
 angles are reported in lab-frame degrees. Every command takes a seed
 (flag or the WGSTATE_SEED environment variable) and its outputs are
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -39,11 +41,10 @@ from .metrology import (DerivativeVanishesError, SearchError, encoding_unitary,
                         general_axis_search, limits, pauli_search,
                         qfi_closed_form, sense)
 from .qmath import PureState2Q, concurrence, fidelity
-from .stategen import (DegeneratePostselectionError, GenerationConfig,
-                       NoiseModel, apply_noise, canonical_config,
-                       mzi_phase_condition, simulate_generation,
-                       weighted_graph_state)
-from .stats import (BinnedCounts, CosineFitError, DegenerateDataError,
+from .stategen import (DegeneratePostselectionError, NoiseModel, apply_noise,
+                       canonical_config, mzi_phase_condition,
+                       simulate_generation, weighted_graph_state)
+from .stats import (MIN_SHIFT, BinnedCounts, CosineFitError, DegenerateDataError,
                     bootstrap_sensing, cosine_fit, visibility)
 from .tomography import (ReconstructionError, dataset_csv, monte_carlo_report,
                          read_dataset_csv, simulate_tomography)
@@ -78,18 +79,20 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
-
-
-def _matrix_pairs(matrix) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix)]
+def _json_default(value):
+    """What json.dumps cannot encode itself: an array as nested lists and
+    a complex number as its [real, imag] pair."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"cannot encode a {type(value).__name__} as JSON")
 
 
 def _json_bytes(payload) -> bytes:
     """The one JSON encoding of every output and manifest, with the schema version."""
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n").encode()
 
 
 def _outputs(args) -> list:
@@ -185,9 +188,7 @@ def _cmd_state(args) -> tuple[dict, str]:
     if args.pipeline:
         cfg = canonical_config(args.phi12)
         if args.varphi_prime is not None:
-            cfg = GenerationConfig(hwp_r2=cfg.hwp_r2, hwp_l2=cfg.hwp_l2,
-                                   phi_prime_12=cfg.phi_prime_12,
-                                   varphi_prime=args.varphi_prime)
+            cfg = dataclasses.replace(cfg, varphi_prime=args.varphi_prime)
         result = simulate_generation(cfg)
         state = result.state
         payload = {
@@ -200,13 +201,13 @@ def _cmd_state(args) -> tuple[dict, str]:
         state = weighted_graph_state(args.phi12)
         payload = {"phi12": args.phi12, "method": "direct"}
     if args.noise:
-        p, sigma = args.noise
-        rho = apply_noise(state, NoiseModel(depolarizing_p=p, phase_jitter_sigma=sigma))
-        payload["density_matrix"] = _matrix_pairs(rho.matrix)
-        payload["noise"] = {"depolarizing_p": p, "phase_jitter_sigma": sigma}
+        noise = NoiseModel(*args.noise)
+        rho = apply_noise(state, noise)
+        payload["density_matrix"] = rho.matrix
+        payload["noise"] = vars(noise)
     else:
         rho = state.density()
-        payload["amplitudes"] = _complex_pairs(state.amplitudes)
+        payload["amplitudes"] = state.amplitudes
     payload["fidelity_to_ideal"] = fidelity(rho, weighted_graph_state(args.phi12))
     payload["concurrence"] = concurrence(rho)
     return {args.out: _json_bytes(payload)}, (
@@ -241,10 +242,7 @@ def _cmd_optimize(args) -> tuple[dict, str]:
         "kind": args.kind,
         "phi12": args.phi12,
         "observable": _observable_payload(obs),
-        "expectation": result.expectation,
-        "derivative_magnitude": result.derivative_magnitude,
-        "single_shot_variance": result.single_shot_variance,
-        "estimator_variance": result.estimator_variance,
+        **vars(result),
         "qcrb": 1.0 / qfi_closed_form(args.phi12),
         "waveplates": _observable_waveplates(obs),
     }
@@ -271,11 +269,14 @@ def _cmd_sense(args) -> tuple[dict, str]:
         raise ValueError("--replicates must be at least 100")
     if args.shift_deg <= 0:
         raise ValueError(f"--shift-deg must be > 0, got {args.shift_deg:g}")
+    h = np.radians(args.shift_deg)
+    if h < MIN_SHIFT:
+        raise ValueError(f"--shift-deg must be at least {np.degrees(MIN_SHIFT):.3g} "
+                         f"(2**-511 rad), got {args.shift_deg:g}")
     obs = _parse_observable(args.observable)
     if args.rate <= 0:
         raise DegenerateDataError("rate must be positive to accumulate counts")
     state = weighted_graph_state(args.phi12)
-    h = np.radians(args.shift_deg)
     rng = np.random.default_rng(args.seed)
     thetas = {"center": args.theta_star,
               "plus": args.theta_star + h,
@@ -301,12 +302,7 @@ def _cmd_sense(args) -> tuple[dict, str]:
         "shift_deg": args.shift_deg,
         "rate": args.rate, "duration": args.duration, "bins": args.bins,
         **{name: block(result) for name, result in vars(boot).items()},
-        "ideal": {
-            "expectation": ideal.expectation,
-            "derivative_magnitude": ideal.derivative_magnitude,
-            "single_shot_variance": ideal.single_shot_variance,
-            "estimator_variance": ideal.estimator_variance,
-        },
+        "ideal": vars(ideal),
     }
     # the shortest text that reads back as the same float: 10.0 is "10"
     duration = np.format_float_positional(args.duration, trim="-")
@@ -325,9 +321,7 @@ def _cmd_sense(args) -> tuple[dict, str]:
 def _cmd_tomo_simulate(args) -> tuple[dict, str]:
     state = weighted_graph_state(args.phi12)
     if args.noise:
-        p, sigma = args.noise
-        state = apply_noise(state, NoiseModel(depolarizing_p=p,
-                                              phase_jitter_sigma=sigma))
+        state = apply_noise(state, NoiseModel(*args.noise))
     dataset = simulate_tomography(state, args.rate, args.duration,
                                   seed=args.seed, poisson=args.poisson)
     return ({args.out: dataset_csv(dataset).encode()},
@@ -345,7 +339,7 @@ def _cmd_tomo_reconstruct(args) -> tuple[dict, str]:
         "phi12": args.phi12,
         "mc_samples": report.mc_samples,
         "likelihood": args.likelihood,
-        "density_matrix": _matrix_pairs(report.rho.matrix),
+        "density_matrix": report.rho.matrix,
         "fidelity_to_target": {"mean": report.fidelity_to_target,
                                "stdev": report.fidelity_stdev},
         "concurrence": {"mean": report.concurrence,
@@ -396,8 +390,7 @@ def _cmd_fringe(args) -> tuple[dict, str]:
         "steps": args.steps, "rate": args.rate, "duration": args.duration,
         "contrast": args.contrast, "exact": bool(args.exact),
         "varphi_range": [start, stop],
-        "fit": {"a": fit.a, "b": fit.b, "c": fit.c, "d": fit.d,
-                "residual": fit.residual},
+        "fit": vars(fit),
         "visibility": vis,
     }
     json_path, csv_path = _outputs(args)
@@ -426,15 +419,20 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(parent, name, func, help, out_help=None, **defaults):
+        """A subcommand with the options every command shares."""
+        p = parent.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=default_seed,
                        help="RNG seed (default: WGSTATE_SEED or 12345)")
         p.add_argument("--manifest", default=None,
                        help="manifest path (default: first output + .manifest.json)")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp from the manifest")
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p = sub.add_parser("state", help="construct or simulate the weighted graph state")
+    p = add_command(sub, "state", _cmd_state, "construct or simulate the weighted graph state")
     p.add_argument("--phi12", type=_finite_float, required=True,
                    help="graph weight (radians)")
     p.add_argument("--pipeline", action="store_true",
@@ -444,28 +442,20 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
                    help="override the arm-phase difference (radians; pipeline only)")
     p.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
                    default=None, help="depolarizing weight and phase-jitter sigma")
-    p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_state)
 
-    p = sub.add_parser("qfi", help="quantum Fisher information and precision limits")
+    p = add_command(sub, "qfi", _cmd_qfi, "quantum Fisher information and precision limits")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--grid", type=int, default=None,
                        help="number of weights on [0, pi]")
     group.add_argument("--phi12", type=_finite_float, default=None)
-    p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_qfi)
 
-    p = sub.add_parser("optimize", help="search for the best local measurement")
+    p = add_command(sub, "optimize", _cmd_optimize, "search for the best local measurement")
     p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--kind", choices=("pauli", "general"), required=True)
     p.add_argument("--theta-star", type=_finite_float, default=0.0)
-    p.add_argument("--out", required=True)
-    add_common(p)
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("sense", help="simulate a sensing run with bootstrap errors")
+    p = add_command(sub, "sense", _cmd_sense, "simulate a sensing run with bootstrap errors",
+                "output basename (.json/.csv)")
     p.add_argument("--phi12", type=_finite_float, required=True)
     p.add_argument("--observable", required=True,
                    help="'ZY', 'I,Y' or 'axis:b1,a1,b2,a2' (degrees)")
@@ -477,36 +467,30 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.add_argument("--theta-star", type=_finite_float, default=0.0)
     p.add_argument("--shift-deg", type=_finite_float, default=5.0)
     p.add_argument("--replicates", type=int, default=10000)
-    p.add_argument("--out", required=True, help="output basename (.json/.csv)")
-    add_common(p)
-    p.set_defaults(func=_cmd_sense)
 
     p = sub.add_parser("tomo", help="tomography simulation and reconstruction")
     tomo_sub = p.add_subparsers(dest="tomo_command", required=True)
 
-    ps = tomo_sub.add_parser("simulate", help="write a 16-setting dataset CSV")
-    ps.add_argument("--phi12", type=_finite_float, required=True)
-    ps.add_argument("--rate", type=_non_negative_float, default=150.0)
-    ps.add_argument("--duration", type=_non_negative_float, default=10.0)
-    ps.add_argument("--poisson", action="store_true")
-    ps.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
-                    default=None)
-    ps.add_argument("--out", required=True)
-    add_common(ps)
-    ps.set_defaults(func=_cmd_tomo_simulate, command="tomo simulate")
+    p = add_command(tomo_sub, "simulate", _cmd_tomo_simulate, "write a 16-setting dataset CSV",
+                command="tomo simulate")
+    p.add_argument("--phi12", type=_finite_float, required=True)
+    p.add_argument("--rate", type=_non_negative_float, default=150.0)
+    p.add_argument("--duration", type=_non_negative_float, default=10.0)
+    p.add_argument("--poisson", action="store_true")
+    p.add_argument("--noise", nargs=2, type=_finite_float, metavar=("P", "SIGMA"),
+                   default=None)
 
-    pr = tomo_sub.add_parser("reconstruct", help="MLE + Monte Carlo from a dataset CSV")
-    pr.add_argument("--in", dest="infile", required=True)
-    pr.add_argument("--phi12", type=_finite_float, required=True,
-                    help="target graph weight for the fidelity report")
-    pr.add_argument("--mc", type=int, default=100)
-    pr.add_argument("--likelihood", choices=("gaussian", "poisson"),
-                    default="gaussian")
-    pr.add_argument("--out", required=True)
-    add_common(pr)
-    pr.set_defaults(func=_cmd_tomo_reconstruct, command="tomo reconstruct")
+    p = add_command(tomo_sub, "reconstruct", _cmd_tomo_reconstruct,
+                "MLE + Monte Carlo from a dataset CSV", command="tomo reconstruct")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--phi12", type=_finite_float, required=True,
+                   help="target graph weight for the fidelity report")
+    p.add_argument("--mc", type=int, default=100)
+    p.add_argument("--likelihood", choices=("gaussian", "poisson"),
+                   default="gaussian")
 
-    p = sub.add_parser("fringe", help="sweep the arm phase and fit the fringe")
+    p = add_command(sub, "fringe", _cmd_fringe, "sweep the arm phase and fit the fringe",
+                "output basename (.json/.csv)")
     p.add_argument("--varphi-range", nargs=2, type=_finite_float,
                    default=(0.0, 2 * np.pi), metavar=("START", "STOP"))
     p.add_argument("--steps", type=int, default=30)
@@ -515,9 +499,6 @@ def _build_parser(default_seed: str) -> argparse.ArgumentParser:
     p.add_argument("--contrast", type=_finite_float, default=1.0,
                    help="fringe contrast of the simulated law")
     p.add_argument("--exact", action="store_true", help="skip Poisson sampling")
-    p.add_argument("--out", required=True, help="output basename (.json/.csv)")
-    add_common(p)
-    p.set_defaults(func=_cmd_fringe)
 
     return parser
 

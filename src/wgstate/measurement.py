@@ -210,11 +210,15 @@ def simulate_counts(probs, rate: float, duration: float, seed: int) -> np.ndarra
     """Poisson-sample the four coincidence counts for one acquisition.
 
     Each count is drawn with mean rate * duration * p_k, deterministic
-    for a given seed; the result is a read-only (4,) int64 array.
+    for a given seed; the result is a read-only (4,) int64 array. The
+    probabilities must be 4 finite, non-negative numbers summing to 1
+    within 1e-9; any others raise ValueError naming them.
     """
     probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("outcome probabilities must sum to 1")
+    if probs.shape != (4,) or not (np.isfinite(probs).all() and (probs >= 0).all()
+                                   and abs(probs.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"outcome probabilities must be 4 finite, non-negative numbers "
+                         f"summing to 1, got {probs.tolist()}")
     _check_rate_and_duration(rate, duration)
     return checked_counts(_poisson_counts(rate * duration * probs, rate, duration, seed), (4,))
 

@@ -136,11 +136,16 @@ def apply_noise(state: PureState2Q, nm: NoiseModel) -> DensityMatrix:
     delta ~ N(0, sigma^2) jitters the arm-phase difference, which
     multiplies the photon-1 |V> branch by exp(i delta). The Gaussian
     average is exact: E[exp(i delta)] = exp(-sigma^2 / 2), a real factor
-    on the H1/V1 coherences.
+    on the H1/V1 coherences. Above sigma = 40 it is taken as 0.0, which
+    float64 rounds it to from sigma ~ 38.6 on, so any finite sigma is
+    accepted and a huge one dephases fully.
     """
     amps = state.amplitudes
     rho = np.outer(amps, amps.conj())
-    damping = np.exp(-nm.phase_jitter_sigma ** 2 / 2)
+    sigma = nm.phase_jitter_sigma
+    # exp(-sigma**2 / 2) is 0.0 in float64 from sigma ~ 38.6 on, and squaring
+    # a huge Python float raises OverflowError
+    damping = 0.0 if sigma > 40 else np.exp(-sigma ** 2 / 2)
     rho[:2, 2:] *= damping
     rho[2:, :2] *= damping
     p = nm.depolarizing_p

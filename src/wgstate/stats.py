@@ -14,7 +14,8 @@ derives the expectation, the single-shot variance 1 - E^2, the slope and
 the estimator variance from those same replicates, so replicate b of
 every statistic comes from one draw of the data (Efron & Tibshirani,
 An Introduction to the Bootstrap, 1993). The squared slope under the
-estimator variance is floored at SLOPE_SQ_FLOOR (1e-12).
+estimator variance is floored at SLOPE_SQ_FLOOR (1e-12), and the shift h
+is at least MIN_SHIFT (2**-511), so that the squared slope stays finite.
 
 Replicates are drawn and pooled in chunks of _CHUNK_ENTRIES bin indices
 (rows x bins), in float64: every temporary stays below glibc's 128 KiB
@@ -40,6 +41,8 @@ REDRAW_CAP = 100
 CI_LEVEL = 0.95
 # floor on a replicate's squared slope in the estimator variance
 SLOPE_SQ_FLOOR = 1e-12
+# smallest shift h: |E+ - E-| <= 2 keeps a squared slope below 1/h**2 = 2**1022
+MIN_SHIFT = 2.0 ** -511
 # drawn bin indices (rows x bins) per resampling chunk: each chunk's int64
 # and float64 temporaries take 96 KiB, below glibc's 128 KiB mmap threshold
 _CHUNK_ENTRIES = 12288
@@ -213,10 +216,13 @@ def bootstrap_sensing(bins_center: BinnedCounts, bins_plus: BinnedCounts,
     and the estimator variance (1 - E_c^2) / |slope|^2 from the b-th
     resample of each setting. The squared slope in the denominator is
     clamped from below at ``SLOPE_SQ_FLOOR`` and the number of clamped
-    replicates is reported.
+    replicates is reported. A shift h below ``MIN_SHIFT`` raises
+    ValueError: there the squared slope could overflow to inf.
     """
     if not h > 0:
         raise ValueError(f"shift h must be > 0, got {h!r}")
+    if h < MIN_SHIFT:
+        raise ValueError(f"shift h must be at least 2**-511, got {h!r}")
     e_center, e_plus, e_minus = _replicates(
         [b.counts for b in (bins_center, bins_plus, bins_minus)], weights, mu, seed)
     variance = 1.0 - e_center ** 2

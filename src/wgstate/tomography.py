@@ -605,18 +605,6 @@ def dataset_csv(data: TomographyDataset) -> str:
     return text.getvalue()
 
 
-def _malformed_row(header: list, fields: list) -> ValueError:
-    """The error for a CSV row, which it shows keyed by the header: a short
-    row reads None for its missing fields, and a long one keeps its extra
-    fields under the key None."""
-    row = dict(zip(header, fields))
-    if len(fields) > len(header):
-        row[None] = fields[len(header):]
-    for name in header[len(fields):]:
-        row[name] = None
-    return ValueError(f"malformed dataset CSV row: {row!r}")
-
-
 def read_dataset_csv(path) -> TomographyDataset:
     """Read a dataset in the format of :func:`dataset_csv`. The first row
     is the header: it names every column of ``CSV_FIELDS``, in any order
@@ -637,16 +625,15 @@ def read_dataset_csv(path) -> TomographyDataset:
         for fields in reader:
             if not fields:
                 continue
-            if len(fields) != len(header):
-                raise _malformed_row(header, fields)
             try:
                 idx = int(fields[at_index])
                 counts = [int(c) for c in fields[at_counts].split(";")]
                 duration = float(fields[at_duration])
-            except ValueError as exc:
-                raise _malformed_row(header, fields) from exc
-            if not 0 <= idx < 16 or len(counts) != 4:
-                raise _malformed_row(header, fields)
+                malformed = len(fields) != len(header) or not 0 <= idx < 16 or len(counts) != 4
+            except (IndexError, ValueError):
+                malformed = True
+            if malformed:
+                raise ValueError(f"malformed dataset CSV row at line {reader.line_num}: {fields}")
             if idx in rows:
                 raise ValueError(f"malformed dataset CSV: setting {idx} appears twice")
             if fields[at_label] != settings[idx].label:

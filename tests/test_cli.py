@@ -1,15 +1,17 @@
+import dataclasses
 import errno
 import hashlib
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wgstate.cli import _observable_waveplates, main
+from wgstate.cli import _json_bytes, _observable_waveplates, main
 from wgstate.measurement import pauli_observable, solve_projector_batch
-from wgstate.stategen import weighted_graph_state
+from wgstate.stategen import canonical_config, simulate_generation, weighted_graph_state
 from wgstate.tomography import TomographyDataset, dataset_csv, simulate_tomography
 from make_goldens import GOLDEN_DIR, changes, main_script, run_all
 
@@ -79,6 +81,31 @@ class TestStateCommand:
         b = np.array([complex(re, im) for re, im in pipe["amplitudes"]])
         assert abs(np.vdot(a, b)) ** 2 >= 1 - 1e-10
         assert pipe["postselect_probability"] == pytest.approx(0.5, abs=1e-12)
+
+    def test_varphi_prime_overrides_only_the_arm_phase(self, tmp_path, monkeypatch):
+        assert run(tmp_path, monkeypatch,
+                   ["state", "--phi12", "1", "--pipeline", "--varphi-prime", "0.5",
+                    "--out", "v.json", "--no-timestamp"]) == 0
+        data = load_json(tmp_path / "v.json")
+        result = simulate_generation(
+            dataclasses.replace(canonical_config(1.0), varphi_prime=0.5))
+        assert data["amplitudes"] == [[a.real, a.imag] for a in result.state.amplitudes]
+        assert data["postselect_probability"] == result.postselect_probability
+
+    # squaring the sigma raised OverflowError, a traceback with exit 1
+    @pytest.mark.parametrize("argv, key", [
+        (["state", "--phi12", "1"], "density_matrix"),
+        (["tomo", "simulate", "--phi12", "1", "--poisson"], None),
+    ], ids=["state", "tomo simulate"])
+    def test_huge_noise_sigma_dephases_as_sigma_forty(self, tmp_path, monkeypatch, argv, key):
+        monkeypatch.chdir(tmp_path)
+        for sigma in ("1e300", "40"):
+            assert main(argv + ["--noise", "0.5", sigma, "--out", sigma,
+                                "--no-timestamp"]) == 0
+        huge, forty = (tmp_path / "1e300").read_bytes(), (tmp_path / "40").read_bytes()
+        if key:
+            huge, forty = json.loads(huge)[key], json.loads(forty)[key]
+        assert huge == forty
 
     def test_manifest_written(self, tmp_path, monkeypatch):
         run(tmp_path, monkeypatch,
@@ -628,6 +655,25 @@ class TestBadInputs:
         assert f"manifest path {manifest} {message}" in line
         assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
+    # the squared slopes overflowed to inf: exit 0 with a variance of 0.0
+    def test_shift_below_the_floor_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, err = command_error(["sense", "--phi12", "1", "--observable", "ZY",
+                                     "--shift-deg", "1e-290", "--replicates", "100",
+                                     "--out", "s", "--no-timestamp"], capsys)
+        assert rc == 2
+        assert err == "error: --shift-deg must be at least 8.55e-153 (2**-511 rad), got 1e-290\n"
+        assert not list(tmp_path.iterdir())
+        # the shift the message names runs, with a finite variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sense", "--phi12", "1", "--observable", "ZY", "--shift-deg",
+                         "8.55e-153", "--replicates", "100", "--out", "s",
+                         "--no-timestamp"]) == 0
+        assert 0 < load_json(tmp_path / "s.json")["estimator_variance"]["mean"] < 1e-290
+
     def test_varphi_prime_without_pipeline_exits_two(self, tmp_path, monkeypatch, capsys):
         # the direct construction has no arm phase to override
         monkeypatch.chdir(tmp_path)
@@ -897,3 +943,16 @@ class TestWritingOutputs:
         assert rc == 2
         assert manifest_vouches(tmp_path / "run.json.manifest.json")
         assert not [name for name in files_under(tmp_path) if name.endswith(".tmp")]
+
+
+class TestJsonEncoding:
+    def test_complex_values_as_real_imag_pairs(self):
+        z = complex(0.5, -0.0)
+        m = np.arange(16).reshape(4, 4) * (0.25 - 1j / 3)
+        pairs = [[[v.real, v.imag] for v in row] for row in m.tolist()]
+        assert _json_bytes({"z": z, "m": m}) == _json_bytes({"z": [0.5, -0.0], "m": pairs})
+        assert json.loads(_json_bytes({"z": z}))["z"] == [0.5, -0.0]
+
+    def test_unencodable_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="set"):
+            _json_bytes({"labels": {"ZY"}})

@@ -174,6 +174,16 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts([0.5, 0.5, 0.5, 0.5], 100.0, 1.0, seed=0)
 
+    # these reached numpy's own messages, or a counts-shape error
+    @pytest.mark.parametrize("probs", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0],
+                                       [-np.inf, 1, 1, 0], [1.5, -0.5, 0, 0],
+                                       [0.5, 0.25, 0.25]],
+                             ids=["nan", "inf", "-inf", "negative", "length 3"])
+    def test_probabilities_not_a_distribution_refused(self, probs):
+        with pytest.raises(ValueError, match=r"^outcome probabilities must be 4 finite, "
+                                             r"non-negative numbers summing to 1, got \["):
+            simulate_counts(probs, 100.0, 1.0, seed=0)
+
     @pytest.mark.parametrize("rate, duration, named", BAD_RATES)
     def test_non_finite_or_negative_rate_or_duration_refused(self, rate, duration, named):
         with pytest.raises(ValueError, match=rf"^{named} must be finite"):

@@ -135,6 +135,13 @@ class TestNoise:
                 assert ratio.real == pytest.approx(expected, rel=1e-12), sigma
                 assert ratio.imag == 0.0, sigma
 
+    # squaring sigma = 1e300 raised OverflowError
+    def test_huge_jitter_dephases_fully_as_at_forty(self):
+        psi = weighted_graph_state(1.0)
+        huge = apply_noise(psi, NoiseModel(0.5, 1e300)).matrix
+        assert huge.tobytes() == apply_noise(psi, NoiseModel(0.5, 40.0)).matrix.tobytes()
+        assert not huge[:2, 2:].any() and not huge[2:, :2].any()
+
     def test_output_always_physical(self):
         rng = np.random.default_rng(3)
         for _ in range(10):

@@ -55,6 +55,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             bootstrap_sensing(full, full, full, 0.0, ZY_WEIGHTS, seed=0)
 
+    # at h = 1e-292 the squared slopes overflowed to inf and the variance read 0.0
+    def test_sensing_shift_floor(self):
+        center = BinnedCounts([[1, 2, 3, 4]] * 3)
+        # E+ = +1 and E- = -1 in every replicate: the steepest slope, 1/h
+        plus, minus = BinnedCounts([[5, 0, 0, 0]] * 3), BinnedCounts([[0, 5, 0, 0]] * 3)
+        res = bootstrap_sensing(center, plus, minus, stats.MIN_SHIFT, ZY_WEIGHTS,
+                                mu=100, seed=0)
+        assert res.derivative.mean == 2.0 ** 511
+        assert 0 < res.estimator_variance.mean < 2.0 ** -1021
+        with pytest.raises(ValueError, match=r"shift h must be at least 2\*\*-511"):
+            bootstrap_sensing(center, plus, minus, np.nextafter(stats.MIN_SHIFT, 0),
+                              ZY_WEIGHTS, mu=100, seed=0)
+
 
 class TestBootstrapExpectation:
     def test_identical_bins_zero_width(self):

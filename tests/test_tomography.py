@@ -678,7 +678,7 @@ class TestCsvRoundTrip:
         lines = dataset_csv(data).splitlines()
         lines[1] = edit(lines[1])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="malformed dataset CSV row"):
+        with pytest.raises(ValueError, match="^malformed dataset CSV row at line 2: "):
             read_dataset_csv(path)
 
     def test_settings_are_built_once(self):
